@@ -17,13 +17,10 @@ The package couples three layers:
 
 from cnflow.time_mesh import (
     TimeMesh,
-    SmoothingWeight,
     build_uniform_mesh,
     build_alternating_mesh,
-    tau_value,
 )
 from cnflow.temporal_ops import (
-    TimeCallable,
     GridFunctionCG1,
     GridFunctionDG0,
     interpolate_nodal,

@@ -38,9 +38,8 @@ from cnflow.schemes import (
     SeparableForcing,
     StationaryInitialData,
     ZeroForcing,
-    nse_cn_solve,
     reference_solve,
-    stokes_cn_solve,
+    transient_solve,
 )
 from cnflow.spectral_stokes import (
     StabilityReport,
@@ -48,12 +47,7 @@ from cnflow.spectral_stokes import (
     verify_discrete_stability,
     verify_smoothing_stability,
 )
-from cnflow.temporal_ops import (
-    TimeCallable,
-    average,
-    interpolate_nodal,
-    midpoint_sample,
-)
+from cnflow.temporal_ops import average, interpolate_nodal, midpoint_sample
 from cnflow.time_mesh import build_alternating_mesh, build_uniform_mesh
 
 
@@ -134,12 +128,23 @@ class RunConfig:
         self.k_list = ks
         if self.refinement < 4:
             raise ConfigError("reference refinement factor must be at least 4")
+        if self.nu <= 0.0:
+            raise ConfigError("viscosity must be positive")
+        x0, x1, y0, y1 = self.domain
+        if x1 <= x0 or y1 <= y0 or self.nx < 1 or self.ny < 1:
+            raise ConfigError("need a nonempty domain and nx, ny of at least 1")
         if self.window_start is None:
             self.window_start = self.n0 if self.alpha > 0 else 0
         if self.solver is None:
             self.solver = "stokes" if self.experiment == "stokes_manufactured" else "nse"
         if self.solver not in ("stokes", "nse"):
             raise ConfigError(f"unknown solver {self.solver!r}")
+        self.error_specs()  # rejects unknown norms and bad weights or windows
+        # the coarsest mesh checks T and the pattern, and bounds n0 and the window
+        N = build_alternating_mesh(self.T, self.k_list[0], self.pattern).num_intervals
+        if not (0 <= self.n0 < N and self.window_start < N):
+            raise ConfigError(f"n0 and window_start must be below the {N} intervals "
+                              "of the coarsest mesh")
 
     def error_specs(self):
         return [ErrorSpec(norm, self.alpha, self.window_start, self.spatial_norm)
@@ -173,20 +178,20 @@ _INT = ("n0", "nx", "ny", "refinement", "seed", "threads", "window_start")
 
 def build_run_config(mapping):
     kwargs = {}
-    for key, value in mapping.items():
-        if key in _TUPLE_FLOAT:
-            kwargs[key] = tuple(float(v) for v in value.split(","))
-        elif key == "norms":
-            kwargs[key] = tuple(v.strip() for v in value.split(","))
-        elif key in _FLOAT:
-            kwargs[key] = float(value)
-        elif key in _INT:
-            kwargs[key] = int(value)
-        elif key in ("experiment", "spatial_norm", "solver", "forcing", "initial", "out"):
-            kwargs[key] = value
-        else:
-            raise ConfigError(f"unknown configuration key {key!r}")
     try:
+        for key, value in mapping.items():
+            if key in _TUPLE_FLOAT:
+                kwargs[key] = tuple(float(v) for v in value.split(","))
+            elif key == "norms":
+                kwargs[key] = tuple(v.strip() for v in value.split(","))
+            elif key in _FLOAT:
+                kwargs[key] = float(value)
+            elif key in _INT:
+                kwargs[key] = int(value)
+            elif key in ("experiment", "spatial_norm", "solver", "forcing", "initial", "out"):
+                kwargs[key] = value
+            else:
+                raise ConfigError(f"unknown configuration key {key!r}")
         return RunConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
@@ -214,7 +219,7 @@ def resolve_problem(config, space):
     return ProblemSpec(space, config.nu, forcing, initial, config.T)
 
 
-def build_reference(spec, kind, k_list, refinement, newton=None):
+def build_reference(spec, kind, k_list, refinement):
     """Uniform-mesh reference trajectory with step about min(k)/refinement."""
     k0 = min(k_list) / refinement
     N0 = max(int(round(spec.T / k0)), 1)
@@ -224,16 +229,10 @@ def build_reference(spec, kind, k_list, refinement, newton=None):
     return reference_solve(spec, fine, kind=kind)
 
 
-def solve_single(spec, kind, mesh, n0, newton=None):
-    if kind == "stokes":
-        return stokes_cn_solve(spec, mesh, n0=n0)
-    return nse_cn_solve(spec, mesh, n0=n0, newton=newton)
-
-
-def convergence_rows(spec, kind, reference, k, pattern, n0, error_specs, newton=None):
+def convergence_rows(spec, kind, reference, k, pattern, n0, error_specs):
     """Error rows of one coarse run against a shared reference."""
     mesh = build_alternating_mesh(spec.T, k, pattern)
-    traj = solve_single(spec, kind, mesh, n0, newton)
+    traj = transient_solve(spec, mesh, kind, n0)
     rows = []
     for es in error_specs:
         if es.norm.startswith("pressure"):
@@ -324,15 +323,14 @@ def temporal_operator_orders(T=2.0, n_list=(16, 32, 64), samples_per_interval=20
     nodal interpolation, 2 for the average/midpoint gap and 1 for the
     averaged interpolant.
     """
-    u = TimeCallable(fn)
     errs = {"interpolation": [], "average_vs_midpoint": [], "averaged_interpolant": []}
     ks = []
     for N in n_list:
         mesh = build_uniform_mesh(T, N)
         ks.append(mesh.k_max)
-        iu = interpolate_nodal(u, mesh)
-        au = average(u, mesh)
-        mu = midpoint_sample(u, mesh)
+        iu = interpolate_nodal(fn, mesh)
+        au = average(fn, mesh)
+        mu = midpoint_sample(fn, mesh)
         e_interp = 0.0
         e_avg_int = 0.0
         aiu = average(iu)

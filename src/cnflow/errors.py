@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from cnflow.temporal_ops import _compose
+
 PRESSURE_NORMS = ("pressure_L2l2", "pressure_Linfl2")
 VELOCITY_NORMS = ("velocity_LinfV1", "velocity_L2V2avg")
 
@@ -42,10 +44,6 @@ class ErrorSpec:
             raise ValueError("window start must be nonnegative")
         if self.spatial not in ("mass", "nodal"):
             raise ValueError(f"unknown spatial norm flavor {self.spatial!r}")
-
-    @property
-    def label(self):
-        return self.norm
 
 
 @dataclass
@@ -121,8 +119,8 @@ def fit_loglog(k_values, errors):
     e = np.asarray(errors, dtype=float)
     if k.size < 2 or np.unique(k).size < 2:
         raise ValueError("need at least two distinct step sizes")
-    if np.any(e <= 0.0):
-        raise ValueError("errors must be positive for a log-log fit "
+    if not np.all(np.isfinite(e) & (e > 0.0)):
+        raise ValueError("errors must be positive and finite for a log-log fit "
                          "(zero error signals an exact match or a bug)")
     order = np.argsort(-k)
     k, e = k[order], e[order]
@@ -163,18 +161,12 @@ def _window_mask(times, coarse_mesh, window_start):
     return mask
 
 
-def _weights(times, coarse_mesh, alpha):
-    if alpha == 0.0:
-        return np.ones_like(times)
-    idx = np.atleast_1d(coarse_mesh.interval_of(times))
-    return np.minimum(coarse_mesh.nodes[idx - 1], 1.0) ** alpha
-
-
 def _check_pair(traj, ref):
     if traj.space is not None and ref.space is not None and traj.space is not ref.space:
         raise ValueError("trajectories live on different spatial spaces")
-    if traj.pressure.values.shape[1:] != ref.pressure.values.shape[1:]:
-        raise ValueError("coefficient dimensions do not match")
+    for a, b in ((traj.pressure, ref.pressure), (traj.velocity, ref.velocity)):
+        if a.values.shape[1:] != b.values.shape[1:]:
+            raise ValueError("coefficient dimensions do not match")
 
 
 def midpoint_reconstruction(pressure, ts):
@@ -212,6 +204,9 @@ def pressure_error(traj, ref, spec):
         raise ValueError(f"{spec.norm} is not a pressure norm")
     _check_pair(traj, ref)
     fine = ref.mesh
+    # the midpoint rule below weights every sample with one step
+    if fine.rho > 1.0 + 1e-9:
+        raise ValueError("reference mesh must be uniform")
     k0 = fine.steps[0]
     tm = fine.midpoints
     mask = _window_mask(tm, traj.mesh, spec.window_start)
@@ -219,10 +214,8 @@ def pressure_error(traj, ref, spec):
     d = midpoint_reconstruction(traj.pressure, tm) - ref.pressure.values[mask]
     norm_fn = _spatial_norm_fn(spec, traj.space or ref.space)
     q = np.array([norm_fn(di) for di in d])
-    w = _weights(tm, traj.mesh, spec.alpha)
-    if spec.norm == "pressure_L2l2":
-        return float(np.sqrt(np.sum(k0 * (w * q) ** 2)))
-    return float(np.max(w * q))
+    w = traj.mesh.tau_values(spec.alpha)[traj.mesh.interval_of(tm) - 1]
+    return _compose(2 if spec.norm == "pressure_L2l2" else np.inf, w, q, k0)
 
 
 def velocity_error(traj, ref, spec):
@@ -238,7 +231,7 @@ def velocity_error(traj, ref, spec):
     """
     if spec.norm not in VELOCITY_NORMS:
         raise ValueError(f"{spec.norm} is not a velocity norm")
-    _check_pair_velocity(traj, ref)
+    _check_pair(traj, ref)
     space = traj.space or ref.space
     if space is None:
         raise ValueError("velocity errors need a trajectory with a spatial space")
@@ -248,34 +241,26 @@ def velocity_error(traj, ref, spec):
         mask = _window_mask(ts, traj.mesh, spec.window_start)
         ts = ts[mask]
         S = space.stiffness
-        w = _weights(ts, traj.mesh, spec.alpha)
-        best = 0.0
-        for t, wt in zip(ts, w):
+        q = []
+        for t in ts:
             d = traj.velocity.evaluate(t) - ref.velocity.evaluate(t)
-            best = max(best, wt * float(np.sqrt(d @ (S @ d))))
-        return best
+            q.append(float(np.sqrt(d @ (S @ d))))
+        w = traj.mesh.tau_values(spec.alpha)[traj.mesh.interval_of(ts) - 1]
+        return _compose(np.inf, w, np.array(q))
 
     # velocity_L2V2avg
     coarse = traj.mesh
-    if spec.window_start >= coarse.num_intervals:
+    n_start = spec.window_start
+    if n_start >= coarse.num_intervals:
         raise ValueError("window start leaves no intervals")
-    acc = 0.0
-    wvals = coarse.tau_values(spec.alpha)
-    for n in range(spec.window_start, coarse.num_intervals):
+    q = []
+    for n in range(n_start, coarse.num_intervals):
         a, b = coarse.nodes[n], coarse.nodes[n + 1]
-        kn = coarse.steps[n]
         avg_traj = 0.5 * (traj.velocity.values[n] + traj.velocity.values[n + 1])
-        avg_ref = integrate_cg1(ref.velocity, a, b) / kn
-        q = space.h2_proxy_seminorm(avg_traj - avg_ref)
-        acc += kn * (wvals[n] * q) ** 2
-    return float(np.sqrt(acc))
-
-
-def _check_pair_velocity(traj, ref):
-    if traj.space is not None and ref.space is not None and traj.space is not ref.space:
-        raise ValueError("trajectories live on different spatial spaces")
-    if traj.velocity.values.shape[1:] != ref.velocity.values.shape[1:]:
-        raise ValueError("coefficient dimensions do not match")
+        avg_ref = integrate_cg1(ref.velocity, a, b) / coarse.steps[n]
+        q.append(space.h2_proxy_seminorm(avg_traj - avg_ref))
+    return _compose(2, coarse.tau_values(spec.alpha)[n_start:], np.array(q),
+                    coarse.steps[n_start:])
 
 
 def integrate_cg1(u, a, b):

@@ -171,8 +171,6 @@ class TaylorHoodSpace:
         self.interior_scalar = np.flatnonzero(mask)
         self.interior_velocity = np.concatenate(
             [self.interior_scalar, self.num_scalar + self.interior_scalar])
-        self.boundary_velocity = np.concatenate(
-            [self.boundary_scalar, self.num_scalar + self.boundary_scalar])
 
         v = mesh.vertices[mesh.triangles]
         jac = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=2)  # (nt,2,2)
@@ -435,11 +433,10 @@ def build_space(bounds, nx, ny):
 
 @dataclass
 class MixedState:
-    """Velocity and (zero-mean) pressure coefficients plus the multiplier."""
+    """Velocity and (zero-mean) pressure coefficients."""
 
     velocity: np.ndarray
     pressure: np.ndarray
-    multiplier: float = 0.0
 
 
 class BorderedSaddle:
@@ -449,7 +446,7 @@ class BorderedSaddle:
     zero-mean pressure constraint,
 
         K U - B^T P = F
-        B U + c lam = g
+        B U + c lam = 0
         c . P       = 0.
 
     The factorization is reused across right-hand sides, which is what
@@ -479,13 +476,11 @@ class BorderedSaddle:
         self.system = system
         self.n_i, self.n_p = n_i, n_p
 
-    def solve(self, F, g=None, rtol=1e-10):
+    def solve(self, F, rtol=1e-10):
         space = self.space
         F = np.asarray(F, dtype=float)
         rhs = np.zeros(self.n_i + self.n_p + 1)
         rhs[: self.n_i] = F[space.interior_velocity]
-        if g is not None:
-            rhs[self.n_i: self.n_i + self.n_p] = g
         x = self.lu.solve(rhs)
         scale = max(float(np.linalg.norm(rhs)), 1e-30)
         resid = float(np.linalg.norm(self.system @ x - rhs))
@@ -498,27 +493,10 @@ class BorderedSaddle:
         mean = abs(float(space.mean_vector @ P))
         if mean > 1e-10 * max(1.0, float(np.linalg.norm(P))):
             raise SolverError(f"pressure mean {mean:.3e} above tolerance")
-        return MixedState(U, P, float(x[-1]))
+        return MixedState(U, P)
 
 
-def solve_saddle_point(space, K, F, B=None, g=None, rtol=1e-10):
+def solve_saddle_point(space, K, F, B=None, rtol=1e-10):
     """One-shot constrained saddle solve (factorization not retained)."""
-    return BorderedSaddle(space, K, B).solve(F, g, rtol)
+    return BorderedSaddle(space, K, B).solve(F, rtol)
 
-
-def dump_triplets(matrix, path):
-    """Write a sparse matrix as ``row col value`` lines (debugging format)."""
-    coo = sp.coo_matrix(matrix)
-    with open(path, "w") as fh:
-        fh.write(f"# {coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{r} {c} {float(v)!r}\n")
-
-
-def dump_vector(vec, path):
-    """Write a coefficient vector as ``index value`` lines."""
-    vec = np.asarray(vec)
-    with open(path, "w") as fh:
-        fh.write(f"# {vec.size}\n")
-        for i, v in enumerate(vec):
-            fh.write(f"{i} {float(v)!r}\n")

@@ -11,6 +11,7 @@ stepping.
 """
 
 import logging
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +45,6 @@ class NewtonConfig:
 
     tolerance: float = 1e-10
     max_iterations: int = 20
-    damping: bool = False
     reuse_jacobian: bool = True
 
     def __post_init__(self):
@@ -68,13 +68,12 @@ class SeparableForcing:
         self.time_factor = time_factor
         self.spatial = spatial
         self.label = label
-        self._loads = {}
+        self._loads = weakref.WeakKeyDictionary()
 
     def spatial_load(self, space):
-        key = id(space)
-        if key not in self._loads:
-            self._loads[key] = space.velocity_load(self.spatial)
-        return self._loads[key]
+        if space not in self._loads:
+            self._loads[space] = space.velocity_load(self.spatial)
+        return self._loads[space]
 
     def load_integral(self, space, a, b):
         x, w = gauss_rule(3)
@@ -111,17 +110,18 @@ class StationaryInitialData:
     def __init__(self, f0, label="stationary"):
         self.f0 = f0
         self.label = label
-        self._cache = {}
+        self._cache = weakref.WeakKeyDictionary()
 
     def resolve(self, space, nu, kind, newton=None):
-        key = (id(space), float(nu), kind)
-        if key not in self._cache:
+        cache = self._cache.setdefault(space, {})
+        key = (float(nu), kind)
+        if key not in cache:
             if kind == "nse":
                 state = stationary_nse_solve(space, nu, self.f0, newton or NewtonConfig())
             else:
                 state = stationary_stokes_solve(space, nu, self.f0)
-            self._cache[key] = state
-        return self._cache[key]
+            cache[key] = state
+        return cache[key]
 
 
 @dataclass
@@ -168,13 +168,39 @@ class Trajectory:
     pressure: GridFunctionDG0
     scheme_tags: list
     space: object = None
-    viscosity: float = None
-    forcing_label: str = ""
     n0: int = 0
 
 
-def _hybrid_tags(n0, N):
-    return ["IE"] * n0 + ["CN"] * (N - n0)
+def _march(spec, mesh, n0, kind, newton, advance):
+    """The interval loop shared by the transient steppers.
+
+    ``advance(scheme, k, F, u, P, label)`` returns the velocity and the
+    scaled pressure ``P = k p`` of one interval from the previous velocity
+    and scaled pressure; the loop tags the intervals, integrates the
+    forcing and stores ``p = P / k``.
+    """
+    space = spec.space
+    N = mesh.num_intervals
+    if not 0 <= n0 < N:
+        raise ValueError("Euler prefix must leave at least one interval")
+    u = spec.initial_velocity(kind, newton)
+    vel = np.empty((N + 1, space.num_velocity))
+    prs = np.empty((N, space.num_pressure))
+    vel[0] = u
+    P = np.zeros(space.num_pressure)
+    tags = ["IE"] * n0 + ["CN"] * (N - n0)
+    for n in range(N):
+        k = mesh.steps[n]
+        F = spec.forcing.load_integral(space, mesh.nodes[n], mesh.nodes[n + 1])
+        try:
+            u, P = advance(tags[n], k, F, u, P, f"step {n + 1}")
+        except NewtonError as exc:
+            exc.step = n + 1
+            raise
+        vel[n + 1] = u
+        prs[n] = P / k
+    return Trajectory(mesh, GridFunctionCG1(mesh, vel), GridFunctionDG0(mesh, prs),
+                      tags, space, n0)
 
 
 def stokes_cn_solve(spec, mesh, n0=0):
@@ -188,18 +214,10 @@ def stokes_cn_solve(spec, mesh, n0=0):
     enforced through the bordered constraint.
     """
     space, nu = spec.space, spec.viscosity
-    N = mesh.num_intervals
-    if not 0 <= n0 < N:
-        raise ValueError("Euler prefix must leave at least one interval")
     M, A = space.mass, space.stiffness
-    u = spec.initial_velocity(kind="stokes")
-    vel = np.empty((N + 1, space.num_velocity))
-    prs = np.empty((N, space.num_pressure))
-    vel[0] = u
     factors = {}
-    for n in range(N):
-        k = mesh.steps[n]
-        scheme = "IE" if n < n0 else "CN"
+
+    def advance(scheme, k, F, u, P, label):
         key = (scheme, k)
         if key not in factors:
             if scheme == "IE":
@@ -209,63 +227,37 @@ def stokes_cn_solve(spec, mesh, n0=0):
                 K, K_exp = (M + half * A).tocsr(), (M - half * A).tocsr()
             factors[key] = (BorderedSaddle(space, K), K_exp)
         saddle, K_exp = factors[key]
-        F = spec.forcing.load_integral(space, mesh.nodes[n], mesh.nodes[n + 1])
         try:
             state = saddle.solve(F + K_exp @ u)
         except SolverError as exc:
-            raise SolverError(f"step {n + 1}: {exc}") from None
-        u = state.velocity
-        vel[n + 1] = u
-        prs[n] = state.pressure / k
-    return Trajectory(mesh, GridFunctionCG1(mesh, vel), GridFunctionDG0(mesh, prs),
-                      _hybrid_tags(n0, N), space, nu, spec.forcing.label, n0)
+            raise SolverError(f"{label}: {exc}") from None
+        return state.velocity, state.pressure
+
+    return _march(spec, mesh, n0, "stokes", None, advance)
 
 
-def _newton_saddle(space, nu, k, u_prev, P0, F, scheme, newton, step_label,
-                   caches=None):
-    """Newton iteration for one implicit interval of the transient problem.
+def _newton(space, momentum, jacobian, U, P, newton, target, label, frozen=None, key=None):
+    """Newton iteration on one bordered saddle system.
 
-    Scaled pressure ``P = k p`` is the saddle unknown.  The Jacobian
-    carries both linearization terms of the convection form; with
-    ``newton.reuse_jacobian`` a previously factorized Jacobian for the
-    same (scheme, step size) is tried first and refreshed as soon as the
-    residual stops contracting.
+    ``momentum(U, P)`` returns the momentum residual and the data
+    ``jacobian`` needs to assemble the velocity block of the Jacobian at
+    that iterate; incompressibility and the zero pressure mean complete
+    the residual here.  The iteration stops once the residual is at most
+    ``target``, or within ``newton.tolerance`` and no longer contracting.
+    With a ``frozen`` dict, the factorized Jacobian stored under ``key``
+    is tried first and refreshed as soon as the residual stops
+    contracting.  Returns the state and the iteration count.
     """
-    M, A, B = space.mass, space.stiffness, space.divergence
-    c = space.mean_vector
+    B, c = space.divergence, space.mean_vector
     ii = space.interior_velocity
     n_i = ii.size
 
-    if scheme == "IE":
-        coef_nl, coef_visc = k, k * nu
-    else:
-        coef_nl, coef_visc = 0.25 * k, 0.5 * k * nu
-    key = (scheme, k)
-    lin_cache, jac_cache = caches if caches is not None else ({}, {})
-    if key not in lin_cache:
-        lin_cache[key] = (M + coef_visc * A).tocsr()
-    K_lin = lin_cache[key]
-
-    U = u_prev.copy()
-    P = P0.copy()
-
     def residual(U, P):
-        w = U if scheme == "IE" else U + u_prev
-        nl = space.convection_apply(w, w)
-        if scheme == "IE":
-            r = M @ (U - u_prev) + k * nu * (A @ U) + k * nl - B.T @ P - F
-        else:
-            r = (M @ (U - u_prev) + 0.5 * k * nu * (A @ (U + u_prev))
-                 + 0.25 * k * nl - B.T @ P - F)
+        r, lin = momentum(U, P)
         rd = B @ U
         rm = float(c @ P)
         norm = float(np.sqrt(np.dot(r[ii], r[ii]) + np.dot(rd, rd) + rm * rm))
-        return r, rd, rm, norm, w
-
-    def fresh_factorization(w):
-        J = (K_lin + coef_nl * (space.convection(w)
-                                + space.convection_gradient(w))).tocsr()
-        return BorderedSaddle(space, J, B)
+        return r, rd, rm, norm, lin
 
     def solve_update(saddle, r, rd, rm):
         rhs = np.zeros(n_i + space.num_pressure + 1)
@@ -277,12 +269,7 @@ def _newton_saddle(space, nu, k, u_prev, P0, F, scheme, newton, step_label,
         dU[ii] = delta[:n_i]
         return dU, delta[n_i:-1]
 
-    # The pressure is recovered as P / k, so residual noise enters it with
-    # a 1/k amplification; drive the iteration to a k-scaled target (the
-    # configured tolerance remains the hard acceptance contract).
-    target = newton.tolerance * min(1.0, k)
-
-    r, rd, rm, res, w = residual(U, P)
+    r, rd, rm, res, lin = residual(U, P)
     prev_res = None
     it = 0
     while it < newton.max_iterations:
@@ -291,45 +278,82 @@ def _newton_saddle(space, nu, k, u_prev, P0, F, scheme, newton, step_label,
         if res <= newton.tolerance and prev_res is not None and res > 0.5 * prev_res:
             # within contract and no longer contracting (round-off floor)
             return MixedState(U, P), it
-        stale = jac_cache.get(key) if newton.reuse_jacobian else None
+        stale = frozen.get(key) if frozen is not None else None
         try:
             if stale is not None:
                 dU, dP = solve_update(stale, r, rd, rm)
                 U_try, P_try = U + dU, P + dP
-                r2, rd2, rm2, res2, w2 = residual(U_try, P_try)
+                r2, rd2, rm2, res2, lin2 = residual(U_try, P_try)
                 it += 1
                 if res2 <= max(0.5 * res, target):
-                    U, P, r, rd, rm, prev_res, res, w = (
-                        U_try, P_try, r2, rd2, rm2, res, res2, w2)
+                    U, P, r, rd, rm, prev_res, res, lin = (
+                        U_try, P_try, r2, rd2, rm2, res, res2, lin2)
                     continue
                 # stale direction stopped contracting: rebuild below
-                jac_cache.pop(key, None)
-            saddle = fresh_factorization(w)
-            if newton.reuse_jacobian:
-                jac_cache[key] = saddle
+                frozen.pop(key, None)
+            saddle = BorderedSaddle(space, jacobian(lin), B)
+            if frozen is not None:
+                frozen[key] = saddle
             dU, dP = solve_update(saddle, r, rd, rm)
         except (SolverError, RuntimeError) as exc:
-            raise NewtonError(f"{step_label}: linear solve failed: {exc}",
+            raise NewtonError(f"{label}: linear solve failed: {exc}",
                               iterations=it, residual=res) from None
-        step_size = 1.0
-        while True:
-            U_new, P_new = U + step_size * dU, P + step_size * dP
-            r, rd, rm, new_res, w = residual(U_new, P_new)
-            if not newton.damping or new_res <= res or step_size < 1.0 / 64.0:
-                break
-            step_size *= 0.5
-        U, P = U_new, P_new
+        U, P = U + dU, P + dP
+        r, rd, rm, new_res, lin = residual(U, P)
         if prev_res is not None and prev_res > 0.0:
             log.debug("%s newton it %d residual %.3e (tail %.3e)",
-                      step_label, it, new_res, new_res / max(res, 1e-300) ** 2)
+                      label, it, new_res, new_res / max(res, 1e-300) ** 2)
         prev_res, res = res, new_res
         it += 1
     if res <= newton.tolerance:
         return MixedState(U, P), newton.max_iterations
     raise NewtonError(
-        f"{step_label}: no convergence after {newton.max_iterations} iterations "
+        f"{label}: no convergence after {newton.max_iterations} iterations "
         f"(last residual {res:.3e})",
         iterations=newton.max_iterations, residual=res)
+
+
+def _newton_saddle(space, nu, k, u_prev, P0, F, scheme, newton, step_label, caches):
+    """Newton iteration for one implicit interval of the transient problem.
+
+    Scaled pressure ``P = k p`` is the saddle unknown.  The Jacobian
+    carries both linearization terms of the convection form; with
+    ``newton.reuse_jacobian`` a previously factorized Jacobian for the
+    same (scheme, step size) is tried first.
+    """
+    M, A, B = space.mass, space.stiffness, space.divergence
+
+    if scheme == "IE":
+        coef_nl, coef_visc = k, k * nu
+    else:
+        coef_nl, coef_visc = 0.25 * k, 0.5 * k * nu
+    key = (scheme, k)
+    lin_cache, jac_cache = caches
+    if key not in lin_cache:
+        lin_cache[key] = (M + coef_visc * A).tocsr()
+    K_lin = lin_cache[key]
+
+    def momentum(U, P):
+        w = U if scheme == "IE" else U + u_prev
+        nl = space.convection_apply(w, w)
+        if scheme == "IE":
+            r = M @ (U - u_prev) + k * nu * (A @ U) + k * nl - B.T @ P - F
+        else:
+            r = (M @ (U - u_prev) + 0.5 * k * nu * (A @ (U + u_prev))
+                 + 0.25 * k * nl - B.T @ P - F)
+        return r, w
+
+    def jacobian(w):
+        return (K_lin + coef_nl * (space.convection(w)
+                                   + space.convection_gradient(w))).tocsr()
+
+    # The pressure is recovered as P / k, so residual noise enters it with
+    # a 1/k amplification; drive the iteration to a k-scaled target (the
+    # configured tolerance remains the hard acceptance contract).
+    target = newton.tolerance * min(1.0, k)
+    frozen = jac_cache if newton.reuse_jacobian else None
+    return _newton(space, momentum, jacobian, u_prev.copy(), P0.copy(), newton, target,
+                   step_label, frozen, key)
 
 
 def nse_cn_solve(spec, mesh, n0=0, newton=None):
@@ -341,30 +365,13 @@ def nse_cn_solve(spec, mesh, n0=0, newton=None):
     """
     newton = newton or NewtonConfig()
     space, nu = spec.space, spec.viscosity
-    N = mesh.num_intervals
-    if not 0 <= n0 < N:
-        raise ValueError("Euler prefix must leave at least one interval")
-    u = spec.initial_velocity(kind="nse", newton=newton)
-    vel = np.empty((N + 1, space.num_velocity))
-    prs = np.empty((N, space.num_pressure))
-    vel[0] = u
-    P = np.zeros(space.num_pressure)
     caches = ({}, {})
-    for n in range(N):
-        k = mesh.steps[n]
-        scheme = "IE" if n < n0 else "CN"
-        F = spec.forcing.load_integral(space, mesh.nodes[n], mesh.nodes[n + 1])
-        try:
-            state, iters = _newton_saddle(space, nu, k, u, P, F, scheme, newton,
-                                          f"step {n + 1}", caches)
-        except NewtonError as exc:
-            raise NewtonError(str(exc), step=n + 1, iterations=exc.iterations,
-                              residual=exc.residual) from None
-        u, P = state.velocity, state.pressure
-        vel[n + 1] = u
-        prs[n] = P / k
-    return Trajectory(mesh, GridFunctionCG1(mesh, vel), GridFunctionDG0(mesh, prs),
-                      _hybrid_tags(n0, N), space, nu, spec.forcing.label, n0)
+
+    def advance(scheme, k, F, u, P, label):
+        state, _ = _newton_saddle(space, nu, k, u, P, F, scheme, newton, label, caches)
+        return state.velocity, state.pressure
+
+    return _march(spec, mesh, n0, "nse", newton, advance)
 
 
 def stationary_stokes_solve(space, nu, f0):
@@ -378,54 +385,33 @@ def stationary_nse_solve(space, nu, f0, newton=None):
     """Stationary Navier-Stokes solve by Newton from the Stokes solution."""
     newton = newton or NewtonConfig()
     A, B = space.stiffness, space.divergence
-    c = space.mean_vector
-    ii = space.interior_velocity
     F = space.velocity_load(f0)
     guess = stationary_stokes_solve(space, nu, f0)
-    U, P = guess.velocity, guess.pressure
 
-    def residual(U, P):
+    def momentum(U, P):
         C = space.convection(U)
-        r = nu * (A @ U) + C @ U - B.T @ P - F
-        rd = B @ U
-        rm = float(c @ P)
-        return r, rd, rm, float(np.sqrt(np.dot(r[ii], r[ii]) + np.dot(rd, rd) + rm * rm)), C
+        return nu * (A @ U) + C @ U - B.T @ P - F, (U, C)
 
-    r, rd, rm, res, C = residual(U, P)
-    for it in range(newton.max_iterations):
-        if res <= newton.tolerance:
-            return MixedState(U, P)
-        J = (nu * A + C + space.convection_gradient(U)).tocsr()
-        try:
-            saddle = BorderedSaddle(space, J, B)
-            n_i = ii.size
-            rhs = np.zeros(n_i + space.num_pressure + 1)
-            rhs[:n_i] = -r[ii]
-            rhs[n_i:-1] = -rd
-            rhs[-1] = -rm
-            delta = saddle.lu.solve(rhs)
-        except (SolverError, RuntimeError) as exc:
-            raise NewtonError(f"stationary solve: linear solve failed: {exc}",
-                              iterations=it, residual=res) from None
-        dU = np.zeros(space.num_velocity)
-        dU[ii] = delta[:n_i]
-        dP = delta[n_i:-1]
-        step_size = 1.0
-        while True:
-            U_new, P_new = U + step_size * dU, P + step_size * dP
-            r, rd, rm, new_res, C = residual(U_new, P_new)
-            if not newton.damping or new_res <= res or step_size < 1.0 / 64.0:
-                break
-            step_size *= 0.5
-        U, P = U_new, P_new
-        res = new_res
-    if res <= newton.tolerance:
-        return MixedState(U, P)
-    raise NewtonError(
-        "stationary solve: no convergence after "
-        f"{newton.max_iterations} iterations (last residual {res:.3e}); "
-        "consider continuation in viscosity",
-        iterations=newton.max_iterations, residual=res)
+    def jacobian(lin):
+        U, C = lin
+        return (nu * A + C + space.convection_gradient(U)).tocsr()
+
+    try:
+        state, _ = _newton(space, momentum, jacobian, guess.velocity, guess.pressure,
+                           newton, newton.tolerance, "stationary solve")
+    except NewtonError as exc:
+        raise NewtonError(f"{exc}; consider continuation in viscosity",
+                          iterations=exc.iterations, residual=exc.residual) from None
+    return state
+
+
+def transient_solve(spec, mesh, kind="nse", n0=0, newton=None):
+    """Stokes (``kind="stokes"``) or Navier-Stokes (``"nse"``) stepping."""
+    if kind == "stokes":
+        return stokes_cn_solve(spec, mesh, n0=n0)
+    if kind == "nse":
+        return nse_cn_solve(spec, mesh, n0=n0, newton=newton)
+    raise ValueError(f"unknown solver kind {kind!r}")
 
 
 def reference_solve(spec, fine_mesh, kind="nse", newton=None):
@@ -437,34 +423,4 @@ def reference_solve(spec, fine_mesh, kind="nse", newton=None):
     if fine_mesh.rho > 1.0 + 1e-9:
         raise ValueError("reference mesh must be uniform")
     n0 = 2 if spec.initial_kind == "stationary" else 0
-    if kind == "stokes":
-        return stokes_cn_solve(spec, fine_mesh, n0=n0)
-    if kind == "nse":
-        return nse_cn_solve(spec, fine_mesh, n0=n0, newton=newton)
-    raise ValueError(f"unknown solver kind {kind!r}")
-
-
-def export_trajectory(traj, directory):
-    """Plain-text trajectory dump.
-
-    Writes ``manifest.txt`` (mesh nodes, per-interval scheme tags,
-    viscosity, forcing id), ``velocity.txt`` (one line per time node:
-    all velocity coefficients) and ``pressure.txt`` (one line per
-    interval: all pressure coefficients).  Floats are written with
-    ``repr`` so the dump round-trips exactly.
-    """
-    import os
-
-    os.makedirs(directory, exist_ok=True)
-    with open(os.path.join(directory, "manifest.txt"), "w") as fh:
-        fh.write(f"viscosity = {traj.viscosity!r}\n")
-        fh.write(f"forcing = {traj.forcing_label}\n")
-        fh.write(f"n0 = {traj.n0}\n")
-        fh.write(f"scheme_tags = {','.join(traj.scheme_tags)}\n")
-        fh.write("nodes = " + ",".join(repr(float(t)) for t in traj.mesh.nodes) + "\n")
-    with open(os.path.join(directory, "velocity.txt"), "w") as fh:
-        for row in traj.velocity.values:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-    with open(os.path.join(directory, "pressure.txt"), "w") as fh:
-        for row in traj.pressure.values:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+    return transient_solve(spec, fine_mesh, kind, n0, newton)

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from cnflow.time_mesh import SmoothingWeight
 from cnflow.temporal_ops import (
     GridFunctionCG1,
     GridFunctionDG0,
@@ -100,9 +99,6 @@ class SpectralTrajectory:
     states: GridFunctionCG1
     forcing: GridFunctionDG0
 
-    def field(self, n):
-        return SpectralField(self.eigenvalues, self.states.values[n])
-
 
 def evolve_cn(mesh, eigenvalues, c0, forcing_values, start=0):
     """Crank-Nicolson evolution over intervals ``start+1 .. N`` of the mesh.
@@ -179,14 +175,13 @@ def _averaged_forcing(mesh, forcing):
 def _norms(traj, s, alpha, window):
     """(Linf V^s, L2 V^{s+1} of the average, L2 V^{s-1} of the derivative)."""
     lam = traj.eigenvalues
-    w = SmoothingWeight(traj.mesh, alpha)
 
     def nrm(ss):
         return lambda c: float(np.sqrt(np.sum(lam ** ss * c * c)))
 
-    linf = weighted_temporal_norm(traj.states, w, np.inf, nrm(s), window)
-    l2_avg = weighted_temporal_norm(average(traj.states), w, 2, nrm(s + 1), window)
-    l2_dt = weighted_temporal_norm(time_derivative(traj.states), w, 2, nrm(s - 1), window)
+    linf = weighted_temporal_norm(traj.states, alpha, np.inf, nrm(s), window)
+    l2_avg = weighted_temporal_norm(average(traj.states), alpha, 2, nrm(s + 1), window)
+    l2_dt = weighted_temporal_norm(time_derivative(traj.states), alpha, 2, nrm(s - 1), window)
     return linf, l2_avg, l2_dt
 
 
@@ -211,9 +206,8 @@ def verify_discrete_stability(s, mesh, trial_count=50, rng_seed=0, eigenvalues=N
         traj = evolve_cn(mesh, lam, c0, rk)
         linf, l2_avg, l2_dt = _norms(traj, s, 0.0, None)
         lhs = linf + l2_dt + l2_avg
-        w0 = SmoothingWeight(mesh, 0.0)
         rhs = vs_norm(SpectralField(lam, c0), s) + weighted_temporal_norm(
-            traj.forcing, w0, 2, lambda c: float(np.sqrt(np.sum(lam ** (s - 1) * c * c))))
+            traj.forcing, 0.0, 2, lambda c: float(np.sqrt(np.sum(lam ** (s - 1) * c * c))))
         ratios.append(lhs / rhs)
     ratios = np.asarray(ratios)
     return StabilityReport("discrete-stability", s, 0, 0, mesh.num_intervals,
@@ -249,16 +243,15 @@ def verify_smoothing_stability(s, ell, n0, mesh, trial_count=50, rng_seed=0,
         linf, l2_avg, l2_dt = _norms(traj, s, 0.5 * ell, window)
         lhs = linf + l2_avg + l2_dt
 
-        w_ell = SmoothingWeight(mesh, 0.5 * ell)
-        w_lower = SmoothingWeight(mesh, 0.5 * (ell - 1))
+        a_ell, a_lower = 0.5 * ell, 0.5 * (ell - 1)
 
         def nrm(ss):
             return lambda c: float(np.sqrt(np.sum(lam ** ss * c * c)))
 
-        rhs = (kmax ** (0.5 * ell) * vs_norm(SpectralField(lam, c0), s)
-               + weighted_temporal_norm(traj.forcing, w_ell, 2, nrm(s - 1), window)
-               + weighted_temporal_norm(average(traj.states), w_lower, 2, nrm(s), window)
-               + kmax * weighted_temporal_norm(time_derivative(traj.states), w_lower, 2,
+        rhs = (kmax ** a_ell * vs_norm(SpectralField(lam, c0), s)
+               + weighted_temporal_norm(traj.forcing, a_ell, 2, nrm(s - 1), window)
+               + weighted_temporal_norm(average(traj.states), a_lower, 2, nrm(s), window)
+               + kmax * weighted_temporal_norm(time_derivative(traj.states), a_lower, 2,
                                                nrm(s), window))
         ratios.append(lhs / rhs)
     ratios = np.asarray(ratios)

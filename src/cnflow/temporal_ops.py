@@ -14,22 +14,6 @@ piecewise constants) and constant continuation of midpoint values.
 import numpy as np
 
 
-class TimeCallable:
-    """Time-dependent coefficient vector ``t -> u(t)``.
-
-    Optional first and second time derivative handles travel along; they
-    are never required by the operators but convenient for oracles.
-    """
-
-    def __init__(self, fn, dt=None, dtt=None):
-        self.fn = fn
-        self.dt = dt
-        self.dtt = dtt
-
-    def __call__(self, t):
-        return np.asarray(self.fn(t), dtype=float)
-
-
 class GridFunctionCG1:
     """Continuous piecewise-linear grid function (one value per node)."""
 
@@ -39,10 +23,6 @@ class GridFunctionCG1:
             raise ValueError("need one value per mesh node")
         self.mesh = mesh
         self.values = values
-
-    @property
-    def node_values(self):
-        return self.values
 
     def evaluate(self, t):
         """Affine interpolant on the containing interval."""
@@ -71,16 +51,8 @@ class GridFunctionDG0:
         self.mesh = mesh
         self.values = values
 
-    @property
-    def interval_values(self):
-        return self.values
-
     def evaluate(self, t):
         return self.values[self.mesh.interval_of(t) - 1]
-
-    def evaluate_many(self, ts):
-        n = np.atleast_1d(self.mesh.interval_of(np.asarray(ts, dtype=float)))
-        return self.values[n - 1]
 
 
 _GAUSS_CACHE = {}
@@ -151,14 +123,26 @@ def time_derivative(u):
 _GAUSS2_THETA = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
 
 
-def weighted_temporal_norm(f, weight, p, spatial_norm, window=None):
+def _compose(p, w, q, k=None):
+    """Temporal composition of weighted samples ``q`` with weights ``w``:
+    ``sqrt(sum k (w q)^2)`` with steps ``k`` for ``p == 2``, ``max(w q)`` for
+    ``p == inf``."""
+    if p == 2:
+        return float(np.sqrt(np.sum(k * (w * q) ** 2)))
+    if np.isinf(p):
+        return float(np.max(w * q))
+    raise ValueError("p must be 2 or inf")
+
+
+def weighted_temporal_norm(f, alpha, p, spatial_norm, window=None):
     """Weighted temporal L2 or Linf norm of a grid function.
 
     Parameters
     ----------
     f : GridFunctionDG0 or GridFunctionCG1
-    weight : SmoothingWeight
-        Discrete weight ``tau_k^alpha`` on the same mesh.
+    alpha : float
+        Exponent of the smoothing weight ``tau_k^alpha`` on the mesh of
+        ``f`` (see ``TimeMesh.tau_values``).
     p : 2 or numpy.inf
         Temporal composition.
     spatial_norm : callable
@@ -176,24 +160,18 @@ def weighted_temporal_norm(f, weight, p, spatial_norm, window=None):
     is convex, so the interval supremum sits at an endpoint).
     """
     mesh = f.mesh
-    if weight.mesh is not mesh:
-        raise ValueError("weight and grid function live on different meshes")
     N = mesh.num_intervals
     if window is None:
         window = (0, N)
     n_start, n_end = window
     if not (0 <= n_start < n_end <= N):
         raise ValueError(f"empty or invalid window {window}")
-    w = weight.values()[n_start:n_end]
+    w = mesh.tau_values(alpha)[n_start:n_end]
     k = mesh.steps[n_start:n_end]
 
     if isinstance(f, GridFunctionDG0):
         q = np.array([spatial_norm(v) for v in f.values[n_start:n_end]])
-        if p == 2:
-            return float(np.sqrt(np.sum(k * (w * q) ** 2)))
-        if np.isinf(p):
-            return float(np.max(w * q))
-        raise ValueError("p must be 2 or inf")
+        return _compose(p, w, q, k)
 
     if isinstance(f, GridFunctionCG1):
         left = f.values[n_start:n_end]

@@ -11,8 +11,6 @@ The smoothing weight is the piecewise-constant discretization of
 so it vanishes identically on the first interval.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -67,17 +65,12 @@ class TimeMesh:
         idx = np.clip(idx, 1, self.num_intervals)
         return idx if idx.ndim else int(idx)
 
-    def tau(self, n):
-        """Smoothing-weight base value ``min(t_{n-1}, 1)`` on interval ``n`` (1-based)."""
-        if not 1 <= n <= self.num_intervals:
-            raise ValueError(f"interval index {n} out of range 1..{self.num_intervals}")
-        return min(self.nodes[n - 1], 1.0)
-
     def tau_values(self, alpha=1.0):
-        """Per-interval values of the smoothing weight raised to ``alpha``.
+        """Per-interval smoothing weight ``min(t_{n-1}, 1) ** alpha``.
 
         Uses the convention ``0**0 == 1`` so ``alpha = 0`` gives the
-        unweighted (all-ones) profile including the first interval.
+        unweighted (all-ones) profile including the first interval.  The
+        weight at times ``t`` is ``tau_values(alpha)[interval_of(t) - 1]``.
         """
         if alpha < 0.0:
             raise ValueError("weight exponent must be nonnegative")
@@ -85,25 +78,6 @@ class TimeMesh:
         if alpha == 0.0:
             return np.ones_like(base)
         return base ** alpha
-
-
-@dataclass(frozen=True)
-class SmoothingWeight:
-    """Discrete weight ``tau_k^alpha`` attached to a mesh."""
-
-    mesh: TimeMesh
-    alpha: float
-
-    def __post_init__(self):
-        if self.alpha < 0.0:
-            raise ValueError("weight exponent must be nonnegative")
-
-    def values(self):
-        return self.mesh.tau_values(self.alpha)
-
-    def value(self, n):
-        """Weight on interval ``n`` (1-based)."""
-        return tau_value(self.mesh, n, self.alpha)
 
 
 def build_uniform_mesh(T, N):
@@ -149,12 +123,3 @@ def build_alternating_mesh(T, base_k, pattern):
         i += 1
     return TimeMesh(np.asarray(nodes))
 
-
-def tau_value(mesh, n, alpha):
-    """Value of ``tau_k^alpha`` on interval ``n`` (1-based), with ``0**0 == 1``."""
-    if alpha < 0.0:
-        raise ValueError("weight exponent must be nonnegative")
-    base = mesh.tau(n)
-    if alpha == 0.0:
-        return 1.0
-    return base ** alpha

@@ -183,6 +183,18 @@ def test_main_exit_codes(tmp_path, capsys):
     assert "PASS" in out
 
 
+@pytest.mark.parametrize("override", ["nx=0", "T=-1", "nu=0", "pattern=0.5,0.5",
+                                      "norms=bogus", "n0=500"])
+def test_invalid_config_value_exit_code(tmp_path, capsys, override):
+    from pathlib import Path
+
+    config = Path(__file__).parent.parent / "configs" / "stokes_manufactured.cfg"
+    args = ["convergence", "--config", str(config), "--set", override,
+            "--out", str(tmp_path)]
+    assert main(args) == 2
+    assert "configuration error:" in capsys.readouterr().err
+
+
 def test_verify_threshold_failure_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "DRIFT_LIMIT", 0.5)  # impossible bound
     assert main(["verify", "spectral-stability", "--out", str(tmp_path)]) == 1

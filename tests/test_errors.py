@@ -51,6 +51,9 @@ def test_fit_rate_rejects_bad_rows():
         fit_loglog([0.1], [1.0])
     with pytest.raises(ValueError):
         fit_loglog([0.1, 0.05], [1.0, 0.0])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            fit_loglog([0.1, 0.05, 0.025], [1e-2, bad, 1e-4])
     rec = ConvergenceRecord()
     rec.add(0.1, 0, 0.0, "pressure_L2l2", 1e-3)
     rec.add(0.05, 0, 0.0, "pressure_L2l2", 2.5e-4)
@@ -199,6 +202,16 @@ def test_empty_window_rejected():
     with pytest.raises(ValueError):
         pressure_error(traj, ref, ErrorSpec("pressure_L2l2", window_start=2,
                                             spatial="nodal"))
+
+
+def test_nonuniform_reference_rejected():
+    # the midpoint rule weights every reference sample with the first step
+    fine = build_alternating_mesh(1.0, 1.0 / 64, [0.8, 1.2])
+    coarse = build_uniform_mesh(1.0, 8)
+    ref = synthetic_traj(fine, np.zeros((fine.num_intervals, 2)))
+    traj = synthetic_traj(coarse, np.ones((8, 2)))
+    with pytest.raises(ValueError, match="uniform"):
+        pressure_error(traj, ref, ErrorSpec("pressure_L2l2", spatial="nodal"))
 
 
 def test_mismatched_spaces_rejected():

@@ -8,8 +8,6 @@ from cnflow.fem2d import (
     BorderedSaddle,
     FemMesh2D,
     build_space,
-    dump_triplets,
-    dump_vector,
     solve_saddle_point,
     triangle_rule,
 )
@@ -252,20 +250,3 @@ def test_stationary_stokes_manufactured_convergence():
     assert rate_u >= 2.7
     assert rate_p >= 1.8
 
-
-def test_dump_formats(tmp_path, two_element_space):
-    mat = two_element_space.pressure_mass
-    path = tmp_path / "mat.txt"
-    dump_triplets(mat, path)
-    lines = path.read_text().strip().split("\n")
-    header = lines[0].split()
-    assert header[0] == "#" and int(header[3]) == mat.nnz
-    r, c, v = lines[1].split()
-    assert mat[int(r), int(c)] == float(v)
-
-    vec = np.array([1.5, -2.25])
-    vpath = tmp_path / "vec.txt"
-    dump_vector(vec, vpath)
-    vlines = vpath.read_text().strip().split("\n")
-    assert vlines[1] == "0 1.5"
-    assert vlines[2] == "1 -2.25"

@@ -1,6 +1,9 @@
+import gc
+
 import numpy as np
 import pytest
 
+from cnflow.fem2d import FemMesh2D, TaylorHoodSpace
 from cnflow.schemes import (
     GeneralForcing,
     NewtonConfig,
@@ -9,7 +12,6 @@ from cnflow.schemes import (
     SeparableForcing,
     StationaryInitialData,
     ZeroForcing,
-    export_trajectory,
     nse_cn_solve,
     reference_solve,
     stationary_nse_solve,
@@ -224,6 +226,24 @@ def test_stationary_initial_data_cached(medium_space):
     assert c is not a
 
 
+def test_caches_never_serve_another_space():
+    # a space built right after another is collected usually gets its id:
+    # the caches must still compute its own load vector and initial state
+    f0 = lambda x, y: (np.cos(x) * y, np.sin(y) * x)
+    forcing = SeparableForcing(lambda t: 1.0, f0, "probe")
+    init = StationaryInitialData(f0, "probe")
+    space, stale = None, 0
+    for i in range(40):
+        mesh = FemMesh2D((-1.0, 1.0, -1.0, 1.0) if i % 2 else (0.0, 2.0, 0.0, 1.0), 4, 4)
+        del space
+        gc.collect()
+        space = TaylorHoodSpace(mesh)
+        stale += not np.array_equal(forcing.spatial_load(space), space.velocity_load(f0))
+        stale += not np.array_equal(init.resolve(space, 0.01, "stokes").velocity,
+                                    stationary_stokes_solve(space, 0.01, f0).velocity)
+    assert stale == 0
+
+
 def test_reference_solve_contract(medium_space):
     spec = ProblemSpec(medium_space, 0.01, ramp_forcing(), None, 0.5)
     with pytest.raises(ValueError):
@@ -303,16 +323,3 @@ def test_newton_tail_logged_not_asserted(medium_space, caplog):
                      newton=NewtonConfig(reuse_jacobian=False))
     assert any("tail" in rec.message for rec in caplog.records)
 
-
-def test_export_trajectory_roundtrip(tmp_path, medium_space):
-    spec = ProblemSpec(medium_space, 0.01, ramp_forcing(), None, 0.5)
-    mesh = build_uniform_mesh(0.5, 3)
-    traj = nse_cn_solve(spec, mesh, n0=1)
-    export_trajectory(traj, tmp_path / "dump")
-    manifest = (tmp_path / "dump" / "manifest.txt").read_text()
-    assert "scheme_tags = IE,CN,CN" in manifest
-    assert "viscosity = 0.01" in manifest
-    vel = np.loadtxt(tmp_path / "dump" / "velocity.txt")
-    prs = np.loadtxt(tmp_path / "dump" / "pressure.txt")
-    assert np.array_equal(vel, traj.velocity.values)
-    assert np.array_equal(prs, traj.pressure.values)

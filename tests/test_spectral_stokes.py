@@ -209,17 +209,16 @@ def test_smoothing_single_mode_ratio_finite():
     traj = evolve_cn(mesh, lam, np.array([1.0]), np.zeros((16, 1)))
     from cnflow.spectral_stokes import _norms
     from cnflow.temporal_ops import average, time_derivative, weighted_temporal_norm
-    from cnflow.time_mesh import SmoothingWeight
 
     ell, s = 1, 1
     linf, l2a, l2d = _norms(traj, s, 0.5 * ell, None)
     lhs = linf + l2a + l2d
-    w_lower = SmoothingWeight(mesh, 0.5 * (ell - 1))
+    a_lower = 0.5 * (ell - 1)
     nrm = lambda c: float(np.sqrt(np.sum(lam ** s * c * c)))
     rhs = (mesh.k_max ** (0.5 * ell) * 1.0
-           + weighted_temporal_norm(average(traj.states), w_lower, 2, nrm)
+           + weighted_temporal_norm(average(traj.states), a_lower, 2, nrm)
            + mesh.k_max * weighted_temporal_norm(time_derivative(traj.states),
-                                                 w_lower, 2, nrm))
+                                                 a_lower, 2, nrm))
     assert np.isfinite(lhs / rhs)
     assert lhs / rhs < 4.0
 
@@ -229,7 +228,7 @@ def test_smoothing_coarse_ratio_bounds_finer_forced_trials():
     # bounds the finer-mesh trials up to modest slack
     from cnflow.spectral_stokes import _averaged_forcing, _norms, _random_trial
     from cnflow.temporal_ops import weighted_temporal_norm, average, time_derivative
-    from cnflow.time_mesh import SmoothingWeight, build_uniform_mesh as bum
+    from cnflow.time_mesh import build_uniform_mesh as bum
 
     lam = default_spectrum(96)
     coarse = verify_smoothing_stability(1, 1, 0, bum(1.0, 64), trial_count=20,
@@ -243,14 +242,12 @@ def test_smoothing_coarse_ratio_bounds_finer_forced_trials():
         rk = _averaged_forcing(mesh, forcing)
         traj = evolve_cn(mesh, lam, np.zeros(lam.size), rk)
         linf, l2a, l2d = _norms(traj, s, 0.5 * ell, None)
-        w_ell = SmoothingWeight(mesh, 0.5 * ell)
-        w_lower = SmoothingWeight(mesh, 0.0)
         nrm_sm1 = lambda c: float(np.sqrt(np.sum(lam ** (s - 1) * c * c)))
         nrm_s = lambda c: float(np.sqrt(np.sum(lam ** s * c * c)))
-        rhs = (weighted_temporal_norm(traj.forcing, w_ell, 2, nrm_sm1)
-               + weighted_temporal_norm(average(traj.states), w_lower, 2, nrm_s)
+        rhs = (weighted_temporal_norm(traj.forcing, 0.5 * ell, 2, nrm_sm1)
+               + weighted_temporal_norm(average(traj.states), 0.0, 2, nrm_s)
                + mesh.k_max * weighted_temporal_norm(time_derivative(traj.states),
-                                                     w_lower, 2, nrm_s))
+                                                     0.0, 2, nrm_s))
         worst = max(worst, (linf + l2a + l2d) / rhs)
     assert worst <= 1.15 * coarse.max_ratio
 

@@ -5,18 +5,17 @@ from cnflow.errors import fit_loglog
 from cnflow.temporal_ops import (
     GridFunctionCG1,
     GridFunctionDG0,
-    TimeCallable,
     average,
     interpolate_nodal,
     midpoint_sample,
     time_derivative,
     weighted_temporal_norm,
 )
-from cnflow.time_mesh import SmoothingWeight, build_uniform_mesh
+from cnflow.time_mesh import build_uniform_mesh
 
 
 def scalar(fn):
-    return TimeCallable(lambda t: np.atleast_1d(fn(t)))
+    return lambda t: np.atleast_1d(fn(t))
 
 
 def dense_sup_error(fn, grid_fn, mesh, samples=400):
@@ -151,32 +150,28 @@ def euclid(v):
 def test_weighted_norm_constant_dg0():
     mesh = build_uniform_mesh(2.0, 5)
     f = GridFunctionDG0(mesh, np.ones((5, 1)))
-    w0 = SmoothingWeight(mesh, 0.0)
-    assert weighted_temporal_norm(f, w0, 2, euclid) == pytest.approx(np.sqrt(2.0), rel=1e-14)
-    w = SmoothingWeight(mesh, 1.5)
-    assert weighted_temporal_norm(f, w, np.inf, euclid) == pytest.approx(1.0, rel=1e-14)
+    assert weighted_temporal_norm(f, 0.0, 2, euclid) == pytest.approx(np.sqrt(2.0), rel=1e-14)
+    assert weighted_temporal_norm(f, 1.5, np.inf, euclid) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_weighted_norm_two_interval_example():
     mesh = build_uniform_mesh(2.0, 2)
     f = GridFunctionDG0(mesh, np.ones((2, 1)))
-    w = SmoothingWeight(mesh, 1.0)
     # first interval weight 0, second k=1 weight min(t_1,1)=1
-    assert weighted_temporal_norm(f, w, 2, euclid) == pytest.approx(1.0, rel=1e-14)
+    assert weighted_temporal_norm(f, 1.0, 2, euclid) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_weighted_norm_window_and_errors():
     mesh = build_uniform_mesh(1.0, 4)
     f = GridFunctionDG0(mesh, np.ones((4, 1)))
-    w = SmoothingWeight(mesh, 0.0)
-    full = weighted_temporal_norm(f, w, 2, euclid)
-    half = weighted_temporal_norm(f, w, 2, euclid, window=(2, 4))
+    full = weighted_temporal_norm(f, 0.0, 2, euclid)
+    half = weighted_temporal_norm(f, 0.0, 2, euclid, window=(2, 4))
     assert half == pytest.approx(np.sqrt(0.5), rel=1e-14)
     assert full == pytest.approx(1.0, rel=1e-14)
     with pytest.raises(ValueError):
-        weighted_temporal_norm(f, w, 2, euclid, window=(3, 3))
+        weighted_temporal_norm(f, 0.0, 2, euclid, window=(3, 3))
     with pytest.raises(ValueError):
-        weighted_temporal_norm(f, w, 3, euclid)
+        weighted_temporal_norm(f, 0.0, 3, euclid)
 
 
 def test_weight_transparency_exact():
@@ -187,12 +182,10 @@ def test_weight_transparency_exact():
     vals = rng.standard_normal((8, 1))
     f = GridFunctionDG0(mesh, vals)
     alpha = 1.5
-    w = SmoothingWeight(mesh, alpha)
     fw = GridFunctionDG0(mesh, vals * mesh.tau_values(alpha)[:, None])
-    w0 = SmoothingWeight(mesh, 0.0)
     for p in (2, np.inf):
-        assert (weighted_temporal_norm(fw, w0, p, lambda v: abs(float(v[0])))
-                == weighted_temporal_norm(f, w, p, lambda v: abs(float(v[0]))))
+        assert (weighted_temporal_norm(fw, 0.0, p, lambda v: abs(float(v[0])))
+                == weighted_temporal_norm(f, alpha, p, lambda v: abs(float(v[0]))))
 
 
 def test_weighted_norm_cg1_exact_quadrature():
@@ -202,8 +195,7 @@ def test_weighted_norm_cg1_exact_quadrature():
     rng = np.random.default_rng(3)
     vals = rng.standard_normal((4, 2))
     f = GridFunctionCG1(mesh, vals)
-    w0 = SmoothingWeight(mesh, 0.0)
-    got = weighted_temporal_norm(f, w0, 2, euclid)
+    got = weighted_temporal_norm(f, 0.0, 2, euclid)
     acc = 0.0
     for n in range(3):
         a, b = vals[n], vals[n + 1]
@@ -215,8 +207,7 @@ def test_weighted_norm_cg1_exact_quadrature():
 def test_weighted_norm_cg1_sup_at_endpoints():
     mesh = build_uniform_mesh(1.0, 2)
     f = GridFunctionCG1(mesh, np.array([[1.0], [-3.0], [2.0]]))
-    w0 = SmoothingWeight(mesh, 0.0)
-    assert weighted_temporal_norm(f, w0, np.inf, euclid) == 3.0
+    assert weighted_temporal_norm(f, 0.0, np.inf, euclid) == 3.0
 
 
 def test_cg1_evaluate_many_matches_evaluate():

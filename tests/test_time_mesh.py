@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from cnflow.time_mesh import (
-    SmoothingWeight,
-    TimeMesh,
-    build_alternating_mesh,
-    build_uniform_mesh,
-    tau_value,
-)
+from cnflow.time_mesh import TimeMesh, build_alternating_mesh, build_uniform_mesh
 
 
 def brute_force_ratios(nodes):
@@ -92,28 +86,29 @@ def test_nodes_validation():
 
 def test_tau_first_interval_vanishes():
     mesh = build_uniform_mesh(2.0, 8)
-    assert tau_value(mesh, 1, 1.5) == 0.0
+    assert mesh.tau_values(1.5)[0] == 0.0
 
 
 def test_tau_values():
     mesh = build_uniform_mesh(2.0, 8)
-    assert tau_value(mesh, 6, 1.0) == pytest.approx(1.0)   # min(1.25, 1)
-    assert tau_value(mesh, 3, 2.0) == pytest.approx(0.25)  # 0.5 ** 2
+    assert mesh.tau_values(1.0)[5] == pytest.approx(1.0)   # min(1.25, 1)
+    assert mesh.tau_values(2.0)[2] == pytest.approx(0.25)  # 0.5 ** 2
 
 
 def test_tau_zero_exponent_convention():
     mesh = build_uniform_mesh(2.0, 8)
     # 0 ** 0 == 1 on the first interval
-    assert tau_value(mesh, 1, 0.0) == 1.0
+    assert mesh.tau_values(0.0)[0] == 1.0
     assert np.all(mesh.tau_values(0.0) == 1.0)
 
 
 def test_tau_out_of_range():
+    # the weight at a time is looked up through interval_of, which
+    # rejects times beyond the final node
     mesh = build_uniform_mesh(2.0, 8)
+    assert mesh.tau_values(1.0).shape == (8,)
     with pytest.raises(ValueError):
-        tau_value(mesh, 0, 1.0)
-    with pytest.raises(ValueError):
-        tau_value(mesh, 9, 1.0)
+        mesh.interval_of(2.5)
 
 
 def test_tau_monotonicity():
@@ -122,18 +117,17 @@ def test_tau_monotonicity():
         vals = mesh.tau_values(alpha)
         assert np.all(np.diff(vals) >= -1e-15)
     # nonincreasing in alpha while the base is <= 1
-    n = mesh.interval_of(0.5)
-    assert tau_value(mesh, n, 2.0) <= tau_value(mesh, n, 1.0) <= tau_value(mesh, n, 0.5)
+    n = mesh.interval_of(0.5) - 1
+    assert mesh.tau_values(2.0)[n] <= mesh.tau_values(1.0)[n] <= mesh.tau_values(0.5)[n]
 
 
 def test_smoothing_weight_bounds():
     mesh = build_uniform_mesh(2.0, 10)
-    w = SmoothingWeight(mesh, 1.5)
-    vals = w.values()
+    vals = mesh.tau_values(1.5)
     assert vals[0] == 0.0
     assert np.all(vals <= 1.0 + 1e-15)
     with pytest.raises(ValueError):
-        SmoothingWeight(mesh, -1.0)
+        mesh.tau_values(-1.0)
 
 
 def test_mesh_immutability():
