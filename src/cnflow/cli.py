@@ -230,7 +230,8 @@ def build_reference(spec, kind, k_list, refinement):
 
 
 def convergence_rows(spec, kind, reference, k, pattern, n0, error_specs):
-    """Error rows of one coarse run against a shared reference."""
+    """Error rows of one coarse run against a shared reference, and the
+    run's Newton iteration counts (``None`` for Stokes)."""
     mesh = build_alternating_mesh(spec.T, k, pattern)
     traj = transient_solve(spec, mesh, kind, n0)
     rows = []
@@ -240,7 +241,7 @@ def convergence_rows(spec, kind, reference, k, pattern, n0, error_specs):
         else:
             err = velocity_error(traj, reference, es)
         rows.append((k, n0, es.alpha, es.norm, err))
-    return rows
+    return rows, traj.newton_iterations
 
 
 def run_convergence(config):
@@ -256,6 +257,7 @@ def run_convergence(config):
     t0 = time.perf_counter()
     reference = build_reference(spec, config.solver, config.k_list, config.refinement)
     timings.append(("reference", time.perf_counter() - t0))
+    iterations = [("reference", reference.newton_iterations)]
 
     record = ConvergenceRecord()
     failures = []
@@ -263,9 +265,9 @@ def run_convergence(config):
 
     def one(k):
         t0 = time.perf_counter()
-        rows = convergence_rows(spec, config.solver, reference, k,
-                                config.pattern, config.n0, error_specs)
-        return rows, time.perf_counter() - t0
+        rows, its = convergence_rows(spec, config.solver, reference, k,
+                                     config.pattern, config.n0, error_specs)
+        return rows, its, time.perf_counter() - t0
 
     results = {}
     if config.threads > 1:
@@ -285,8 +287,9 @@ def run_convergence(config):
 
     for k in config.k_list:
         if k in results:
-            rows, dt = results[k]
+            rows, its, dt = results[k]
             timings.append((f"k={k!r}", dt))
+            iterations.append((f"k={k!r}", its))
             for row in rows:
                 record.add(*row)
 
@@ -306,6 +309,10 @@ def run_convergence(config):
                 fh.write(f"fitted_rate[{norm}] = unavailable ({exc})\n")
         for k, msg in failures:
             fh.write(f"failed[k={k!r}] = {msg}\n")
+        for label, its in iterations:
+            if its is not None:
+                fh.write(f"newton_iterations[{label}] = min {its.min()}, "
+                         f"mean {its.mean():.3f}, max {its.max()}\n")
         for label, dt in timings:
             fh.write(f"time[{label}] = {dt:.3f}s\n")
         fh.write(f"time[total] = {time.perf_counter() - t_begin:.3f}s\n")

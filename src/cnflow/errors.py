@@ -286,9 +286,12 @@ def integrate_cg1(u, a, b):
 
 
 def _cum_trapz(u):
-    if not hasattr(u, "_cumint"):
+    # cached with the values array it integrates: assigning new values
+    # to ``u.values`` invalidates it
+    cached = getattr(u, "_cumint", None)
+    if cached is None or cached[0] is not u.values:
         seg = 0.5 * (u.values[:-1] + u.values[1:])
         k = u.mesh.steps.reshape((-1,) + (1,) * (seg.ndim - 1))
         cum = np.concatenate([np.zeros((1,) + seg.shape[1:]), np.cumsum(seg * k, axis=0)])
-        u._cumint = cum
-    return u._cumint
+        u._cumint = cached = (u.values, cum)
+    return cached[1]

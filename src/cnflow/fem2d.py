@@ -324,22 +324,52 @@ class TaylorHoodSpace:
         cs = self._scatter(local, self.tri_scalar, self.tri_scalar, (n, n))
         return sp.block_diag([cs, cs], format="csr")
 
+    @property
+    def divergence_transpose(self):
+        """``B^T`` in CSR, for the ``B^T P`` term of every momentum residual."""
+        if "BT" not in self._cache:
+            self._cache["BT"] = self.divergence.T.tocsr()
+        return self._cache["BT"]
+
+    def _quadrature_operators(self):
+        """Sparse maps between scalar P2 coefficients and the assembly points.
+
+        ``val``, ``gx`` and ``gy`` take coefficients to the values and the
+        x- and y-derivatives at the 7 points of every element, one row per
+        point (element-major) with its element's 6 entries; ``test`` is
+        ``val^T`` scaled by ``det * qw``, so ``test @ g`` integrates point
+        values ``g`` against every scalar basis function.
+        """
+        if "quad_ops" not in self._cache:
+            nt, nq = self.mesh.num_triangles, self.qw.size
+            shape = (nt * nq, self.num_scalar)
+            indptr = np.arange(0, 6 * nt * nq + 1, 6)
+            indices = np.repeat(self.tri_scalar, nq, axis=0).ravel()
+
+            def point_map(data):
+                return sp.csr_matrix((data.ravel(), indices, indptr), shape=shape)
+
+            phi = np.broadcast_to(self.phi2, (nt, nq, 6))
+            weight = self.det[:, None, None] * self.qw[:, None]
+            self._cache["quad_ops"] = (
+                point_map(phi), point_map(self.grad2[..., 0]), point_map(self.grad2[..., 1]),
+                point_map(weight * phi).T.tocsr())
+        return self._cache["quad_ops"]
+
     def convection_apply(self, w, u):
         """Matrix-free evaluation of the convection term against all tests.
 
         Returns the vector with entries ``integral (w_h . grad u_h) . v_i``;
         equivalent to ``convection(w) @ u`` without building the matrix.
+        Both velocity components go through the cached quadrature
+        operators at once as the columns of an ``(n, 2)`` block.
         """
-        wq = self.velocity_at_quadrature(w)
+        val, gx, gy, test = self._quadrature_operators()
         n = self.num_scalar
-        out = np.zeros(self.num_velocity)
-        for comp in (0, 1):
-            uc = u[comp * n:(comp + 1) * n][self.tri_scalar]
-            grad_uc = np.einsum("ej,eqja->eqa", uc, self.grad2)
-            conv = np.einsum("eqa,eqa->eq", wq, grad_uc)
-            loc = self.det[:, None] * np.einsum("q,eq,qi->ei", self.qw, conv, self.phi2)
-            np.add.at(out, comp * n + self.tri_scalar.ravel(), loc.ravel())
-        return out
+        W = val @ np.reshape(w, (2, n)).T
+        U2 = np.reshape(u, (2, n)).T
+        conv = W[:, :1] * (gx @ U2) + W[:, 1:] * (gy @ U2)
+        return (test @ conv).T.ravel()
 
     def convection_gradient(self, w):
         """G(w) with (G(w) U') . v = integral (u'_h . grad w_h) . v_h.

@@ -161,7 +161,11 @@ class ProblemSpec:
 
 @dataclass
 class Trajectory:
-    """Velocity (piecewise linear) and pressure (piecewise constant) in time."""
+    """Velocity (piecewise linear) and pressure (piecewise constant) in time.
+
+    ``newton_iterations`` holds the Newton iteration count of each interval
+    of a Navier-Stokes run; it is ``None`` for Stokes.
+    """
 
     mesh: object
     velocity: GridFunctionCG1
@@ -169,6 +173,7 @@ class Trajectory:
     scheme_tags: list
     space: object = None
     n0: int = 0
+    newton_iterations: np.ndarray = None
 
 
 def _march(spec, mesh, n0, kind, newton, advance):
@@ -321,7 +326,7 @@ def _newton_saddle(space, nu, k, u_prev, P0, F, scheme, newton, step_label, cach
     ``newton.reuse_jacobian`` a previously factorized Jacobian for the
     same (scheme, step size) is tried first.
     """
-    M, A, B = space.mass, space.stiffness, space.divergence
+    M, A, BT = space.mass, space.stiffness, space.divergence_transpose
 
     if scheme == "IE":
         coef_nl, coef_visc = k, k * nu
@@ -337,10 +342,10 @@ def _newton_saddle(space, nu, k, u_prev, P0, F, scheme, newton, step_label, cach
         w = U if scheme == "IE" else U + u_prev
         nl = space.convection_apply(w, w)
         if scheme == "IE":
-            r = M @ (U - u_prev) + k * nu * (A @ U) + k * nl - B.T @ P - F
+            r = M @ (U - u_prev) + k * nu * (A @ U) + k * nl - BT @ P - F
         else:
             r = (M @ (U - u_prev) + 0.5 * k * nu * (A @ (U + u_prev))
-                 + 0.25 * k * nl - B.T @ P - F)
+                 + 0.25 * k * nl - BT @ P - F)
         return r, w
 
     def jacobian(w):
@@ -366,12 +371,16 @@ def nse_cn_solve(spec, mesh, n0=0, newton=None):
     newton = newton or NewtonConfig()
     space, nu = spec.space, spec.viscosity
     caches = ({}, {})
+    iterations = []
 
     def advance(scheme, k, F, u, P, label):
-        state, _ = _newton_saddle(space, nu, k, u, P, F, scheme, newton, label, caches)
+        state, its = _newton_saddle(space, nu, k, u, P, F, scheme, newton, label, caches)
+        iterations.append(its)
         return state.velocity, state.pressure
 
-    return _march(spec, mesh, n0, "nse", newton, advance)
+    traj = _march(spec, mesh, n0, "nse", newton, advance)
+    traj.newton_iterations = np.array(iterations, dtype=int)
+    return traj
 
 
 def stationary_stokes_solve(space, nu, f0):
@@ -384,13 +393,13 @@ def stationary_stokes_solve(space, nu, f0):
 def stationary_nse_solve(space, nu, f0, newton=None):
     """Stationary Navier-Stokes solve by Newton from the Stokes solution."""
     newton = newton or NewtonConfig()
-    A, B = space.stiffness, space.divergence
+    A, BT = space.stiffness, space.divergence_transpose
     F = space.velocity_load(f0)
     guess = stationary_stokes_solve(space, nu, f0)
 
     def momentum(U, P):
         C = space.convection(U)
-        return nu * (A @ U) + C @ U - B.T @ P - F, (U, C)
+        return nu * (A @ U) + C @ U - BT @ P - F, (U, C)
 
     def jacobian(lin):
         U, C = lin

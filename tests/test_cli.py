@@ -102,6 +102,22 @@ def test_manifest_contents(tmp_path):
     assert "k_list = 0.1,0.05" in manifest
     assert "fitted_rate[pressure_L2l2]" in manifest
     assert "time[total]" in manifest
+    assert "newton_iterations" not in manifest  # Stokes runs no Newton iteration
+
+
+def test_manifest_newton_iterations(tmp_path):
+    mapping = tiny_mapping(tmp_path / "n")
+    mapping["solver"] = "nse"
+    _, fails, files = run_convergence(build_run_config(mapping))
+    assert not fails
+    lines = [line for line in open(files[1]).read().splitlines()
+             if line.startswith("newton_iterations[")]
+    assert [line.split(" = ")[0] for line in lines] == [
+        "newton_iterations[reference]", "newton_iterations[k=0.1]",
+        "newton_iterations[k=0.05]"]
+    for line in lines:
+        stats = dict(item.split() for item in line.split(" = ")[1].split(", "))
+        assert 1 <= int(stats["min"]) <= float(stats["mean"]) <= int(stats["max"])
 
 
 def test_zero_forcing_yields_exact_match_rows(tmp_path):

@@ -240,6 +240,15 @@ def test_integrate_cg1_exact():
     assert integrate_cg1(f, 0.3, 0.3)[0] == 0.0
 
 
+def test_integrate_cg1_follows_replaced_values():
+    mesh = build_uniform_mesh(1.0, 7)
+    f = GridFunctionCG1(mesh, (2.0 * mesh.nodes + 1.0).reshape(-1, 1))
+    a, b = 0.15, 0.83
+    before = integrate_cg1(f, a, b)[0]
+    f.values = 2.0 * f.values
+    assert integrate_cg1(f, a, b)[0] == pytest.approx(2.0 * before, rel=1e-13)
+
+
 def test_velocity_errors_on_space(small_space):
     space = small_space
     fine = build_uniform_mesh(1.0, 16)

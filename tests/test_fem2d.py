@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cnflow.errors import fit_loglog
 from cnflow.fem2d import (
@@ -154,6 +156,52 @@ def test_convection_apply_matches_matrix(small_space):
     direct = small_space.convection(w) @ u
     free = small_space.convection_apply(w, u)
     assert np.allclose(direct, free, rtol=1e-13, atol=1e-13)
+
+
+def _matches_matrix(space, w, u):
+    direct = space.convection(w) @ u
+    free = space.convection_apply(w, u)
+    return np.allclose(free, direct, rtol=1e-13, atol=1e-13 * np.abs(direct).max())
+
+
+rectangles = st.tuples(
+    st.floats(-2.0, 2.0), st.floats(0.25, 3.0), st.floats(-2.0, 2.0), st.floats(0.25, 3.0),
+    st.integers(1, 6), st.integers(1, 6),
+).filter(lambda r: r[4] != r[5] and abs(r[1] - r[3]) > 0.1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(rect=rectangles, seed=st.integers(0, 2**32 - 1))
+def test_convection_apply_matches_matrix_on_rectangles(rect, seed):
+    x0, width, y0, height, nx, ny = rect
+    space = build_space((x0, x0 + width, y0, y0 + height), nx, ny)
+    rng = np.random.default_rng(seed)
+    w, u = rng.standard_normal((2, space.num_velocity))
+    assert _matches_matrix(space, w, u)
+
+
+coefficients = st.floats(-10.0, 10.0).filter(lambda x: x == 0.0 or abs(x) >= 1e-3)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), a=coefficients, b=coefficients)
+def test_convection_apply_linear_in_u(small_space, seed, a, b):
+    rng = np.random.default_rng(seed)
+    w, u1, u2 = rng.standard_normal((3, small_space.num_velocity))
+    c1, c2 = small_space.convection_apply(w, u1), small_space.convection_apply(w, u2)
+    combined = small_space.convection_apply(w, a * u1 + b * u2)
+    scale = abs(a) * np.abs(c1).max() + abs(b) * np.abs(c2).max()
+    assert np.allclose(combined, a * c1 + b * c2, rtol=0.0, atol=1e-13 * scale)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_convection_apply_alternating_spaces(seed):
+    spaces = [build_space((0.0, 2.0, 0.0, 1.0), 4, 2), build_space((0.0, 1.0, 0.0, 3.0), 3, 5)]
+    rng = np.random.default_rng(seed)
+    for space in spaces + spaces:
+        w, u = rng.standard_normal((2, space.num_velocity))
+        assert _matches_matrix(space, w, u)
 
 
 def test_degenerate_element_reported():

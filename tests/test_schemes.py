@@ -74,6 +74,7 @@ def test_stokes_steps_satisfy_scheme_equations(medium_space):
     mesh = build_alternating_mesh(0.5, 0.1, [0.8, 1.2])
     traj = stokes_cn_solve(spec, mesh, n0=2)
     assert np.max(step_residuals(medium_space, traj, spec)) < 1e-10
+    assert traj.newton_iterations is None
 
 
 def test_nse_steps_satisfy_scheme_equations(medium_space):
@@ -83,6 +84,8 @@ def test_nse_steps_satisfy_scheme_equations(medium_space):
     mesh = build_alternating_mesh(0.5, 0.1, [0.8, 1.2])
     traj = nse_cn_solve(spec, mesh, n0=2)
     assert np.max(step_residuals(medium_space, traj, spec, convective=True)) < 1e-10
+    assert traj.newton_iterations.shape == (mesh.num_intervals,)
+    assert traj.newton_iterations.min() >= 1
     # dropping the convection term must leave a visibly larger residual,
     # on the fully implicit Euler prefix as well as on the averaged-form
     # intervals
