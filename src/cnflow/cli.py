@@ -344,7 +344,7 @@ def temporal_operator_orders(T=2.0, n_list=(16, 32, 64), samples_per_interval=20
         for n in range(mesh.num_intervals):
             ts = np.linspace(mesh.nodes[n], mesh.nodes[n + 1], samples_per_interval)
             exact = fn(ts)
-            lin = iu.evaluate_many(ts).reshape(-1)
+            lin = iu.evaluate(ts).reshape(-1)
             e_interp = max(e_interp, np.max(np.abs(exact - lin)))
             e_avg_int = max(e_avg_int, np.max(np.abs(exact - aiu.values[n])))
         errs["interpolation"].append(e_interp)

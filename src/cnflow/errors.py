@@ -140,15 +140,16 @@ def fit_rate(record):
 
 
 def _spatial_norm_fn(spec, space):
+    """Row-wise spatial norm of ``spec``: one dot product per row of a block."""
     if spec.spatial == "nodal":
-        return lambda d: float(np.sqrt(np.dot(d, d)))
+        return lambda d: np.sqrt([np.dot(x, x) for x in d])
     if space is None:
         raise ValueError("mass-weighted norms need a trajectory with a spatial space")
     if spec.norm in PRESSURE_NORMS:
         M = space.pressure_mass
     else:
         M = space.mass
-    return lambda d: float(np.sqrt(d @ (M @ d)))
+    return lambda d: np.sqrt([x @ (M @ x) for x in d])
 
 
 def _window_mask(times, coarse_mesh, window_start):
@@ -212,8 +213,7 @@ def pressure_error(traj, ref, spec):
     mask = _window_mask(tm, traj.mesh, spec.window_start)
     tm = tm[mask]
     d = midpoint_reconstruction(traj.pressure, tm) - ref.pressure.values[mask]
-    norm_fn = _spatial_norm_fn(spec, traj.space or ref.space)
-    q = np.array([norm_fn(di) for di in d])
+    q = _spatial_norm_fn(spec, traj.space or ref.space)(d)
     w = traj.mesh.tau_values(spec.alpha)[traj.mesh.interval_of(tm) - 1]
     return _compose(2 if spec.norm == "pressure_L2l2" else np.inf, w, q, k0)
 
@@ -241,57 +241,43 @@ def velocity_error(traj, ref, spec):
         mask = _window_mask(ts, traj.mesh, spec.window_start)
         ts = ts[mask]
         S = space.stiffness
-        q = []
-        for t in ts:
-            d = traj.velocity.evaluate(t) - ref.velocity.evaluate(t)
-            q.append(float(np.sqrt(d @ (S @ d))))
+        # node by node: a block of the differences at every node costs tens of MB
+        d = (traj.velocity.evaluate(t) - r for t, r in zip(ts, ref.velocity.values[mask]))
+        q = np.sqrt([x @ (S @ x) for x in d])
         w = traj.mesh.tau_values(spec.alpha)[traj.mesh.interval_of(ts) - 1]
-        return _compose(np.inf, w, np.array(q))
+        return _compose(np.inf, w, q)
 
     # velocity_L2V2avg
     coarse = traj.mesh
     n_start = spec.window_start
     if n_start >= coarse.num_intervals:
         raise ValueError("window start leaves no intervals")
-    q = []
-    for n in range(n_start, coarse.num_intervals):
-        a, b = coarse.nodes[n], coarse.nodes[n + 1]
-        avg_traj = 0.5 * (traj.velocity.values[n] + traj.velocity.values[n + 1])
-        avg_ref = integrate_cg1(ref.velocity, a, b) / coarse.steps[n]
-        q.append(space.h2_proxy_seminorm(avg_traj - avg_ref))
-    return _compose(2, coarse.tau_values(spec.alpha)[n_start:], np.array(q),
-                    coarse.steps[n_start:])
+    vals, steps = traj.velocity.values, coarse.steps[n_start:]
+    avg_traj = 0.5 * (vals[n_start:-1] + vals[n_start + 1:])
+    avg_ref = integrate_cg1(ref.velocity, coarse.nodes[n_start:-1],
+                            coarse.nodes[n_start + 1:]) / steps[:, None]
+    q = space.h2_proxy_seminorm(avg_traj - avg_ref)
+    return _compose(2, coarse.tau_values(spec.alpha)[n_start:], q, steps)
 
 
 def integrate_cg1(u, a, b):
-    """Exact integral of a piecewise-linear grid function over ``[a, b]``."""
-    mesh = u.mesh
-    if not (0.0 <= a <= b <= mesh.T * (1 + 1e-12)):
+    """Exact integral of a piecewise-linear grid function over ``[a, b]``;
+    arrays of bounds give one integral per pair."""
+    mesh, vals = u.mesh, u.values
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if not np.all((0.0 <= a) & (a <= b) & (b <= mesh.T * (1 + 1e-12))):
         raise ValueError("integration bounds outside the mesh")
-    b = min(b, mesh.T)
-    if a == b:
-        return np.zeros_like(u.values[0])
+    b = np.minimum(b, mesh.T)
+    trailing = (1,) * (vals.ndim - 1)
+    k = mesh.steps.reshape((-1,) + trailing)
+    cum = np.concatenate([np.zeros((1,) + vals.shape[1:]),
+                          np.cumsum(0.5 * (vals[:-1] + vals[1:]) * k, axis=0)])
 
     def antider(t):
         # integral from t_0 to t
         n = mesh.interval_of(t)
-        full = _cum_trapz(u)
-        t0 = mesh.nodes[n - 1]
-        dt = t - t0
-        v0 = u.values[n - 1]
-        slope = (u.values[n] - u.values[n - 1]) / mesh.steps[n - 1]
-        return full[n - 1] + dt * v0 + 0.5 * dt * dt * slope
+        dt = np.reshape(t - mesh.nodes[n - 1], t.shape + trailing)
+        slope = (vals[n] - vals[n - 1]) / k[n - 1]
+        return cum[n - 1] + dt * vals[n - 1] + 0.5 * dt * dt * slope
 
     return antider(b) - antider(a)
-
-
-def _cum_trapz(u):
-    # cached with the values array it integrates: assigning new values
-    # to ``u.values`` invalidates it
-    cached = getattr(u, "_cumint", None)
-    if cached is None or cached[0] is not u.values:
-        seg = 0.5 * (u.values[:-1] + u.values[1:])
-        k = u.mesh.steps.reshape((-1,) + (1,) * (seg.ndim - 1))
-        cum = np.concatenate([np.zeros((1,) + seg.shape[1:]), np.cumsum(seg * k, axis=0)])
-        u._cumint = cached = (u.values, cum)
-    return cached[1]

@@ -436,7 +436,8 @@ class TaylorHoodSpace:
         The gradient of each velocity component is L2-projected back onto
         the quadratic space and measured in the stiffness seminorm.  This
         is a proxy (exact second-order norms are not available in
-        H1-conforming elements) and is documented as such.
+        H1-conforming elements) and is documented as such.  Returns one
+        seminorm per row of the block ``d``.
         """
         if "h2ops" not in self._cache:
             n = self.num_scalar
@@ -450,11 +451,11 @@ class TaylorHoodSpace:
                                     self.scalar_stiffness)
         lu, dx, dy, As = self._cache["h2ops"]
         acc = 0.0
-        for comp in (d[: self.num_scalar], d[self.num_scalar:]):
+        for comp in (d[:, : self.num_scalar], d[:, self.num_scalar:]):
             for D in (dx, dy):
-                g = lu.solve(D @ comp)
-                acc += float(g @ (As @ g))
-        return float(np.sqrt(acc))
+                g = lu.solve(D @ comp.T)
+                acc = acc + np.sum(g * (As @ g), axis=0)
+        return np.sqrt(acc)
 
 
 def build_space(bounds, nx, ny):

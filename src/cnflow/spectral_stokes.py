@@ -25,7 +25,6 @@ from cnflow.temporal_ops import (
     GridFunctionCG1,
     GridFunctionDG0,
     average,
-    gauss_rule,
     time_derivative,
     weighted_temporal_norm,
 )
@@ -60,10 +59,16 @@ class SpectralField:
         return SpectralField(self.eigenvalues, c)
 
 
+def vs_row_norm(eigenvalues, s):
+    """The V^s norm as a row-wise spatial norm: maps a block of coefficient
+    rows to ``sqrt(sum_j lambda_j^s c_j^2)`` per row."""
+    lam_s = eigenvalues ** s
+    return lambda c: np.sqrt(np.sum(lam_s * c * c, axis=-1))
+
+
 def vs_norm(f, s):
     """Exact fractional-order norm ``sqrt(sum lambda^s c^2)``."""
-    lam = f.eigenvalues
-    return float(np.sqrt(np.sum(lam ** s * f.coefficients ** 2)))
+    return float(vs_row_norm(f.eigenvalues, s)(f.coefficients))
 
 
 def cn_step_spectral(state, k_n, f_avg):
@@ -162,26 +167,14 @@ def _random_trial(rng, lam, s, decay=-1.2):
     return c0, forcing
 
 
-def _averaged_forcing(mesh, forcing):
-    x, w = gauss_rule(3)
-    vals = []
-    for n in range(mesh.num_intervals):
-        mid = mesh.midpoints[n]
-        half = 0.5 * mesh.steps[n]
-        vals.append(sum(0.5 * wi * forcing(mid + half * xi, mesh.T) for xi, wi in zip(x, w)))
-    return np.asarray(vals)
-
-
 def _norms(traj, s, alpha, window):
     """(Linf V^s, L2 V^{s+1} of the average, L2 V^{s-1} of the derivative)."""
     lam = traj.eigenvalues
-
-    def nrm(ss):
-        return lambda c: float(np.sqrt(np.sum(lam ** ss * c * c)))
-
-    linf = weighted_temporal_norm(traj.states, alpha, np.inf, nrm(s), window)
-    l2_avg = weighted_temporal_norm(average(traj.states), alpha, 2, nrm(s + 1), window)
-    l2_dt = weighted_temporal_norm(time_derivative(traj.states), alpha, 2, nrm(s - 1), window)
+    linf = weighted_temporal_norm(traj.states, alpha, np.inf, vs_row_norm(lam, s), window)
+    l2_avg = weighted_temporal_norm(average(traj.states), alpha, 2, vs_row_norm(lam, s + 1),
+                                    window)
+    l2_dt = weighted_temporal_norm(time_derivative(traj.states), alpha, 2,
+                                   vs_row_norm(lam, s - 1), window)
     return linf, l2_avg, l2_dt
 
 
@@ -202,12 +195,12 @@ def verify_discrete_stability(s, mesh, trial_count=50, rng_seed=0, eigenvalues=N
     for t in range(trial_count):
         rng = np.random.default_rng([rng_seed, t])
         c0, forcing = _random_trial(rng, lam, s)
-        rk = _averaged_forcing(mesh, forcing)
+        rk = average(lambda t: forcing(t, mesh.T), mesh).values
         traj = evolve_cn(mesh, lam, c0, rk)
         linf, l2_avg, l2_dt = _norms(traj, s, 0.0, None)
         lhs = linf + l2_dt + l2_avg
         rhs = vs_norm(SpectralField(lam, c0), s) + weighted_temporal_norm(
-            traj.forcing, 0.0, 2, lambda c: float(np.sqrt(np.sum(lam ** (s - 1) * c * c))))
+            traj.forcing, 0.0, 2, vs_row_norm(lam, s - 1))
         ratios.append(lhs / rhs)
     ratios = np.asarray(ratios)
     return StabilityReport("discrete-stability", s, 0, 0, mesh.num_intervals,
@@ -237,22 +230,19 @@ def verify_smoothing_stability(s, ell, n0, mesh, trial_count=50, rng_seed=0,
     for t in range(trial_count):
         rng = np.random.default_rng([rng_seed, t])
         c0, forcing = _random_trial(rng, lam, s)
-        rk = _averaged_forcing(mesh, forcing)
+        rk = average(lambda t: forcing(t, mesh.T), mesh).values
         traj = evolve_cn(mesh, lam, c0, rk, start=n0)
 
         linf, l2_avg, l2_dt = _norms(traj, s, 0.5 * ell, window)
         lhs = linf + l2_avg + l2_dt
 
         a_ell, a_lower = 0.5 * ell, 0.5 * (ell - 1)
-
-        def nrm(ss):
-            return lambda c: float(np.sqrt(np.sum(lam ** ss * c * c)))
-
         rhs = (kmax ** a_ell * vs_norm(SpectralField(lam, c0), s)
-               + weighted_temporal_norm(traj.forcing, a_ell, 2, nrm(s - 1), window)
-               + weighted_temporal_norm(average(traj.states), a_lower, 2, nrm(s), window)
+               + weighted_temporal_norm(traj.forcing, a_ell, 2, vs_row_norm(lam, s - 1), window)
+               + weighted_temporal_norm(average(traj.states), a_lower, 2, vs_row_norm(lam, s),
+                                        window)
                + kmax * weighted_temporal_norm(time_derivative(traj.states), a_lower, 2,
-                                               nrm(s), window))
+                                               vs_row_norm(lam, s), window))
         ratios.append(lhs / rhs)
     ratios = np.asarray(ratios)
     return StabilityReport("smoothing-stability", s, ell, n0, mesh.num_intervals,

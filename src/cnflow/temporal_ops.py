@@ -25,19 +25,11 @@ class GridFunctionCG1:
         self.values = values
 
     def evaluate(self, t):
-        """Affine interpolant on the containing interval."""
+        """Affine interpolant at one time or at an array of times."""
+        t = np.asarray(t, dtype=float)
         n = self.mesh.interval_of(t)
-        t0 = self.mesh.nodes[n - 1]
-        theta = (t - t0) / self.mesh.steps[n - 1]
-        theta = min(max(theta, 0.0), 1.0)
-        return (1.0 - theta) * self.values[n - 1] + theta * self.values[n]
-
-    def evaluate_many(self, ts):
-        ts = np.asarray(ts, dtype=float)
-        n = np.atleast_1d(self.mesh.interval_of(ts))
-        t0 = self.mesh.nodes[n - 1]
-        theta = np.clip((ts - t0) / self.mesh.steps[n - 1], 0.0, 1.0)
-        theta = theta.reshape((-1,) + (1,) * (self.values.ndim - 1))
+        theta = np.clip((t - self.mesh.nodes[n - 1]) / self.mesh.steps[n - 1], 0.0, 1.0)
+        theta = np.reshape(theta, theta.shape + (1,) * (self.values.ndim - 1))
         return (1.0 - theta) * self.values[n - 1] + theta * self.values[n]
 
 
@@ -134,6 +126,13 @@ def _compose(p, w, q, k=None):
     raise ValueError("p must be 2 or inf")
 
 
+def _row_norms(spatial_norm, rows):
+    q = np.asarray(spatial_norm(rows), dtype=float)
+    if q.shape != rows.shape[:1]:
+        raise ValueError(f"spatial_norm must return one norm per row, got shape {q.shape}")
+    return q
+
+
 def weighted_temporal_norm(f, alpha, p, spatial_norm, window=None):
     """Weighted temporal L2 or Linf norm of a grid function.
 
@@ -146,18 +145,20 @@ def weighted_temporal_norm(f, alpha, p, spatial_norm, window=None):
     p : 2 or numpy.inf
         Temporal composition.
     spatial_norm : callable
-        Maps a coefficient value to a nonnegative real.
+        Row-wise spatial norm: maps a block of ``n`` coefficient values
+        (an array of shape ``(n,) + value shape``) to the ``n`` nonnegative
+        norms of its rows, as an array of shape ``(n,)``.
     window : pair of ints, optional
         Half-open interval-index window ``(n_start, n_end]`` (1-based,
         default the whole mesh).
 
-    For piecewise constants the L2 composition is the exact
-    ``sqrt(sum_n k_n w_n^2 q_n^2)``; for piecewise linears each interval
-    contributes the two-point Gauss quadrature of the squared norm of
-    the affine interpolant, which is exact whenever the spatial norm is
-    induced by an inner product.  The Linf composition takes the maximum
-    of the endpoint norms per interval (the norm along an affine segment
-    is convex, so the interval supremum sits at an endpoint).
+    Each interval contributes one sample ``q_n`` to ``_compose``.  For
+    piecewise constants ``q_n`` is the norm of the interval value.  For
+    piecewise linears the L2 sample is the two-point Gauss quadrature of
+    the squared norm of the affine interpolant, which is exact whenever
+    the spatial norm is induced by an inner product, and the Linf sample
+    is the larger endpoint norm (the norm along an affine segment is
+    convex, so the interval supremum sits at an endpoint).
     """
     mesh = f.mesh
     N = mesh.num_intervals
@@ -170,26 +171,15 @@ def weighted_temporal_norm(f, alpha, p, spatial_norm, window=None):
     k = mesh.steps[n_start:n_end]
 
     if isinstance(f, GridFunctionDG0):
-        q = np.array([spatial_norm(v) for v in f.values[n_start:n_end]])
-        return _compose(p, w, q, k)
-
-    if isinstance(f, GridFunctionCG1):
+        q = _row_norms(spatial_norm, f.values[n_start:n_end])
+    elif isinstance(f, GridFunctionCG1):
         left = f.values[n_start:n_end]
         right = f.values[n_start + 1:n_end + 1]
         if p == 2:
-            acc = 0.0
-            for i in range(left.shape[0]):
-                s = 0.0
-                for theta in _GAUSS2_THETA:
-                    s += 0.5 * spatial_norm((1.0 - theta) * left[i] + theta * right[i]) ** 2
-                acc += k[i] * w[i] ** 2 * s
-            return float(np.sqrt(acc))
-        if np.isinf(p):
-            best = 0.0
-            for i in range(left.shape[0]):
-                q = max(spatial_norm(left[i]), spatial_norm(right[i]))
-                best = max(best, w[i] * q)
-            return float(best)
-        raise ValueError("p must be 2 or inf")
-
-    raise ValueError("unsupported grid function type")
+            q = np.sqrt(sum(0.5 * _row_norms(spatial_norm, (1.0 - th) * left + th * right) ** 2
+                            for th in _GAUSS2_THETA))
+        else:
+            q = np.maximum(_row_norms(spatial_norm, left), _row_norms(spatial_norm, right))
+    else:
+        raise ValueError("unsupported grid function type")
+    return _compose(p, w, q, k)

@@ -1,6 +1,8 @@
 """The traced benchmark run rebinds cnflow entry points by module attribute
 (``perfbench/spans.py``).  This checks, in a fresh interpreter, that every
-name it wraps still exists and that a solve still runs through the wrappers.
+name it wraps still exists and that a solve, an error norm and a spectral
+verification still run through the wrappers: a norm or operator that is
+inlined or aliased past the rebinding records no span and fails here.
 """
 
 import os
@@ -12,16 +14,23 @@ ROOT = Path(__file__).parent.parent
 
 SCRIPT = """
 import spans
-from cnflow import schemes, time_mesh
+from cnflow import errors, schemes, spectral_stokes, time_mesh
 from cnflow.fem2d import build_space
 
 tracer = spans.Tracer()
 spans.install(tracer)
 spec = schemes.ProblemSpec(build_space((-1.0, 1.0, -1.0, 1.0), 2, 2), 0.01, T=0.2)
-schemes.reference_solve(spec, time_mesh.build_uniform_mesh(0.2, 4), "stokes")
+fine = time_mesh.build_uniform_mesh(0.2, 4)
+ref = schemes.reference_solve(spec, fine, "stokes")
+errors.pressure_error(ref, ref, errors.ErrorSpec("pressure_L2l2"))
+spectral_stokes.verify_smoothing_stability(1, 1, 0, fine, trial_count=1,
+                                           eigenvalues=spectral_stokes.default_spectrum(4))
 seen = {span[spans.NAME] for span in tracer.spans}
 expected = {"schemes.reference", "schemes.step", "time_mesh.build", "fem2d.factor",
-            "fem2d.saddle_solve", "fem2d.lu_solve"}
+            "fem2d.saddle_solve", "fem2d.lu_solve", "errors.pressure_error",
+            "temporal_ops.weighted_norm", "temporal_ops.average",
+            "temporal_ops.time_derivative", "spectral_stokes.evolve_cn",
+            "spectral_stokes.verify"}
 assert expected <= seen, sorted(expected - seen)
 """
 

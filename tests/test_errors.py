@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cnflow.errors import (
     ConvergenceRecord,
@@ -13,7 +15,7 @@ from cnflow.errors import (
 )
 from cnflow.schemes import Trajectory
 from cnflow.temporal_ops import GridFunctionCG1, GridFunctionDG0
-from cnflow.time_mesh import build_alternating_mesh, build_uniform_mesh
+from cnflow.time_mesh import TimeMesh, build_alternating_mesh, build_uniform_mesh
 
 
 def synthetic_traj(mesh, pressures, velocities=None, space=None):
@@ -113,6 +115,17 @@ def test_midpoint_reconstruction_identity_at_anchors():
     f = GridFunctionDG0(mesh, vals)
     got = midpoint_reconstruction(f, mesh.midpoints)
     assert np.allclose(got, vals, rtol=0, atol=1e-15)
+
+
+@settings(max_examples=40, deadline=None)
+@given(steps=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=12),
+       seed=st.integers(0, 2**32 - 1))
+def test_midpoint_reconstruction_identity_on_random_meshes(steps, seed):
+    # read at its own midpoints, a trajectory is reconstructed bit for bit
+    mesh = TimeMesh(np.concatenate([[0.0], np.cumsum(steps)]))
+    vals = np.random.default_rng(seed).standard_normal((mesh.num_intervals, 3))
+    got = midpoint_reconstruction(GridFunctionDG0(mesh, vals), mesh.midpoints)
+    assert np.array_equal(got, vals)
 
 
 def test_midpoint_reconstruction_linear_exact():
@@ -247,6 +260,31 @@ def test_integrate_cg1_follows_replaced_values():
     before = integrate_cg1(f, a, b)[0]
     f.values = 2.0 * f.values
     assert integrate_cg1(f, a, b)[0] == pytest.approx(2.0 * before, rel=1e-13)
+
+
+def test_integrate_cg1_follows_in_place_write():
+    mesh = build_uniform_mesh(1.0, 7)
+    f = GridFunctionCG1(mesh, (2.0 * mesh.nodes + 1.0).reshape(-1, 1))
+    a, b = 0.15, 0.83
+    exact = (b * b - a * a) + (b - a)
+    assert integrate_cg1(f, a, b)[0] == pytest.approx(exact, rel=1e-13)
+    f.values *= 2
+    assert integrate_cg1(f, a, b)[0] == pytest.approx(2.0 * exact, rel=1e-13)
+
+
+def test_integrate_cg1_array_bounds():
+    mesh = build_alternating_mesh(1.0, 0.13, [0.8, 1.2])
+    vals = np.random.default_rng(6).standard_normal((mesh.num_intervals + 1, 3))
+    f = GridFunctionCG1(mesh, vals)
+    a = np.array([0.0, 0.15, 0.5, 0.3, 0.0])
+    b = np.array([0.2, 0.83, 1.0, 0.3, 1.0])
+    got = integrate_cg1(f, a, b)
+    assert got.shape == (5, 3)
+    for row, ai, bi in zip(got, a, b):
+        assert np.array_equal(row, integrate_cg1(f, ai, bi))
+    assert np.array_equal(got[3], np.zeros(3))
+    with pytest.raises(ValueError):
+        integrate_cg1(f, b, a)
 
 
 def test_velocity_errors_on_space(small_space):

@@ -158,6 +158,16 @@ def test_convection_apply_matches_matrix(small_space):
     assert np.allclose(direct, free, rtol=1e-13, atol=1e-13)
 
 
+def test_h2_proxy_seminorm_is_row_wise(small_space):
+    # a block gives each row the seminorm that row gets alone
+    rows = np.random.default_rng(5).standard_normal((4, small_space.num_velocity))
+    block = small_space.h2_proxy_seminorm(rows)
+    alone = [small_space.h2_proxy_seminorm(r[None, :])[0] for r in rows]
+    assert block.shape == (4,)
+    assert np.allclose(block, alone, rtol=1e-14, atol=0)
+    assert np.allclose(small_space.h2_proxy_seminorm(-2.0 * rows), 2.0 * block, rtol=1e-14)
+
+
 def _matches_matrix(space, w, u):
     direct = space.convection(w) @ u
     free = space.convection_apply(w, u)

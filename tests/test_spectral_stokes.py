@@ -12,6 +12,7 @@ from cnflow.spectral_stokes import (
     verify_discrete_stability,
     verify_smoothing_stability,
     vs_norm,
+    vs_row_norm,
 )
 from cnflow.time_mesh import build_uniform_mesh
 
@@ -32,6 +33,15 @@ def test_vs_norm_sum_oracle():
     j = np.arange(1, 101, dtype=float)
     f = field(j ** 2, j ** -2.0)
     assert vs_norm(f, 0) == pytest.approx(1.0403474925929668, rel=1e-13)
+
+
+def test_vs_row_norm_is_vs_norm_per_row():
+    lam = default_spectrum(12)
+    rows = np.random.default_rng(2).standard_normal((5, 12))
+    for s in (-1, 0, 1, 2):
+        got = vs_row_norm(lam, s)(rows)
+        assert got.shape == (5,)
+        assert np.array_equal(got, [vs_norm(field(lam, c), s) for c in rows])
 
 
 def test_field_validation():
@@ -214,7 +224,7 @@ def test_smoothing_single_mode_ratio_finite():
     linf, l2a, l2d = _norms(traj, s, 0.5 * ell, None)
     lhs = linf + l2a + l2d
     a_lower = 0.5 * (ell - 1)
-    nrm = lambda c: float(np.sqrt(np.sum(lam ** s * c * c)))
+    nrm = vs_row_norm(lam, s)
     rhs = (mesh.k_max ** (0.5 * ell) * 1.0
            + weighted_temporal_norm(average(traj.states), a_lower, 2, nrm)
            + mesh.k_max * weighted_temporal_norm(time_derivative(traj.states),
@@ -226,7 +236,7 @@ def test_smoothing_single_mode_ratio_finite():
 def test_smoothing_coarse_ratio_bounds_finer_forced_trials():
     # with zero initial data and random forcing, the coarse-mesh constant
     # bounds the finer-mesh trials up to modest slack
-    from cnflow.spectral_stokes import _averaged_forcing, _norms, _random_trial
+    from cnflow.spectral_stokes import _norms, _random_trial
     from cnflow.temporal_ops import weighted_temporal_norm, average, time_derivative
     from cnflow.time_mesh import build_uniform_mesh as bum
 
@@ -239,11 +249,10 @@ def test_smoothing_coarse_ratio_bounds_finer_forced_trials():
     for t in range(20):
         rng = np.random.default_rng([5, t])
         _, forcing = _random_trial(rng, lam, s)
-        rk = _averaged_forcing(mesh, forcing)
+        rk = average(lambda t: forcing(t, mesh.T), mesh).values
         traj = evolve_cn(mesh, lam, np.zeros(lam.size), rk)
         linf, l2a, l2d = _norms(traj, s, 0.5 * ell, None)
-        nrm_sm1 = lambda c: float(np.sqrt(np.sum(lam ** (s - 1) * c * c)))
-        nrm_s = lambda c: float(np.sqrt(np.sum(lam ** s * c * c)))
+        nrm_sm1, nrm_s = vs_row_norm(lam, s - 1), vs_row_norm(lam, s)
         rhs = (weighted_temporal_norm(traj.forcing, 0.5 * ell, 2, nrm_sm1)
                + weighted_temporal_norm(average(traj.states), 0.0, 2, nrm_s)
                + mesh.k_max * weighted_temporal_norm(time_derivative(traj.states),

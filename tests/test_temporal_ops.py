@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cnflow.errors import fit_loglog
 from cnflow.temporal_ops import (
@@ -11,7 +13,7 @@ from cnflow.temporal_ops import (
     time_derivative,
     weighted_temporal_norm,
 )
-from cnflow.time_mesh import build_uniform_mesh
+from cnflow.time_mesh import TimeMesh, build_uniform_mesh
 
 
 def scalar(fn):
@@ -144,7 +146,8 @@ def test_dg0_right_continuous_evaluation():
 
 
 def euclid(v):
-    return float(np.sqrt(np.sum(np.asarray(v) ** 2)))
+    """Row-wise Euclidean norm: one norm per row of a block."""
+    return np.sqrt(np.sum(v * v, axis=-1))
 
 
 def test_weighted_norm_constant_dg0():
@@ -184,8 +187,8 @@ def test_weight_transparency_exact():
     alpha = 1.5
     fw = GridFunctionDG0(mesh, vals * mesh.tau_values(alpha)[:, None])
     for p in (2, np.inf):
-        assert (weighted_temporal_norm(fw, 0.0, p, lambda v: abs(float(v[0])))
-                == weighted_temporal_norm(f, alpha, p, lambda v: abs(float(v[0]))))
+        assert (weighted_temporal_norm(fw, 0.0, p, lambda v: np.abs(v[:, 0]))
+                == weighted_temporal_norm(f, alpha, p, lambda v: np.abs(v[:, 0])))
 
 
 def test_weighted_norm_cg1_exact_quadrature():
@@ -210,11 +213,72 @@ def test_weighted_norm_cg1_sup_at_endpoints():
     assert weighted_temporal_norm(f, 0.0, np.inf, euclid) == 3.0
 
 
-def test_cg1_evaluate_many_matches_evaluate():
+def test_cg1_evaluate_array_matches_scalar():
     mesh = build_uniform_mesh(1.3, 5)
     rng = np.random.default_rng(11)
     f = GridFunctionCG1(mesh, rng.standard_normal((6, 3)))
     ts = np.array([0.0, 0.13, 0.26, 0.5, 0.99, 1.3])
-    many = f.evaluate_many(ts)
+    many = f.evaluate(ts)
+    assert many.shape == (6, 3)
     for t, row in zip(ts, many):
-        assert np.allclose(row, f.evaluate(t), rtol=0, atol=1e-15)
+        assert np.array_equal(row, f.evaluate(t))
+    # at the nodes the interpolant returns the stored values exactly
+    assert np.array_equal(f.evaluate(mesh.nodes), f.values)
+    scalar_valued = GridFunctionCG1(mesh, f.values[:, 0])
+    assert np.array_equal(scalar_valued.evaluate(ts), many[:, 0])
+
+
+def test_cg1_sup_norm_propagates_nan():
+    mesh = build_uniform_mesh(1.0, 3)
+    f = GridFunctionCG1(mesh, np.array([[1.0], [np.nan], [2.0], [0.5]]))
+    assert np.isnan(weighted_temporal_norm(f, 0.0, np.inf, euclid))
+
+
+def test_spatial_norm_must_be_row_wise():
+    # a per-vector norm handed a block would sum all rows into one number
+    mesh = build_uniform_mesh(1.0, 4)
+
+    def block_norm(v):
+        return float(np.sqrt(np.sum(v * v)))
+
+    for f in (GridFunctionDG0(mesh, np.ones((4, 2))), GridFunctionCG1(mesh, np.ones((5, 2)))):
+        for p in (2, np.inf):
+            with pytest.raises(ValueError, match="one norm per row"):
+                weighted_temporal_norm(f, 0.0, p, block_norm)
+
+
+@st.composite
+def meshes(draw, max_intervals=8):
+    """Random non-uniform meshes: steps varying by up to a factor of 10."""
+    steps = draw(st.lists(st.floats(0.1, 1.0), min_size=1, max_size=max_intervals))
+    T = draw(st.floats(0.5, 3.0))
+    return TimeMesh(np.concatenate([[0.0], np.cumsum(steps)]) * (T / sum(steps)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(mesh=meshes(), kind=st.sampled_from(["dg0", "cg1"]), p=st.sampled_from([2, np.inf]),
+       alpha=st.sampled_from([0.0, 0.5, 1.5]),
+       c=st.floats(-5.0, 5.0).filter(lambda x: x == 0.0 or abs(x) >= 1e-3),
+       seed=st.integers(0, 2**32 - 1))
+def test_weighted_norm_axioms(mesh, kind, p, alpha, c, seed):
+    rng = np.random.default_rng(seed)
+    cls, rows = ((GridFunctionDG0, mesh.num_intervals) if kind == "dg0"
+                 else (GridFunctionCG1, mesh.num_intervals + 1))
+    a, b = rng.standard_normal((2, rows, 3))
+
+    def norm(vals):
+        return weighted_temporal_norm(cls(mesh, vals), alpha, p, euclid)
+
+    assert norm(c * a) == pytest.approx(abs(c) * norm(a), rel=1e-13, abs=1e-300)
+    assert norm(a + b) <= (norm(a) + norm(b)) * (1.0 + 1e-13)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mesh=meshes(), seed=st.integers(0, 2**32 - 1))
+def test_cg1_l2_norm_matches_closed_form(mesh, seed):
+    # int_0^1 |(1-s) a + s b|^2 ds = (a.a + a.b + b.b) / 3 on every interval
+    vals = np.random.default_rng(seed).standard_normal((mesh.num_intervals + 1, 2))
+    a, b = vals[:-1], vals[1:]
+    exact = np.sum(mesh.steps * np.sum(a * a + a * b + b * b, axis=1) / 3.0)
+    got = weighted_temporal_norm(GridFunctionCG1(mesh, vals), 0.0, 2, euclid)
+    assert got == pytest.approx(np.sqrt(exact), rel=1e-13)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cnflow.time_mesh import TimeMesh, build_alternating_mesh, build_uniform_mesh
 
@@ -134,3 +136,15 @@ def test_mesh_immutability():
     mesh = build_uniform_mesh(1.0, 4)
     with pytest.raises(ValueError):
         mesh.nodes[0] = 0.1
+
+
+@settings(max_examples=50, deadline=None)
+@given(T=st.floats(0.1, 2.0), base_k=st.floats(0.01, 0.5),
+       factors=st.lists(st.floats(0.25, 4.0), min_size=1, max_size=4))
+def test_alternating_mesh_tiles_with_the_cycle(T, base_k, factors):
+    pattern = np.asarray(factors) / np.mean(factors)
+    mesh = build_alternating_mesh(T, base_k, pattern)
+    assert mesh.nodes[-1] == T
+    cycle = base_k * pattern[np.arange(mesh.num_intervals - 1) % pattern.size]
+    # a step is a difference of accumulated nodes: equal up to rounding of t
+    assert np.allclose(mesh.steps[:-1], cycle, rtol=0, atol=1e-14 * T)
