@@ -120,6 +120,12 @@ class RunConfig:
     threads: int = 1
 
     def __post_init__(self):
+        for key, value in vars(self).items():
+            if any(isinstance(v, float) and not np.isfinite(v)
+                   for v in (value if isinstance(value, tuple) else (value,))):
+                raise ConfigError(f"{key} must be finite")
+        if self.threads < 1:
+            raise ConfigError("threads must be at least 1")
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         ks = tuple(float(k) for k in self.k_list)
@@ -338,17 +344,11 @@ def temporal_operator_orders(T=2.0, n_list=(16, 32, 64), samples_per_interval=20
         iu = interpolate_nodal(fn, mesh)
         au = average(fn, mesh)
         mu = midpoint_sample(fn, mesh)
-        e_interp = 0.0
-        e_avg_int = 0.0
         aiu = average(iu)
-        for n in range(mesh.num_intervals):
-            ts = np.linspace(mesh.nodes[n], mesh.nodes[n + 1], samples_per_interval)
-            exact = fn(ts)
-            lin = iu.evaluate(ts).reshape(-1)
-            e_interp = max(e_interp, np.max(np.abs(exact - lin)))
-            e_avg_int = max(e_avg_int, np.max(np.abs(exact - aiu.values[n])))
-        errs["interpolation"].append(e_interp)
-        errs["averaged_interpolant"].append(e_avg_int)
+        ts = np.linspace(mesh.nodes[:-1], mesh.nodes[1:], samples_per_interval, axis=1)
+        exact = fn(ts)
+        errs["interpolation"].append(np.max(np.abs(exact - iu.evaluate(ts))))
+        errs["averaged_interpolant"].append(np.max(np.abs(exact - aiu.values[:, None])))
         errs["average_vs_midpoint"].append(np.max(np.abs(au.values - mu.values)))
     return {name: fit_loglog(ks, es) for name, es in errs.items()}
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from cnflow.fem2d import BorderedSaddle, MixedState, SolverError, solve_saddle_point
-from cnflow.temporal_ops import GridFunctionCG1, GridFunctionDG0, gauss_rule
+from cnflow.temporal_ops import GridFunctionCG1, GridFunctionDG0, interval_average
 
 log = logging.getLogger(__name__)
 
@@ -76,10 +76,7 @@ class SeparableForcing:
         return self._loads[space]
 
     def load_integral(self, space, a, b):
-        x, w = gauss_rule(3)
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        g = sum(wi * self.time_factor(mid + half * xi) for xi, wi in zip(x, w)) * half
-        return g * self.spatial_load(space)
+        return interval_average(self.time_factor, a, b) * (b - a) * self.spatial_load(space)
 
 
 class GeneralForcing:
@@ -90,13 +87,10 @@ class GeneralForcing:
         self.label = label
 
     def load_integral(self, space, a, b):
-        x, w = gauss_rule(3)
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        acc = np.zeros(space.num_velocity)
-        for xi, wi in zip(x, w):
-            t = mid + half * xi
-            acc += wi * space.velocity_load(lambda xx, yy: self.fn(xx, yy, t))
-        return half * acc
+        def load(t):
+            return space.velocity_load(lambda xx, yy: self.fn(xx, yy, t))
+
+        return interval_average(load, a, b) * (b - a)
 
 
 class StationaryInitialData:

@@ -162,6 +162,7 @@ def _random_trial(rng, lam, s, decay=-1.2):
     b = rng.standard_normal((3, M)) * (lam ** ((1.0 - s) / 2.0) * j ** decay)
 
     def forcing(t, T):
+        t = np.asarray(t)[..., None]
         return b[0] + b[1] * np.cos(np.pi * t / T) + b[2] * np.sin(2.0 * np.pi * t / T)
 
     return c0, forcing

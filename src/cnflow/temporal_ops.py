@@ -8,7 +8,8 @@ right-closed interval convention ``I^n = (t_{n-1}, t_n]``.
 
 The three projection operators are nodal interpolation onto the
 piecewise-linear space, interval averaging (the L2-projection onto the
-piecewise constants) and constant continuation of midpoint values.
+piecewise constants) and constant continuation of midpoint values.  A time
+callable is array-valued: times of shape ``S`` give values of shape ``S + V``.
 """
 
 import numpy as np
@@ -57,21 +58,28 @@ def gauss_rule(npts):
     return _GAUSS_CACHE[npts]
 
 
+def _sample(u, t):
+    """Values of the time callable ``u`` at the array of times ``t``."""
+    vals = np.asarray(u(t), dtype=float)
+    if vals.shape[:t.ndim] != t.shape:
+        raise ValueError(f"time callable gave shape {vals.shape} for times {t.shape}")
+    return vals
+
+
 def interval_average(fn, a, b, npts=3):
-    """Gauss approximation of ``(b - a)^{-1} \\int_a^b fn``."""
+    """Gauss approximation of ``(b - a)^{-1} \\int_a^b fn``, for scalar or array bounds."""
     x, w = gauss_rule(npts)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     acc = None
     for xi, wi in zip(x, w):
-        val = wi * np.asarray(fn(mid + half * xi), dtype=float)
+        val = wi * _sample(fn, mid + half * xi)
         acc = val if acc is None else acc + val
     return 0.5 * acc
 
 
 def interpolate_nodal(u, mesh):
     """Nodal interpolation of a time callable onto the piecewise linears."""
-    vals = np.stack([np.asarray(u(t), dtype=float) for t in mesh.nodes])
-    return GridFunctionCG1(mesh, vals)
+    return GridFunctionCG1(mesh, _sample(u, mesh.nodes))
 
 
 def average(u, mesh=None, quadrature_order=3):
@@ -90,17 +98,13 @@ def average(u, mesh=None, quadrature_order=3):
         raise ValueError("mesh required when averaging a time callable")
     if quadrature_order < 3:
         raise ValueError("need at least 3 Gauss points per interval")
-    vals = np.stack([
-        interval_average(u, mesh.nodes[n], mesh.nodes[n + 1], quadrature_order)
-        for n in range(mesh.num_intervals)
-    ])
-    return GridFunctionDG0(mesh, vals)
+    return GridFunctionDG0(mesh, interval_average(u, mesh.nodes[:-1], mesh.nodes[1:],
+                                                  quadrature_order))
 
 
 def midpoint_sample(u, mesh):
     """Constant continuation of the interval midpoint values."""
-    vals = np.stack([np.asarray(u(t), dtype=float) for t in mesh.midpoints])
-    return GridFunctionDG0(mesh, vals)
+    return GridFunctionDG0(mesh, _sample(u, mesh.midpoints))
 
 
 def time_derivative(u):

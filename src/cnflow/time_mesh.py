@@ -82,8 +82,8 @@ class TimeMesh:
 
 def build_uniform_mesh(T, N):
     """Uniform mesh with ``N`` intervals on ``[0, T]``."""
-    if T <= 0.0:
-        raise ValueError("final time must be positive")
+    if not 0.0 < T < np.inf:
+        raise ValueError("final time must be positive and finite")
     if N < 1:
         raise ValueError("need at least one interval")
     return TimeMesh(np.linspace(0.0, T, int(N) + 1))
@@ -98,13 +98,13 @@ def build_alternating_mesh(T, base_k, pattern):
     truncated and the final step adjusted (shrunk or stretched, at most
     one step) so that the last node lands on ``T`` exactly.
     """
-    if T <= 0.0:
-        raise ValueError("final time must be positive")
-    if base_k <= 0.0:
-        raise ValueError("base step must be positive")
+    if not 0.0 < T < np.inf:
+        raise ValueError("final time must be positive and finite")
+    if not 0.0 < base_k < np.inf:
+        raise ValueError("base step must be positive and finite")
     pattern = np.asarray(pattern, dtype=float)
-    if pattern.size == 0 or np.any(pattern <= 0.0):
-        raise ValueError("pattern factors must be positive")
+    if pattern.size == 0 or not np.all((pattern > 0.0) & (pattern < np.inf)):
+        raise ValueError("pattern factors must be positive and finite")
     if abs(pattern.mean() - 1.0) > 1e-9:
         raise ValueError("pattern factors must average to 1")
     cycle = base_k * pattern

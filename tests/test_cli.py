@@ -200,7 +200,10 @@ def test_main_exit_codes(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("override", ["nx=0", "T=-1", "nu=0", "pattern=0.5,0.5",
-                                      "norms=bogus", "n0=500"])
+                                      "norms=bogus", "n0=500", "T=nan", "T=inf",
+                                      "k_list=nan", "pattern=nan,nan", "nu=nan",
+                                      "domain=-1,nan,-1,1", "alpha=nan", "threads=0",
+                                      "threads=-3"])
 def test_invalid_config_value_exit_code(tmp_path, capsys, override):
     from pathlib import Path
 

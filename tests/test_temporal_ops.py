@@ -9,6 +9,7 @@ from cnflow.temporal_ops import (
     GridFunctionDG0,
     average,
     interpolate_nodal,
+    interval_average,
     midpoint_sample,
     time_derivative,
     weighted_temporal_norm,
@@ -17,7 +18,7 @@ from cnflow.time_mesh import TimeMesh, build_uniform_mesh
 
 
 def scalar(fn):
-    return lambda t: np.atleast_1d(fn(t))
+    return lambda t: np.asarray(fn(t))[..., None]
 
 
 def dense_sup_error(fn, grid_fn, mesh, samples=400):
@@ -123,6 +124,44 @@ def test_operator_orders():
     assert abs(fit_loglog(ks, e_i).slope - 2.0) <= 0.15
     assert abs(fit_loglog(ks, e_am).slope - 2.0) <= 0.15
     assert abs(fit_loglog(ks, e_ai).slope - 1.0) <= 0.15
+
+
+def trig_callable(amps, freqs, phases):
+    """Vector-valued trigonometric time callable, array-valued in time."""
+    def u(t):
+        t = np.asarray(t)[..., None]
+        return sum(a * np.cos(f * t + p) for a, f, p in zip(amps, freqs, phases))
+    return u
+
+
+@settings(max_examples=40, deadline=None)
+@given(steps=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=12),
+       dim=st.integers(1, 4), terms=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_projections_match_per_interval_oracle(steps, dim, terms, seed):
+    # one call per quadrature point on all intervals gives bitwise the
+    # values of one scalar-bound call per interval and one call per node
+    mesh = TimeMesh(np.concatenate([[0.0], np.cumsum(steps)]))
+    rng = np.random.default_rng(seed)
+    u = trig_callable(rng.standard_normal((terms, dim)), rng.uniform(0.0, 10.0, terms),
+                      rng.uniform(0.0, 2.0 * np.pi, terms))
+    for order in (3, 6):
+        oracle = np.stack([interval_average(u, a, b, order)
+                           for a, b in zip(mesh.nodes[:-1], mesh.nodes[1:])])
+        assert np.array_equal(average(u, mesh, order).values, oracle)
+    assert np.array_equal(interpolate_nodal(u, mesh).values,
+                          np.stack([u(t) for t in mesh.nodes]))
+    assert np.array_equal(midpoint_sample(u, mesh).values,
+                          np.stack([u(t) for t in mesh.midpoints]))
+
+
+@pytest.mark.parametrize("op", [interpolate_nodal, average, midpoint_sample])
+@pytest.mark.parametrize("u", [lambda t: 1.0, lambda t: np.array([t, 2 * t])],
+                         ids=["constant", "per-time"])
+def test_time_callable_must_be_array_valued(op, u):
+    # a per-time callable handed an array of times returns a block whose
+    # leading axis is not the time axis
+    with pytest.raises(ValueError, match="time callable"):
+        op(u, build_uniform_mesh(1.0, 5))
 
 
 def test_mean_derivative_of_interpolation_error_vanishes():

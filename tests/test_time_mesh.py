@@ -31,7 +31,7 @@ def test_uniform_reference_step():
     assert mesh.k_max == pytest.approx(0.0005, rel=1e-12)
 
 
-@pytest.mark.parametrize("bad", [(0.0, 4), (-1.0, 4), (2.0, 0)])
+@pytest.mark.parametrize("bad", [(0.0, 4), (-1.0, 4), (2.0, 0), (np.nan, 4), (np.inf, 4)])
 def test_uniform_invalid_arguments(bad):
     with pytest.raises(ValueError):
         build_uniform_mesh(*bad)
@@ -59,6 +59,17 @@ def test_alternating_invalid_factor():
         build_alternating_mesh(1.0, 0.1, [0.5, -0.5])
     with pytest.raises(ValueError):
         build_alternating_mesh(1.0, 0.1, [0.5, 0.6])  # mean != 1
+
+
+@pytest.mark.parametrize("T, base_k, pattern", [
+    (np.nan, 0.1, [1.0]), (np.inf, 0.1, [1.0]), (1.0, np.nan, [1.0]),
+    (1.0, np.inf, [1.0]), (1.0, 0.1, [np.nan, np.nan]), (1.0, 0.1, [np.inf, 0.5]),
+])
+def test_alternating_non_finite_arguments(T, base_k, pattern):
+    # NaN and inf defeat every comparison that closes the mesh, which
+    # would otherwise append nodes without bound
+    with pytest.raises(ValueError):
+        build_alternating_mesh(T, base_k, pattern)
 
 
 def test_alternating_nondivisible_final_step_adjusted():
