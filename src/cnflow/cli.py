@@ -2,7 +2,7 @@
 
 Two subcommands are exposed::
 
-    cnflow convergence --config PATH [--out DIR] [--seed N] [--threads N]
+    cnflow convergence --config PATH [--out DIR] [--threads N] [--set KEY=VALUE ...]
     cnflow verify TARGET [--out DIR] [--seed N]
 
 Configuration files are flat ``key = value`` text (``#`` comments); CLI
@@ -19,8 +19,9 @@ error, 3 solver failure.
 import argparse
 import sys
 import time
+import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -91,7 +92,12 @@ def rough_stationary_initial(amplitude=0.2):
     return StationaryInitialData(f0, "stationary-sign-forcing")
 
 
-EXPERIMENTS = ("case_i", "case_ii", "stokes_manufactured", "custom")
+# experiment -> (forcing factory, initial-data factory or None for zero, solver)
+EXPERIMENTS = {
+    "case_i": (smooth_ramp_forcing, None, "nse"),
+    "case_ii": (ZeroForcing, rough_stationary_initial, "nse"),
+    "stokes_manufactured": (smooth_ramp_forcing, None, "stokes"),
+}
 
 
 @dataclass
@@ -101,22 +107,18 @@ class RunConfig:
     experiment: str = "case_i"
     nu: float = 0.01
     T: float = 2.0
-    k_list: tuple = (0.02, 0.01, 0.005, 0.0025)
-    pattern: tuple = (0.8, 1.2)
+    k_list: tuple[float, ...] = (0.02, 0.01, 0.005, 0.0025)
+    pattern: tuple[float, ...] = (0.8, 1.2)
     n0: int = 0
     alpha: float = 0.0
     window_start: int = None
     nx: int = 16
     ny: int = 16
-    domain: tuple = (-1.0, 1.0, -1.0, 1.0)
+    domain: tuple[float, ...] = (-1.0, 1.0, -1.0, 1.0)
     refinement: int = 8
-    norms: tuple = ("pressure_L2l2", "pressure_Linfl2")
+    norms: tuple[str, ...] = ("pressure_L2l2", "pressure_Linfl2")
     spatial_norm: str = "mass"
-    solver: str = None
-    forcing: str = None
-    initial: str = None
     out: str = "results"
-    seed: int = 0
     threads: int = 1
 
     def __post_init__(self):
@@ -141,10 +143,6 @@ class RunConfig:
             raise ConfigError("need a nonempty domain and nx, ny of at least 1")
         if self.window_start is None:
             self.window_start = self.n0 if self.alpha > 0 else 0
-        if self.solver is None:
-            self.solver = "stokes" if self.experiment == "stokes_manufactured" else "nse"
-        if self.solver not in ("stokes", "nse"):
-            raise ConfigError(f"unknown solver {self.solver!r}")
         self.error_specs()  # rejects unknown norms and bad weights or windows
         # the coarsest mesh checks T and the pattern, and bounds n0 and the window
         N = build_alternating_mesh(self.T, self.k_list[0], self.pattern).num_intervals
@@ -177,52 +175,30 @@ def parse_config_text(text):
     return mapping
 
 
-_TUPLE_FLOAT = ("k_list", "pattern", "domain")
-_FLOAT = ("nu", "T", "alpha")
-_INT = ("n0", "nx", "ny", "refinement", "seed", "threads", "window_start")
-
-
 def build_run_config(mapping):
+    """``RunConfig`` from string values, each coerced by its field's type:
+    ``tuple[X, ...]`` reads comma-separated ``X`` values."""
+    types = {f.name: f.type for f in fields(RunConfig)}
     kwargs = {}
     try:
         for key, value in mapping.items():
-            if key in _TUPLE_FLOAT:
-                kwargs[key] = tuple(float(v) for v in value.split(","))
-            elif key == "norms":
-                kwargs[key] = tuple(v.strip() for v in value.split(","))
-            elif key in _FLOAT:
-                kwargs[key] = float(value)
-            elif key in _INT:
-                kwargs[key] = int(value)
-            elif key in ("experiment", "spatial_norm", "solver", "forcing", "initial", "out"):
-                kwargs[key] = value
-            else:
+            if key not in types:
                 raise ConfigError(f"unknown configuration key {key!r}")
+            kind = types[key]
+            element = typing.get_args(kind)  # (X, ...) for tuple[X, ...]
+            kwargs[key] = (tuple(element[0](v.strip()) for v in value.split(","))
+                           if element else kind(value))
         return RunConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
 
 
 def resolve_problem(config, space):
-    """Forcing/initial-data/solver combination of an experiment."""
-    if config.experiment == "case_i":
-        forcing, initial = smooth_ramp_forcing(), None
-    elif config.experiment == "case_ii":
-        forcing, initial = ZeroForcing(), rough_stationary_initial()
-    elif config.experiment == "stokes_manufactured":
-        forcing, initial = smooth_ramp_forcing(), None
-    else:
-        forcing = {"case_i": smooth_ramp_forcing(), "zero": ZeroForcing(),
-                   None: ZeroForcing()}.get(config.forcing)
-        if forcing is None:
-            raise ConfigError(f"unknown forcing id {config.forcing!r}")
-        if config.initial in ("stationary",):
-            initial = rough_stationary_initial()
-        elif config.initial in (None, "zero"):
-            initial = None
-        else:
-            raise ConfigError(f"unknown initial data id {config.initial!r}")
-    return ProblemSpec(space, config.nu, forcing, initial, config.T)
+    """Problem of an experiment on ``space``; its solver is the third entry
+    of ``EXPERIMENTS[config.experiment]``."""
+    forcing, initial, _ = EXPERIMENTS[config.experiment]
+    return ProblemSpec(space, config.nu, forcing(), None if initial is None else initial(),
+                       config.T)
 
 
 def build_reference(spec, kind, k_list, refinement):
@@ -258,12 +234,8 @@ def run_convergence(config):
     t_begin = time.perf_counter()
     space = build_space(config.domain, config.nx, config.ny)
     spec = resolve_problem(config, space)
+    kind = EXPERIMENTS[config.experiment][2]
     timings = []
-
-    t0 = time.perf_counter()
-    reference = build_reference(spec, config.solver, config.k_list, config.refinement)
-    timings.append(("reference", time.perf_counter() - t0))
-    iterations = [("reference", reference.newton_iterations)]
 
     record = ConvergenceRecord()
     failures = []
@@ -271,33 +243,31 @@ def run_convergence(config):
 
     def one(k):
         t0 = time.perf_counter()
-        rows, its = convergence_rows(spec, config.solver, reference, k,
+        rows, its = convergence_rows(spec, kind, reference, k,
                                      config.pattern, config.n0, error_specs)
         return rows, its, time.perf_counter() - t0
 
-    results = {}
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            futures = {k: pool.submit(one, k) for k in config.k_list}
-        for k in config.k_list:
-            try:
-                results[k] = futures[k].result()
-            except SolverError as exc:
-                failures.append((k, str(exc)))
-    else:
-        for k in config.k_list:
-            try:
-                results[k] = one(k)
-            except SolverError as exc:
-                failures.append((k, str(exc)))
-
-    for k in config.k_list:
-        if k in results:
-            rows, its, dt = results[k]
-            timings.append((f"k={k!r}", dt))
-            iterations.append((f"k={k!r}", its))
-            for row in rows:
-                record.add(*row)
+    # Every solve runs on the pool's ``threads`` workers, the reference first.
+    # With one worker all of them allocate from one thread's malloc arena: a
+    # reference solved on the main thread raised the peak RSS of the
+    # nse_incompatible perfbench study from 200 to 221 MB.
+    with ThreadPoolExecutor(max_workers=config.threads) as pool:
+        t0 = time.perf_counter()
+        reference = pool.submit(build_reference, spec, kind, config.k_list,
+                                config.refinement).result()
+        timings.append(("reference", time.perf_counter() - t0))
+        iterations = [("reference", reference.newton_iterations)]
+        futures = [(k, pool.submit(one, k)) for k in config.k_list]
+    for k, future in futures:
+        try:
+            rows, its, dt = future.result()
+        except SolverError as exc:
+            failures.append((k, str(exc)))
+            continue
+        timings.append((f"k={k!r}", dt))
+        iterations.append((f"k={k!r}", its))
+        for row in rows:
+            record.add(*row)
 
     csv_path = os.path.join(config.out, "convergence.csv")
     with open(csv_path, "w") as fh:
@@ -457,7 +427,6 @@ def main(argv=None):
     p_conv = sub.add_parser("convergence", help="run a convergence experiment")
     p_conv.add_argument("--config", help="flat key=value configuration file")
     p_conv.add_argument("--out", help="output directory")
-    p_conv.add_argument("--seed", type=int, help="random seed recorded in the manifest")
     p_conv.add_argument("--threads", type=int, help="independent step-size rows in parallel")
     p_conv.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override a configuration value")
@@ -481,7 +450,7 @@ def main(argv=None):
                     raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
                 key, value = item.split("=", 1)
                 mapping[key.strip()] = value.strip()
-            for key in ("out", "seed", "threads"):
+            for key in ("out", "threads"):
                 value = getattr(args, key)
                 if value is not None:
                     mapping[key] = str(value)

@@ -195,9 +195,8 @@ class TaylorHoodSpace:
         self.grad2 = np.einsum("eab,qib->eqia", inv_jt, grad2_ref)
 
         self.qp6, self.qw6 = triangle_rule(6)
-        self.phi2_6, grad2_ref6 = p2_basis(self.qp6)
+        self.phi2_6, _ = p2_basis(self.qp6)
         self.psi1_6, _ = p1_basis(self.qp6)
-        self.grad2_6 = np.einsum("eab,qib->eqia", inv_jt, grad2_ref6)
 
         self._cache = {}
 

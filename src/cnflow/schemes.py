@@ -129,10 +129,10 @@ class ProblemSpec:
     T: float = 2.0
 
     def __post_init__(self):
-        if self.viscosity <= 0.0:
-            raise ValueError("viscosity must be positive")
-        if self.T <= 0.0:
-            raise ValueError("final time must be positive")
+        if not 0.0 < self.viscosity < np.inf:
+            raise ValueError("viscosity must be positive and finite")
+        if not 0.0 < self.T < np.inf:
+            raise ValueError("final time must be positive and finite")
 
     @property
     def initial_kind(self):

@@ -29,6 +29,8 @@ class TimeMesh:
             raise ValueError("need at least two nodes")
         if nodes[0] != 0.0:
             raise ValueError("first node must be t_0 = 0")
+        if not np.all(np.isfinite(nodes)):
+            raise ValueError("nodes must be finite")
         steps = np.diff(nodes)
         if np.any(steps <= 0.0):
             raise ValueError("nodes must be strictly increasing")
@@ -44,9 +46,6 @@ class TimeMesh:
         self.rho = self.k_max / self.k_min
         for a in (self.nodes, self.steps, self.midpoints):
             a.flags.writeable = False
-
-    def __len__(self):
-        return self.num_intervals
 
     def __repr__(self):
         return (f"TimeMesh(T={self.T}, N={self.num_intervals}, "

@@ -1,8 +1,13 @@
+import dataclasses
+import re
+from pathlib import Path
+
 import pytest
 
 import cnflow.cli as cli
 from cnflow.cli import (
     ConfigError,
+    RunConfig,
     build_run_config,
     main,
     parse_config_text,
@@ -12,17 +17,18 @@ from cnflow.cli import (
     temporal_operator_orders,
 )
 from cnflow.fem2d import SolverError
+from cnflow.schemes import ZeroForcing
 
 
 def test_parse_config_text():
     text = """
     # comment
-    experiment = custom
+    experiment = case_ii
     k_list = 0.1, 0.05
     nx = 4  # trailing comment
     """
     mapping = parse_config_text(text)
-    assert mapping["experiment"] == "custom"
+    assert mapping["experiment"] == "case_ii"
     assert mapping["k_list"] == "0.1, 0.05"
     assert mapping["nx"] == "4"
     with pytest.raises(ConfigError):
@@ -30,10 +36,18 @@ def test_parse_config_text():
 
 
 def test_build_run_config_validation():
-    assert build_run_config({"experiment": "case_i"}).solver == "nse"
-    assert build_run_config({"experiment": "stokes_manufactured"}).solver == "stokes"
+    config = build_run_config({"experiment": "case_ii", "k_list": "0.1, 0.05",
+                               "norms": "pressure_L2l2, velocity_LinfV1", "nx": "4",
+                               "nu": "0.02", "out": "somewhere"})
+    assert config.experiment == "case_ii"
+    assert config.k_list == (0.1, 0.05)
+    assert config.norms == ("pressure_L2l2", "velocity_LinfV1")
+    assert (config.nx, config.nu, config.out) == (4, 0.02, "somewhere")
+    for experiment in ("case_iii", "custom"):
+        with pytest.raises(ConfigError):
+            build_run_config({"experiment": experiment})
     with pytest.raises(ConfigError):
-        build_run_config({"experiment": "case_iii"})
+        build_run_config({"nx": "4.5"})
     with pytest.raises(ConfigError):
         build_run_config({"k_list": "0.01,0.02"})  # ascending
     with pytest.raises(ConfigError):
@@ -52,25 +66,21 @@ def test_window_default_follows_weight():
 
 
 def test_resolve_problem_kinds(small_space):
-    for experiment, label in (("case_i", "smooth-ramp"), ("case_ii", "zero"),
-                              ("stokes_manufactured", "smooth-ramp")):
+    expected = {"case_i": ("smooth-ramp", "zero", "nse"),
+                "case_ii": ("zero", "stationary", "nse"),
+                "stokes_manufactured": ("smooth-ramp", "zero", "stokes")}
+    assert sorted(cli.EXPERIMENTS) == sorted(expected)
+    for experiment, (label, initial_kind, solver) in expected.items():
         config = build_run_config({"experiment": experiment})
         spec = resolve_problem(config, small_space)
         assert spec.forcing.label == label
-    config = build_run_config({"experiment": "custom", "forcing": "zero",
-                               "initial": "stationary"})
-    spec = resolve_problem(config, small_space)
-    assert spec.initial_kind == "stationary"
-    with pytest.raises(ConfigError):
-        resolve_problem(build_run_config({"experiment": "custom",
-                                          "forcing": "wavelets"}), small_space)
+        assert spec.initial_kind == initial_kind
+        assert cli.EXPERIMENTS[experiment][2] == solver
 
 
 def tiny_mapping(out):
     return {
-        "experiment": "custom",
-        "solver": "stokes",
-        "forcing": "case_i",
+        "experiment": "stokes_manufactured",
         "T": "0.4",
         "k_list": "0.1,0.05",
         "pattern": "0.8,1.2",
@@ -98,7 +108,7 @@ def test_manifest_contents(tmp_path):
     run_convergence(config)
     manifest = (tmp_path / "m" / "manifest.txt").read_text()
     assert "version = " in manifest
-    assert "experiment = custom" in manifest
+    assert "experiment = stokes_manufactured" in manifest
     assert "k_list = 0.1,0.05" in manifest
     assert "fitted_rate[pressure_L2l2]" in manifest
     assert "time[total]" in manifest
@@ -107,7 +117,7 @@ def test_manifest_contents(tmp_path):
 
 def test_manifest_newton_iterations(tmp_path):
     mapping = tiny_mapping(tmp_path / "n")
-    mapping["solver"] = "nse"
+    mapping["experiment"] = "case_i"
     _, fails, files = run_convergence(build_run_config(mapping))
     assert not fails
     lines = [line for line in open(files[1]).read().splitlines()
@@ -120,10 +130,10 @@ def test_manifest_newton_iterations(tmp_path):
         assert 1 <= int(stats["min"]) <= float(stats["mean"]) <= int(stats["max"])
 
 
-def test_zero_forcing_yields_exact_match_rows(tmp_path):
-    mapping = tiny_mapping(tmp_path / "z")
-    mapping["forcing"] = "zero"
-    rec, fails, files = run_convergence(build_run_config(mapping))
+def test_zero_forcing_yields_exact_match_rows(tmp_path, monkeypatch):
+    # the Stokes experiment with its forcing switched off: zero data, zero solution
+    monkeypatch.setitem(cli.EXPERIMENTS, "stokes_manufactured", (ZeroForcing, None, "stokes"))
+    rec, fails, files = run_convergence(build_run_config(tiny_mapping(tmp_path / "z")))
     assert not fails
     assert all(row.error == 0.0 for row in rec.rows)
     manifest = open(files[1]).read()
@@ -203,10 +213,9 @@ def test_main_exit_codes(tmp_path, capsys):
                                       "norms=bogus", "n0=500", "T=nan", "T=inf",
                                       "k_list=nan", "pattern=nan,nan", "nu=nan",
                                       "domain=-1,nan,-1,1", "alpha=nan", "threads=0",
-                                      "threads=-3"])
+                                      "threads=-3", "experiment=custom", "solver=nse",
+                                      "forcing=zero", "initial=stationary", "seed=1"])
 def test_invalid_config_value_exit_code(tmp_path, capsys, override):
-    from pathlib import Path
-
     config = Path(__file__).parent.parent / "configs" / "stokes_manufactured.cfg"
     args = ["convergence", "--config", str(config), "--set", override,
             "--out", str(tmp_path)]
@@ -245,8 +254,6 @@ def test_main_runs_tiny_convergence(tmp_path, capsys):
 
 
 def test_shipped_configs_parse():
-    from pathlib import Path
-
     config_dir = Path(__file__).parent.parent / "configs"
     found = sorted(config_dir.glob("*.cfg"))
     assert len(found) >= 3
@@ -262,3 +269,11 @@ def test_config_file_and_overrides(tmp_path):
                  "--set", "k_list=0.2,0.1"]) == 0
     manifest = (tmp_path / "c" / "manifest.txt").read_text()
     assert "k_list = 0.2,0.1" in manifest  # override wins over the file
+
+
+def test_readme_keys_match_run_config():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    table = readme.split("Keys and defaults:", 1)[1].split("\n\n", 2)[1]
+    rows = [line for line in table.splitlines() if line.startswith("| `")]
+    documented = [key for row in rows for key in re.findall(r"`(\w+)`", row.split("|")[1])]
+    assert sorted(documented) == sorted(f.name for f in dataclasses.fields(RunConfig))

@@ -310,6 +310,9 @@ def test_problem_spec_validation(medium_space):
         ProblemSpec(medium_space, -0.01, ZeroForcing(), None, 1.0)
     with pytest.raises(ValueError):
         ProblemSpec(medium_space, 0.01, ZeroForcing(), None, 0.0)
+    for nu, T in ((np.nan, 1.0), (np.inf, 1.0), (0.01, np.nan), (0.01, np.inf)):
+        with pytest.raises(ValueError):
+            ProblemSpec(medium_space, nu, ZeroForcing(), None, T)
     spec = ProblemSpec(medium_space, 0.01, ZeroForcing(), np.zeros(3), 1.0)
     with pytest.raises(ValueError):
         spec.initial_velocity()

@@ -95,6 +95,9 @@ def test_nodes_validation():
         TimeMesh([0.0, 0.5, 0.5, 1.0])
     with pytest.raises(ValueError):
         TimeMesh([0.1, 0.5, 1.0])
+    for nodes in ([0.0, np.nan], [0.0, 1.0, np.inf], [0.0, np.nan, 1.0]):
+        with pytest.raises(ValueError):
+            TimeMesh(nodes)
 
 
 def test_tau_first_interval_vanishes():
