@@ -131,8 +131,8 @@ class RunConfig:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         ks = tuple(float(k) for k in self.k_list)
-        if any(k <= 0 for k in ks) or list(ks) != sorted(ks, reverse=True):
-            raise ConfigError("step sizes must be positive and descending")
+        if any(k <= 0 for k in ks) or any(a <= b for a, b in zip(ks, ks[1:])):
+            raise ConfigError("step sizes must be positive and strictly descending")
         self.k_list = ks
         if self.refinement < 4:
             raise ConfigError("reference refinement factor must be at least 4")
@@ -297,26 +297,27 @@ def run_convergence(config):
 
 # --- verification drivers -------------------------------------------------
 
-def temporal_operator_orders(T=2.0, n_list=(16, 32, 64), samples_per_interval=200,
-                             fn=np.sin):
-    """Fitted convergence orders of the three temporal projections.
+_ORACLE_SAMPLES = 200  # dense samples per interval of the sup-norm oracle
 
-    Dense per-interval sampling provides the independent sup-norm oracle
-    for a smooth scalar function of time; the expected orders are 2 for
-    nodal interpolation, 2 for the average/midpoint gap and 1 for the
-    averaged interpolant.
+
+def temporal_operator_orders(T=2.0, n_list=(16, 32, 64)):
+    """Fitted convergence orders of the three temporal projections of ``sin``.
+
+    Dense per-interval sampling provides the independent sup-norm oracle;
+    the expected orders are 2 for nodal interpolation, 2 for the
+    average/midpoint gap and 1 for the averaged interpolant.
     """
     errs = {"interpolation": [], "average_vs_midpoint": [], "averaged_interpolant": []}
     ks = []
     for N in n_list:
         mesh = build_uniform_mesh(T, N)
         ks.append(mesh.k_max)
-        iu = interpolate_nodal(fn, mesh)
-        au = average(fn, mesh)
-        mu = midpoint_sample(fn, mesh)
+        iu = interpolate_nodal(np.sin, mesh)
+        au = average(np.sin, mesh)
+        mu = midpoint_sample(np.sin, mesh)
         aiu = average(iu)
-        ts = np.linspace(mesh.nodes[:-1], mesh.nodes[1:], samples_per_interval, axis=1)
-        exact = fn(ts)
+        ts = np.linspace(mesh.nodes[:-1], mesh.nodes[1:], _ORACLE_SAMPLES, axis=1)
+        exact = np.sin(ts)
         errs["interpolation"].append(np.max(np.abs(exact - iu.evaluate(ts))))
         errs["averaged_interpolant"].append(np.max(np.abs(exact - aiu.values[:, None])))
         errs["average_vs_midpoint"].append(np.max(np.abs(au.values - mu.values)))
@@ -325,11 +326,8 @@ def temporal_operator_orders(T=2.0, n_list=(16, 32, 64), samples_per_interval=20
 
 DRIFT_LIMIT = 1.10
 
-_REPORT_CSV_HEADER = StabilityReport.CSV_HEADER
-
-STABILITY_PROTOCOL = dict(s_values=(0, 1, 2), n_values=(16, 32, 64), T=1.0, trials=50)
-SMOOTHING_PROTOCOL = dict(pairs=((1, 1), (1, 2), (2, 1)), n_values=(64, 128, 256),
-                          T=1.0, trials=50, n0=0)
+STABILITY_S = (0, 1, 2)
+SMOOTHING_PAIRS = ((1, 1), (1, 2), (2, 1))
 EULER_CASES = ((2, 4, 2), (2, 3, 2), (0, 2, 2), (2, 2, 2))
 EULER_K_LIST = tuple(0.02 * 0.5 ** i for i in range(8))
 
@@ -348,6 +346,44 @@ def smoothing_drift(s, ell, n0=0, n_values=(64, 128, 256), T=1.0, trials=50, see
     return max(ratios) / min(ratios), reports
 
 
+def _drift_check(label, drift, reports):
+    ratios = ", ".join(f"{r.max_ratio:.4f}" for r in reports)
+    return (drift < DRIFT_LIMIT,
+            f"{label}: max ratios [{ratios}] drift {drift:.4f} < {DRIFT_LIMIT}",
+            "\n".join(r.csv_row() for r in reports))
+
+
+def _verify_checks(target, seed):
+    """CSV header and the ``(good, line, csv_rows)`` checks of one target."""
+    if target == "temporal":
+        expected = {"interpolation": 2.0, "average_vs_midpoint": 2.0,
+                    "averaged_interpolant": 1.0}
+        return "operator,slope,pairwise", [
+            (abs(fitted.slope - expected[name]) <= 0.15,
+             f"{name}: rate {fitted.slope:.4f} expected {expected[name]} +- 0.15",
+             f"{name},{fitted.csv_row()}")
+            for name, fitted in temporal_operator_orders().items()]
+    if target == "spectral-stability":
+        return StabilityReport.CSV_HEADER, [
+            _drift_check(f"s={s}", *stability_drift(s, seed=seed)) for s in STABILITY_S]
+    if target == "spectral-smoothing":
+        return StabilityReport.CSV_HEADER, [
+            _drift_check(f"(s,l)=({s},{ell})", *smoothing_drift(s, ell, seed=seed))
+            for s, ell in SMOOTHING_PAIRS]
+    if target == "euler-rates":
+        checks = []
+        for r, s, s0 in EULER_CASES:
+            fit = euler_smoothing_rate(r, s, s0, EULER_K_LIST)
+            expected = 0.5 * (r - s)
+            tol = 0.1 if r == s else 0.2
+            checks.append((abs(fit.slope - expected) <= tol,
+                           f"(r,s,s0)=({r},{s},{s0}): rate {fit.slope:.4f} "
+                           f"expected {expected} +- {tol}",
+                           f"{r},{s},{s0},{fit.csv_row()}"))
+        return "r,s,s0,slope,pairwise", checks
+    raise ConfigError(f"unknown verification target {target!r}")
+
+
 def run_verify(target, out="results", seed=0):
     """Run one verification target; returns (exit_code, report_lines).
 
@@ -356,66 +392,14 @@ def run_verify(target, out="results", seed=0):
     """
     import os
 
+    header, checks = _verify_checks(target, seed)
     os.makedirs(out, exist_ok=True)
-    lines = []
-    csv_lines = []
-    ok = True
-
-    if target == "temporal":
-        rates = temporal_operator_orders()
-        expected = {"interpolation": 2.0, "average_vs_midpoint": 2.0,
-                    "averaged_interpolant": 1.0}
-        csv_lines.append("operator,slope,pairwise")
-        for name, fitted in rates.items():
-            good = abs(fitted.slope - expected[name]) <= 0.15
-            ok &= good
-            lines.append(f"{'PASS' if good else 'FAIL'} {name}: rate {fitted.slope:.4f} "
-                         f"expected {expected[name]} +- 0.15")
-            csv_lines.append(f"{name},{fitted.csv_row()}")
-    elif target == "spectral-stability":
-        proto = STABILITY_PROTOCOL
-        csv_lines.append(_REPORT_CSV_HEADER)
-        for s in proto["s_values"]:
-            drift, reports = stability_drift(s, proto["n_values"], proto["T"],
-                                             proto["trials"], seed)
-            good = drift < DRIFT_LIMIT
-            ok &= good
-            ratios = ", ".join(f"{r.max_ratio:.4f}" for r in reports)
-            lines.append(f"{'PASS' if good else 'FAIL'} s={s}: max ratios [{ratios}] "
-                         f"drift {drift:.4f} < {DRIFT_LIMIT}")
-            csv_lines.extend(r.csv_row() for r in reports)
-    elif target == "spectral-smoothing":
-        proto = SMOOTHING_PROTOCOL
-        csv_lines.append(_REPORT_CSV_HEADER)
-        for s, ell in proto["pairs"]:
-            drift, reports = smoothing_drift(s, ell, proto["n0"], proto["n_values"],
-                                             proto["T"], proto["trials"], seed)
-            good = drift < DRIFT_LIMIT
-            ok &= good
-            ratios = ", ".join(f"{r.max_ratio:.4f}" for r in reports)
-            lines.append(f"{'PASS' if good else 'FAIL'} (s,l)=({s},{ell}): max ratios "
-                         f"[{ratios}] drift {drift:.4f} < {DRIFT_LIMIT}")
-            csv_lines.extend(r.csv_row() for r in reports)
-    elif target == "euler-rates":
-        csv_lines.append("r,s,s0,slope,pairwise")
-        for r, s, s0 in EULER_CASES:
-            fit = euler_smoothing_rate(r, s, s0, EULER_K_LIST)
-            expected = 0.5 * (r - s)
-            tol = 0.1 if r == s else 0.2
-            good = abs(fit.slope - expected) <= tol
-            ok &= good
-            lines.append(f"{'PASS' if good else 'FAIL'} (r,s,s0)=({r},{s},{s0}): "
-                         f"rate {fit.slope:.4f} expected {expected} +- {tol}")
-            csv_lines.append(f"{r},{s},{s0},{fit.csv_row()}")
-    else:
-        raise ConfigError(f"unknown verification target {target!r}")
-
-    report = os.path.join(out, f"verify_{target}.txt")
-    with open(report, "w") as fh:
+    lines = [f"{'PASS' if good else 'FAIL'} {line}" for good, line, _ in checks]
+    with open(os.path.join(out, f"verify_{target}.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
     with open(os.path.join(out, f"verify_{target}.csv"), "w") as fh:
-        fh.write("\n".join(csv_lines) + "\n")
-    return (0 if ok else 1), lines
+        fh.write("\n".join([header] + [rows for _, _, rows in checks]) + "\n")
+    return (0 if all(good for good, _, _ in checks) else 1), lines
 
 
 # --- entry point ----------------------------------------------------------

@@ -200,10 +200,9 @@ class TaylorHoodSpace:
 
         self._cache = {}
 
-    def quad_points_physical(self, degree=6):
-        """Physical coordinates of the quadrature points, shape (nt, nq, 2)."""
-        qp = self.qp6 if degree == 6 else self.qp
-        return self._v0[:, None, :] + np.einsum("eab,qb->eqa", self._jac, qp)
+    def quad_points_physical(self):
+        """Physical coordinates of the degree-6 quadrature points, shape (nt, nq, 2)."""
+        return self._v0[:, None, :] + np.einsum("eab,qb->eqa", self._jac, self.qp6)
 
     # --- assembly ------------------------------------------------------
 
@@ -396,7 +395,7 @@ class TaylorHoodSpace:
         ``f(x, y)`` must accept numpy arrays and return the pair of
         component arrays.
         """
-        coords = self.quad_points_physical(6)
+        coords = self.quad_points_physical()
         fx, fy = f(coords[..., 0], coords[..., 1])
         out = np.zeros(self.num_velocity)
         for comp, vals in enumerate((fx, fy)):
@@ -416,7 +415,7 @@ class TaylorHoodSpace:
 
     def velocity_l2_error(self, u, f):
         """Quadrature L2 distance between discrete u and a callable field."""
-        coords = self.quad_points_physical(6)
+        coords = self.quad_points_physical()
         fx, fy = f(coords[..., 0], coords[..., 1])
         ux = np.einsum("ej,qj->eq", u[: self.num_scalar][self.tri_scalar], self.phi2_6)
         uy = np.einsum("ej,qj->eq", u[self.num_scalar:][self.tri_scalar], self.phi2_6)
@@ -424,7 +423,7 @@ class TaylorHoodSpace:
         return float(np.sqrt(np.sum(self.det * np.einsum("q,eq->e", self.qw6, err2))))
 
     def pressure_l2_error(self, p, f):
-        coords = self.quad_points_physical(6)
+        coords = self.quad_points_physical()
         fv = f(coords[..., 0], coords[..., 1])
         pv = np.einsum("ej,qj->eq", p[self.tri_pressure], self.psi1_6)
         return float(np.sqrt(np.sum(self.det * np.einsum("q,eq->e", self.qw6, (pv - fv) ** 2))))
@@ -469,6 +468,9 @@ class MixedState:
     pressure: np.ndarray
 
 
+_SADDLE_RTOL = 1e-10  # relative residual bound of one saddle-point solve
+
+
 class BorderedSaddle:
     """Direct factorization of one constrained saddle-point system.
 
@@ -483,13 +485,11 @@ class BorderedSaddle:
     the time steppers rely on when the step size repeats.
     """
 
-    def __init__(self, space, K, B=None):
+    def __init__(self, space, K):
         self.space = space
-        if B is None:
-            B = space.divergence
         ii = space.interior_velocity
         self.K_ii = K[ii][:, ii].tocsr()
-        self.B_i = B[:, ii].tocsr()
+        self.B_i = space.divergence[:, ii].tocsr()
         c = space.mean_vector
         n_i, n_p = ii.size, space.num_pressure
         c_col = sp.csr_matrix((c, (np.arange(n_p), np.zeros(n_p, dtype=int))),
@@ -506,7 +506,7 @@ class BorderedSaddle:
         self.system = system
         self.n_i, self.n_p = n_i, n_p
 
-    def solve(self, F, rtol=1e-10):
+    def solve(self, F):
         space = self.space
         F = np.asarray(F, dtype=float)
         rhs = np.zeros(self.n_i + self.n_p + 1)
@@ -514,9 +514,9 @@ class BorderedSaddle:
         x = self.lu.solve(rhs)
         scale = max(float(np.linalg.norm(rhs)), 1e-30)
         resid = float(np.linalg.norm(self.system @ x - rhs))
-        if not np.isfinite(resid) or resid > rtol * scale:
-            raise SolverError(
-                f"saddle-point solve residual {resid:.3e} above {rtol:.1e} * {scale:.3e}")
+        if not np.isfinite(resid) or resid > _SADDLE_RTOL * scale:
+            raise SolverError(f"saddle-point solve residual {resid:.3e} above "
+                              f"{_SADDLE_RTOL:.1e} * {scale:.3e}")
         U = np.zeros(space.num_velocity)
         U[space.interior_velocity] = x[: self.n_i]
         P = x[self.n_i: self.n_i + self.n_p]
@@ -526,7 +526,7 @@ class BorderedSaddle:
         return MixedState(U, P)
 
 
-def solve_saddle_point(space, K, F, B=None, rtol=1e-10):
+def solve_saddle_point(space, K, F):
     """One-shot constrained saddle solve (factorization not retained)."""
-    return BorderedSaddle(space, K, B).solve(F, rtol)
+    return BorderedSaddle(space, K).solve(F)
 

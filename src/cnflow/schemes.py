@@ -290,7 +290,7 @@ def _newton(space, momentum, jacobian, U, P, newton, target, label, frozen=None,
                     continue
                 # stale direction stopped contracting: rebuild below
                 frozen.pop(key, None)
-            saddle = BorderedSaddle(space, jacobian(lin), B)
+            saddle = BorderedSaddle(space, jacobian(lin))
             if frozen is not None:
                 frozen[key] = saddle
             dU, dP = solve_update(saddle, r, rd, rm)

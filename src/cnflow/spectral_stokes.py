@@ -148,7 +148,10 @@ class StabilityReport:
                 f"{self.trials},{self.seed},{self.max_ratio!r}")
 
 
-def _random_trial(rng, lam, s, decay=-1.2):
+_TRIAL_DECAY = -1.2  # spectral decay exponent of the random trial data
+
+
+def _random_trial(rng, lam, s):
     """Mesh-independent random data: initial field and a smooth forcing.
 
     The initial coefficients are normalized to unit V^s size and the
@@ -158,8 +161,8 @@ def _random_trial(rng, lam, s, decay=-1.2):
     """
     M = lam.size
     j = np.arange(1, M + 1, dtype=float)
-    c0 = rng.standard_normal(M) * lam ** (-s / 2.0) * j ** decay
-    b = rng.standard_normal((3, M)) * (lam ** ((1.0 - s) / 2.0) * j ** decay)
+    c0 = rng.standard_normal(M) * lam ** (-s / 2.0) * j ** _TRIAL_DECAY
+    b = rng.standard_normal((3, M)) * (lam ** ((1.0 - s) / 2.0) * j ** _TRIAL_DECAY)
 
     def forcing(t, T):
         t = np.asarray(t)[..., None]
@@ -179,73 +182,73 @@ def _norms(traj, s, alpha, window):
     return linf, l2_avg, l2_dt
 
 
-def verify_discrete_stability(s, mesh, trial_count=50, rng_seed=0, eigenvalues=None):
-    """Two-sided check of the unweighted discrete stability estimate.
-
-    Random initial values and forcings drive the Crank-Nicolson
-    evolution; for each trial the ratio
-
-        (Linf V^s + L2 V^{s-1} of d/dt + L2 V^{s+1} of the average)
-        / (V^s of the initial value + L2 V^{s-1} of the forcing)
-
-    is recorded and the maximum reported.  Trials are seeded from
-    ``(rng_seed, trial)`` so they are independent of execution order.
-    """
-    lam = default_spectrum() if eigenvalues is None else np.asarray(eigenvalues, dtype=float)
-    ratios = []
-    for t in range(trial_count):
-        rng = np.random.default_rng([rng_seed, t])
-        c0, forcing = _random_trial(rng, lam, s)
-        rk = average(lambda t: forcing(t, mesh.T), mesh).values
-        traj = evolve_cn(mesh, lam, c0, rk)
-        linf, l2_avg, l2_dt = _norms(traj, s, 0.0, None)
-        lhs = linf + l2_dt + l2_avg
-        rhs = vs_norm(SpectralField(lam, c0), s) + weighted_temporal_norm(
-            traj.forcing, 0.0, 2, vs_row_norm(lam, s - 1))
-        ratios.append(lhs / rhs)
-    ratios = np.asarray(ratios)
-    return StabilityReport("discrete-stability", s, 0, 0, mesh.num_intervals,
-                           trial_count, rng_seed, float(ratios.max()), ratios)
-
-
-def verify_smoothing_stability(s, ell, n0, mesh, trial_count=50, rng_seed=0,
-                               eigenvalues=None):
-    """Two-sided check of the smoothing-weighted stability estimate.
+def _stability_ratios(s, ell, n0, mesh, trial_count, rng_seed, eigenvalues):
+    """Two-sided ratios of the smoothing estimate of level ``ell``, one per trial.
 
     The evolution starts from a random state at node ``n0`` and runs on
-    the window ``(t_n0, T]``.  The left side carries the weight
-    ``tau^(ell/2)``; the right side combines the ``k^(ell/2)``-scaled
-    initial norm, the weighted forcing term, and the two lower-level
-    norms of the evolved solution (weight ``tau^((ell-1)/2)``, orders
-    ``s`` for both the average and, with a factor ``k``, the derivative).
+    the window ``(t_n0, T]``.  The left side
+
+        Linf V^s + L2 V^{s+1} of the average + L2 V^{s-1} of d/dt
+
+    carries the weight ``tau^(ell/2)``; the right side is the
+    ``k^(ell/2)``-scaled V^s norm of the initial value plus the weighted
+    L2 V^{s-1} norm of the forcing and, for ``ell >= 1``, the two
+    lower-level norms of the evolved solution (weight ``tau^((ell-1)/2)``,
+    order ``s`` for both the average and, with a factor ``k``, the
+    derivative).  Level 0 from ``n0 = 0`` is the unweighted discrete
+    stability estimate.  Trials are seeded from ``(rng_seed, trial)`` so
+    they are independent of execution order.
     """
-    if ell <= 0:
-        raise ValueError("smoothing level must be positive "
-                         "(use verify_discrete_stability for the unweighted estimate)")
-    if not 0 <= n0 < mesh.num_intervals:
-        raise ValueError("start index outside the mesh")
     lam = default_spectrum() if eigenvalues is None else np.asarray(eigenvalues, dtype=float)
     window = (n0, mesh.num_intervals)
     kmax = mesh.k_max
+    a_ell, a_lower = 0.5 * ell, 0.5 * (ell - 1)
     ratios = []
     for t in range(trial_count):
         rng = np.random.default_rng([rng_seed, t])
         c0, forcing = _random_trial(rng, lam, s)
         rk = average(lambda t: forcing(t, mesh.T), mesh).values
         traj = evolve_cn(mesh, lam, c0, rk, start=n0)
-
-        linf, l2_avg, l2_dt = _norms(traj, s, 0.5 * ell, window)
-        lhs = linf + l2_avg + l2_dt
-
-        a_ell, a_lower = 0.5 * ell, 0.5 * (ell - 1)
+        linf, l2_avg, l2_dt = _norms(traj, s, a_ell, window)
         rhs = (kmax ** a_ell * vs_norm(SpectralField(lam, c0), s)
-               + weighted_temporal_norm(traj.forcing, a_ell, 2, vs_row_norm(lam, s - 1), window)
-               + weighted_temporal_norm(average(traj.states), a_lower, 2, vs_row_norm(lam, s),
-                                        window)
-               + kmax * weighted_temporal_norm(time_derivative(traj.states), a_lower, 2,
-                                               vs_row_norm(lam, s), window))
-        ratios.append(lhs / rhs)
-    ratios = np.asarray(ratios)
+               + weighted_temporal_norm(traj.forcing, a_ell, 2, vs_row_norm(lam, s - 1), window))
+        if ell >= 1:  # summed left to right, so the rounding matches one four-term sum
+            rhs = (rhs
+                   + weighted_temporal_norm(average(traj.states), a_lower, 2,
+                                            vs_row_norm(lam, s), window)
+                   + kmax * weighted_temporal_norm(time_derivative(traj.states), a_lower, 2,
+                                                   vs_row_norm(lam, s), window))
+        ratios.append((linf + l2_avg + l2_dt) / rhs)
+    return np.asarray(ratios)
+
+
+def verify_discrete_stability(s, mesh, trial_count=50, rng_seed=0, eigenvalues=None):
+    """Two-sided check of the unweighted discrete stability estimate.
+
+    Random initial values and forcings drive the Crank-Nicolson
+    evolution; for each trial the ratio
+
+        (Linf V^s + L2 V^{s+1} of the average + L2 V^{s-1} of d/dt)
+        / (V^s of the initial value + L2 V^{s-1} of the forcing)
+
+    is recorded and the maximum reported: level 0 of the smoothing
+    estimate (see ``_stability_ratios``).
+    """
+    ratios = _stability_ratios(s, 0, 0, mesh, trial_count, rng_seed, eigenvalues)
+    return StabilityReport("discrete-stability", s, 0, 0, mesh.num_intervals,
+                           trial_count, rng_seed, float(ratios.max()), ratios)
+
+
+def verify_smoothing_stability(s, ell, n0, mesh, trial_count=50, rng_seed=0,
+                               eigenvalues=None):
+    """Two-sided check of the smoothing-weighted stability estimate of
+    level ``ell >= 1`` on the window ``(t_n0, T]`` (see ``_stability_ratios``)."""
+    if ell <= 0:
+        raise ValueError("smoothing level must be positive "
+                         "(use verify_discrete_stability for the unweighted estimate)")
+    if not 0 <= n0 < mesh.num_intervals:
+        raise ValueError("start index outside the mesh")
+    ratios = _stability_ratios(s, ell, n0, mesh, trial_count, rng_seed, eigenvalues)
     return StabilityReport("smoothing-stability", s, ell, n0, mesh.num_intervals,
                            trial_count, rng_seed, float(ratios.max()), ratios)
 

@@ -25,6 +25,12 @@ ref = schemes.reference_solve(spec, fine, "stokes")
 errors.pressure_error(ref, ref, errors.ErrorSpec("pressure_L2l2"))
 spectral_stokes.verify_smoothing_stability(1, 1, 0, fine, trial_count=1,
                                            eigenvalues=spectral_stokes.default_spectrum(4))
+spectral_stokes.verify_discrete_stability(1, fine, trial_count=1,
+                                          eigenvalues=spectral_stokes.default_spectrum(4))
+# one verification never calls the other: two top-level spans, none nested
+verify = [span for span in tracer.spans if span[spans.NAME] == "spectral_stokes.verify"]
+assert len(verify) == 2, len(verify)
+assert all(span[spans.PARENT] == -1 for span in verify), "nested spectral_stokes.verify span"
 seen = {span[spans.NAME] for span in tracer.spans}
 expected = {"schemes.reference", "schemes.step", "time_mesh.build", "fem2d.factor",
             "fem2d.saddle_solve", "fem2d.lu_solve", "errors.pressure_error",

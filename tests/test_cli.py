@@ -184,13 +184,17 @@ def test_run_verify_euler_rates(tmp_path):
     assert len(csv) == 1 + len(cli.EULER_CASES)
 
 
-def test_run_verify_spectral_smoothing(tmp_path):
-    code, lines = run_verify("spectral-smoothing", out=str(tmp_path))
+@pytest.mark.parametrize("target", ["spectral-stability", "spectral-smoothing"])
+def test_run_verify_spectral_smoothing(tmp_path, target):
+    code, lines = run_verify(target, out=str(tmp_path))
     assert code == 0
     assert all(line.startswith("PASS") for line in lines)
-    csv = (tmp_path / "verify_spectral-smoothing.csv").read_text().strip().split("\n")
-    assert csv[0].startswith("kind,s,ell,")
-    assert len(csv) == 1 + 9  # three (s, ell) pairs times three meshes
+    csv = (tmp_path / f"verify_{target}.csv").read_text().strip().split("\n")
+    assert csv[0] == "kind,s,ell,n0,N,trials,seed,max_ratio"
+    assert len(csv) == 1 + 9  # three s values or (s, ell) pairs times three meshes
+    if target == "spectral-stability":
+        rows = [row.split(",") for row in csv[1:]]
+        assert all(row[0] == "discrete-stability" and row[2] == "0" for row in rows)
 
 
 def test_run_verify_unknown_target(tmp_path):
@@ -214,7 +218,8 @@ def test_main_exit_codes(tmp_path, capsys):
                                       "k_list=nan", "pattern=nan,nan", "nu=nan",
                                       "domain=-1,nan,-1,1", "alpha=nan", "threads=0",
                                       "threads=-3", "experiment=custom", "solver=nse",
-                                      "forcing=zero", "initial=stationary", "seed=1"])
+                                      "forcing=zero", "initial=stationary", "seed=1",
+                                      "k_list=0.1,0.1", "k_list=0.02,0.02,0.01"])
 def test_invalid_config_value_exit_code(tmp_path, capsys, override):
     config = Path(__file__).parent.parent / "configs" / "stokes_manufactured.cfg"
     args = ["convergence", "--config", str(config), "--set", override,
