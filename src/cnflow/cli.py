@@ -392,6 +392,8 @@ def run_verify(target, out="results", seed=0):
     """
     import os
 
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     header, checks = _verify_checks(target, seed)
     os.makedirs(out, exist_ok=True)
     lines = [f"{'PASS' if good else 'FAIL'} {line}" for good, line, _ in checks]

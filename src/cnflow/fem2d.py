@@ -302,26 +302,6 @@ class TaylorHoodSpace:
             self._cache["c"] = c
         return self._cache["c"]
 
-    def velocity_at_quadrature(self, w):
-        """Velocity field values at the assembly quadrature points, (nt, nq, 2)."""
-        wx = w[: self.num_scalar][self.tri_scalar]
-        wy = w[self.num_scalar:][self.tri_scalar]
-        vx = np.einsum("ej,qj->eq", wx, self.phi2)
-        vy = np.einsum("ej,qj->eq", wy, self.phi2)
-        return np.stack([vx, vy], axis=-1)
-
-    def convection(self, w):
-        """C(w) with (C(w) U) . v = integral (w_h . grad u_h) . v_h (plain form)."""
-        w = np.asarray(w, dtype=float)
-        if w.shape != (self.num_velocity,):
-            raise ValueError("velocity coefficient vector of wrong length")
-        wq = self.velocity_at_quadrature(w)
-        wd = np.einsum("eqa,eqja->eqj", wq, self.grad2)
-        local = self.det[:, None, None] * np.einsum("q,qi,eqj->eij", self.qw, self.phi2, wd)
-        n = self.num_scalar
-        cs = self._scatter(local, self.tri_scalar, self.tri_scalar, (n, n))
-        return sp.block_diag([cs, cs], format="csr")
-
     @property
     def divergence_transpose(self):
         """``B^T`` in CSR, for the ``B^T P`` term of every momentum residual."""
@@ -369,25 +349,31 @@ class TaylorHoodSpace:
         conv = W[:, :1] * (gx @ U2) + W[:, 1:] * (gy @ U2)
         return (test @ conv).T.ravel()
 
-    def convection_gradient(self, w):
-        """G(w) with (G(w) U') . v = integral (u'_h . grad w_h) . v_h.
-
-        Together with ``convection`` this is the full linearization of the
-        quadratic convection term.
-        """
+    def _velocity_columns(self, w):
+        """The two components of a velocity vector as the columns of an (n, 2) block."""
         w = np.asarray(w, dtype=float)
         if w.shape != (self.num_velocity,):
             raise ValueError("velocity coefficient vector of wrong length")
-        n = self.num_scalar
-        blocks = [[None, None], [None, None]]
-        comps = (w[:n][self.tri_scalar], w[n:][self.tri_scalar])
-        for c in (0, 1):
-            for d in (0, 1):
-                dwc = np.einsum("ej,eqj->eq", comps[c], self.grad2[..., d])
-                local = self.det[:, None, None] * np.einsum(
-                    "q,qi,qj,eq->eij", self.qw, self.phi2, self.phi2, dwc)
-                blocks[c][d] = self._scatter(local, self.tri_scalar, self.tri_scalar, (n, n))
-        return sp.bmat(blocks, format="csr")
+        return w.reshape(2, self.num_scalar).T
+
+    def convection(self, w):
+        """C(w) with (C(w) U) . v = integral (w_h . grad u_h) . v_h (plain form)."""
+        val, gx, gy, test = self._quadrature_operators()
+        W = val @ self._velocity_columns(w)
+        cs = test @ (sp.diags(W[:, 0]) @ gx + sp.diags(W[:, 1]) @ gy)
+        return sp.block_diag([cs, cs], format="csr")
+
+    def convection_gradient(self, w):
+        """G(w) with (G(w) U') . v = integral (u'_h . grad w_h) . v_h.
+
+        Block ``[c][d]`` weights ``u'_d`` with ``d w_c / d x_d``; with ``convection``
+        this is the full linearization of the quadratic convection term.
+        """
+        val, gx, gy, test = self._quadrature_operators()
+        W = self._velocity_columns(w)
+        dW = (gx @ W, gy @ W)
+        return sp.bmat([[test @ sp.diags(dW[d][:, c]) @ val for d in (0, 1)]
+                        for c in (0, 1)], format="csr")
 
     def velocity_load(self, f):
         """Load vector of a velocity-valued function (degree-6 rule).
@@ -438,14 +424,8 @@ class TaylorHoodSpace:
         seminorm per row of the block ``d``.
         """
         if "h2ops" not in self._cache:
-            n = self.num_scalar
-            dx = np.einsum("q,qi,eqj->eij", self.qw, self.phi2, self.grad2[..., 0])
-            dy = np.einsum("q,qi,eqj->eij", self.qw, self.phi2, self.grad2[..., 1])
-            dx = self._scatter(self.det[:, None, None] * dx, self.tri_scalar,
-                               self.tri_scalar, (n, n))
-            dy = self._scatter(self.det[:, None, None] * dy, self.tri_scalar,
-                               self.tri_scalar, (n, n))
-            self._cache["h2ops"] = (splu(self.scalar_mass.tocsc()), dx, dy,
+            _, gx, gy, test = self._quadrature_operators()
+            self._cache["h2ops"] = (splu(self.scalar_mass.tocsc()), test @ gx, test @ gy,
                                     self.scalar_stiffness)
         lu, dx, dy, As = self._cache["h2ops"]
         acc = 0.0

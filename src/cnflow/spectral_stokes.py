@@ -171,14 +171,12 @@ def _random_trial(rng, lam, s):
     return c0, forcing
 
 
-def _norms(traj, s, alpha, window):
-    """(Linf V^s, L2 V^{s+1} of the average, L2 V^{s-1} of the derivative)."""
+def _norms(traj, avg, dt, s, alpha, window):
+    """(Linf V^s of the states, L2 V^{s+1} of their average, L2 V^{s-1} of their derivative)."""
     lam = traj.eigenvalues
     linf = weighted_temporal_norm(traj.states, alpha, np.inf, vs_row_norm(lam, s), window)
-    l2_avg = weighted_temporal_norm(average(traj.states), alpha, 2, vs_row_norm(lam, s + 1),
-                                    window)
-    l2_dt = weighted_temporal_norm(time_derivative(traj.states), alpha, 2,
-                                   vs_row_norm(lam, s - 1), window)
+    l2_avg = weighted_temporal_norm(avg, alpha, 2, vs_row_norm(lam, s + 1), window)
+    l2_dt = weighted_temporal_norm(dt, alpha, 2, vs_row_norm(lam, s - 1), window)
     return linf, l2_avg, l2_dt
 
 
@@ -209,15 +207,14 @@ def _stability_ratios(s, ell, n0, mesh, trial_count, rng_seed, eigenvalues):
         c0, forcing = _random_trial(rng, lam, s)
         rk = average(lambda t: forcing(t, mesh.T), mesh).values
         traj = evolve_cn(mesh, lam, c0, rk, start=n0)
-        linf, l2_avg, l2_dt = _norms(traj, s, a_ell, window)
+        avg, dt = average(traj.states), time_derivative(traj.states)
+        linf, l2_avg, l2_dt = _norms(traj, avg, dt, s, a_ell, window)
         rhs = (kmax ** a_ell * vs_norm(SpectralField(lam, c0), s)
                + weighted_temporal_norm(traj.forcing, a_ell, 2, vs_row_norm(lam, s - 1), window))
         if ell >= 1:  # summed left to right, so the rounding matches one four-term sum
             rhs = (rhs
-                   + weighted_temporal_norm(average(traj.states), a_lower, 2,
-                                            vs_row_norm(lam, s), window)
-                   + kmax * weighted_temporal_norm(time_derivative(traj.states), a_lower, 2,
-                                                   vs_row_norm(lam, s), window))
+                   + weighted_temporal_norm(avg, a_lower, 2, vs_row_norm(lam, s), window)
+                   + kmax * weighted_temporal_norm(dt, a_lower, 2, vs_row_norm(lam, s), window))
         ratios.append((linf + l2_avg + l2_dt) / rhs)
     return np.asarray(ratios)
 

@@ -1,8 +1,9 @@
 """The traced benchmark run rebinds cnflow entry points by module attribute
 (``perfbench/spans.py``).  This checks, in a fresh interpreter, that every
-name it wraps still exists and that a solve, an error norm and a spectral
-verification still run through the wrappers: a norm or operator that is
-inlined or aliased past the rebinding records no span and fails here.
+name it wraps still exists and that a Stokes solve, a Navier-Stokes solve, an
+error norm and a spectral verification still run through the wrappers: a norm
+or operator that is inlined or aliased past the rebinding records no span and
+fails here.
 """
 
 import os
@@ -31,12 +32,23 @@ spectral_stokes.verify_discrete_stability(1, fine, trial_count=1,
 verify = [span for span in tracer.spans if span[spans.NAME] == "spectral_stokes.verify"]
 assert len(verify) == 2, len(verify)
 assert all(span[spans.PARENT] == -1 for span in verify), "nested spectral_stokes.verify span"
+# a Navier-Stokes solve: each factorized Newton Jacobian is built from
+# convection(w) and convection_gradient(w), two fem2d.jacobian spans
+space = build_space((-1.0, 1.0, -1.0, 1.0), 2, 2)
+bubble = space.interpolate_velocity(lambda x, y: ((1 - x * x) * (1 - y * y),
+                                                  x * (1 - x * x) * (1 - y * y)))
+first = len(tracer.spans)
+schemes.nse_cn_solve(schemes.ProblemSpec(space, 0.01, initial=bubble, T=0.2),
+                     time_mesh.build_uniform_mesh(0.2, 2))
+nse = [span[spans.NAME] for span in tracer.spans[first:]]
+assert nse.count("fem2d.factor") > 0, nse
+assert nse.count("fem2d.jacobian") == 2 * nse.count("fem2d.factor"), nse
 seen = {span[spans.NAME] for span in tracer.spans}
 expected = {"schemes.reference", "schemes.step", "time_mesh.build", "fem2d.factor",
             "fem2d.saddle_solve", "fem2d.lu_solve", "errors.pressure_error",
             "temporal_ops.weighted_norm", "temporal_ops.average",
             "temporal_ops.time_derivative", "spectral_stokes.evolve_cn",
-            "spectral_stokes.verify"}
+            "spectral_stokes.verify", "fem2d.convection_apply", "fem2d.jacobian"}
 assert expected <= seen, sorted(expected - seen)
 """
 

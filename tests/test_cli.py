@@ -228,6 +228,15 @@ def test_invalid_config_value_exit_code(tmp_path, capsys, override):
     assert "configuration error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("target", ["temporal", "spectral-stability",
+                                    "spectral-smoothing", "euler-rates"])
+def test_verify_negative_seed_exit_code(tmp_path, capsys, target):
+    # a bad seed is a configuration error (2), not a failed verification (1)
+    assert main(["verify", target, "--seed", "-1", "--out", str(tmp_path)]) == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_verify_threshold_failure_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "DRIFT_LIMIT", 0.5)  # impossible bound
     assert main(["verify", "spectral-stability", "--out", str(tmp_path)]) == 1

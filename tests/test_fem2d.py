@@ -131,8 +131,12 @@ def test_convection_constant_transport(small_space):
     assert np.max(np.abs(C @ u)) < 1e-13
 
 
-def test_assembly_matches_quadrature_oracle(two_element_space):
-    space = two_element_space
+@pytest.mark.parametrize("bounds,nx,ny", [((0.0, 1.0, 0.0, 1.0), 1, 1),
+                                           ((0.0, 2.0, 0.0, 1.0), 3, 2)],
+                         ids=["unit_square_1x1", "rectangle_3x2"])
+def test_assembly_matches_quadrature_oracle(bounds, nx, ny):
+    # the 3x2 rectangle has non-unit, non-square element Jacobians
+    space = build_space(bounds, nx, ny)
     rng = np.random.default_rng(17)
     w = rng.standard_normal(space.num_velocity)
     oracle = assemble_oracle(space, w)
@@ -188,6 +192,25 @@ def test_convection_apply_matches_matrix_on_rectangles(rect, seed):
     rng = np.random.default_rng(seed)
     w, u = rng.standard_normal((2, space.num_velocity))
     assert _matches_matrix(space, w, u)
+
+
+@settings(max_examples=25, deadline=None)
+@given(rect=rectangles, seed=st.integers(0, 2**32 - 1))
+def test_jacobian_is_derivative_of_convection(rect, seed):
+    # N(a) = convection_apply(a, a) is quadratic, so the central difference
+    # is its exact derivative: the Newton Jacobian C(w) + G(w) must match it
+    x0, width, y0, height, nx, ny = rect
+    space = build_space((x0, x0 + width, y0, y0 + height), nx, ny)
+    rng = np.random.default_rng(seed)
+    w, u = rng.standard_normal((2, space.num_velocity))
+    h = 0.5
+
+    def N(a):
+        return space.convection_apply(a, a)
+
+    jac_u = (space.convection(w) + space.convection_gradient(w)) @ u
+    central = (N(w + h * u) - N(w - h * u)) / (2.0 * h)
+    assert np.abs(jac_u - central).max() <= 1e-12 * np.abs(jac_u).max()
 
 
 coefficients = st.floats(-10.0, 10.0).filter(lambda x: x == 0.0 or abs(x) >= 1e-3)

@@ -169,7 +169,9 @@ def test_discrete_stability_pure_decay_trial():
     traj = evolve_cn(mesh, lam, np.array([1.0]), np.zeros((8, 1)))
     # LHS assembled by hand must be finite and moderate for pure decay
     from cnflow.spectral_stokes import _norms
-    linf, l2a, l2d = _norms(traj, 0, 0.0, None)
+    from cnflow.temporal_ops import average, time_derivative
+    linf, l2a, l2d = _norms(traj, average(traj.states), time_derivative(traj.states), 0, 0.0,
+                            None)
     rhs = 1.0
     assert (linf + l2a + l2d) / rhs < 4.0
 
@@ -221,14 +223,14 @@ def test_smoothing_single_mode_ratio_finite():
     from cnflow.temporal_ops import average, time_derivative, weighted_temporal_norm
 
     ell, s = 1, 1
-    linf, l2a, l2d = _norms(traj, s, 0.5 * ell, None)
+    avg, dt = average(traj.states), time_derivative(traj.states)
+    linf, l2a, l2d = _norms(traj, avg, dt, s, 0.5 * ell, None)
     lhs = linf + l2a + l2d
     a_lower = 0.5 * (ell - 1)
     nrm = vs_row_norm(lam, s)
     rhs = (mesh.k_max ** (0.5 * ell) * 1.0
-           + weighted_temporal_norm(average(traj.states), a_lower, 2, nrm)
-           + mesh.k_max * weighted_temporal_norm(time_derivative(traj.states),
-                                                 a_lower, 2, nrm))
+           + weighted_temporal_norm(avg, a_lower, 2, nrm)
+           + mesh.k_max * weighted_temporal_norm(dt, a_lower, 2, nrm))
     assert np.isfinite(lhs / rhs)
     assert lhs / rhs < 4.0
 
@@ -251,12 +253,12 @@ def test_smoothing_coarse_ratio_bounds_finer_forced_trials():
         _, forcing = _random_trial(rng, lam, s)
         rk = average(lambda t: forcing(t, mesh.T), mesh).values
         traj = evolve_cn(mesh, lam, np.zeros(lam.size), rk)
-        linf, l2a, l2d = _norms(traj, s, 0.5 * ell, None)
+        avg, dt = average(traj.states), time_derivative(traj.states)
+        linf, l2a, l2d = _norms(traj, avg, dt, s, 0.5 * ell, None)
         nrm_sm1, nrm_s = vs_row_norm(lam, s - 1), vs_row_norm(lam, s)
         rhs = (weighted_temporal_norm(traj.forcing, 0.5 * ell, 2, nrm_sm1)
-               + weighted_temporal_norm(average(traj.states), 0.0, 2, nrm_s)
-               + mesh.k_max * weighted_temporal_norm(time_derivative(traj.states),
-                                                     0.0, 2, nrm_s))
+               + weighted_temporal_norm(avg, 0.0, 2, nrm_s)
+               + mesh.k_max * weighted_temporal_norm(dt, 0.0, 2, nrm_s))
         worst = max(worst, (linf + l2a + l2d) / rhs)
     assert worst <= 1.15 * coarse.max_ratio
 
