@@ -334,20 +334,37 @@ class TaylorHoodSpace:
                 point_map(weight * phi).T.tocsr())
         return self._cache["quad_ops"]
 
+    def _velocity_quadrature_operators(self):
+        """``val``, ``gx``, ``gy`` and ``test`` of ``_quadrature_operators`` as
+        block-diagonal maps of whole (component-blocked) velocity vectors.
+
+        The CSR arrays are stacked as they are: a sparse block constructor
+        would sort the unsorted indices of ``val`` and with them the order in
+        which each row is summed.
+        """
+        if "velocity_quad_ops" not in self._cache:
+            def doubled(a):
+                m, n = a.shape
+                return sp.csr_matrix((np.concatenate([a.data, a.data]),
+                                      np.concatenate([a.indices, a.indices + n]),
+                                      np.concatenate([a.indptr, a.indptr[1:] + a.nnz])),
+                                     shape=(2 * m, 2 * n))
+
+            self._cache["velocity_quad_ops"] = tuple(map(doubled, self._quadrature_operators()))
+        return self._cache["velocity_quad_ops"]
+
     def convection_apply(self, w, u):
         """Matrix-free evaluation of the convection term against all tests.
 
         Returns the vector with entries ``integral (w_h . grad u_h) . v_i``;
         equivalent to ``convection(w) @ u`` without building the matrix.
-        Both velocity components go through the cached quadrature
-        operators at once as the columns of an ``(n, 2)`` block.
+        Both velocity components go through the block-diagonal velocity
+        operators at once, one single-vector product per operator.
         """
-        val, gx, gy, test = self._quadrature_operators()
-        n = self.num_scalar
-        W = val @ np.reshape(w, (2, n)).T
-        U2 = np.reshape(u, (2, n)).T
-        conv = W[:, :1] * (gx @ U2) + W[:, 1:] * (gy @ U2)
-        return (test @ conv).T.ravel()
+        val, gx, gy, test = self._velocity_quadrature_operators()
+        wx, wy = np.reshape(val @ w, (2, -1))
+        conv = wx * np.reshape(gx @ u, (2, -1)) + wy * np.reshape(gy @ u, (2, -1))
+        return test @ conv.ravel()
 
     def _velocity_columns(self, w):
         """The two components of a velocity vector as the columns of an (n, 2) block."""

@@ -111,20 +111,36 @@ def evolve_cn(mesh, eigenvalues, c0, forcing_values, start=0):
     ``forcing_values`` holds one coefficient vector per mesh interval
     (entries before ``start`` are ignored).  Nodes before ``start`` are
     filled with the initial value so the result is a full grid function.
+    The step factors are formed once per distinct step size and the
+    products ``k f`` for all intervals at once; each step is then three
+    in-place operations, rounding exactly as ``cn_step_spectral``.
     """
     N = mesh.num_intervals
     lam = np.asarray(eigenvalues, dtype=float)
+    forcing_values = np.asarray(forcing_values, dtype=float)
+    if not 0 <= start < N:
+        raise ValueError(f"start index {start} outside 0..{N - 1}")
+    if np.shape(c0) != lam.shape:
+        raise ValueError(f"initial value of shape {np.shape(c0)}, need {lam.shape}")
+    if forcing_values.shape != (N, lam.size):
+        raise ValueError(f"forcing of shape {forcing_values.shape}, need {(N, lam.size)}")
+    k = mesh.steps[start:]
+    # per step size, not per interval: (N - start, modes) factor blocks
+    # cost page faults on every call, and the meshes repeat few step sizes
+    step_sizes, which = np.unique(k, return_inverse=True)
+    half = 0.5 * lam * step_sizes[:, None]
+    factors = list(zip(1.0 - half, 1.0 + half))
     vals = np.empty((N + 1, lam.size))
     vals[: start + 1] = c0
-    for n in range(start, N):
-        k = mesh.steps[n]
-        half = 0.5 * lam * k
-        vals[n + 1] = ((1.0 - half) * vals[n] + k * forcing_values[n]) / (1.0 + half)
-    return SpectralTrajectory(
-        mesh, lam,
-        GridFunctionCG1(mesh, vals),
-        GridFunctionDG0(mesh, np.asarray(forcing_values, dtype=float)),
-    )
+    np.multiply(k[:, None], forcing_values[start:], out=vals[start + 1:])
+    decayed = np.empty(lam.size)
+    for new, prev, n in zip(vals[start + 1:], vals[start:], which):
+        decay, growth = factors[n]
+        np.multiply(decay, prev, out=decayed)
+        new += decayed  # k f + decay c, equal bit for bit to decay c + k f
+        new /= growth
+    return SpectralTrajectory(mesh, lam, GridFunctionCG1(mesh, vals),
+                              GridFunctionDG0(mesh, forcing_values))
 
 
 @dataclass

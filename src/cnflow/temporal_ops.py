@@ -177,13 +177,14 @@ def weighted_temporal_norm(f, alpha, p, spatial_norm, window=None):
     if isinstance(f, GridFunctionDG0):
         q = _row_norms(spatial_norm, f.values[n_start:n_end])
     elif isinstance(f, GridFunctionCG1):
-        left = f.values[n_start:n_end]
-        right = f.values[n_start + 1:n_end + 1]
         if p == 2:
+            left = f.values[n_start:n_end]
+            right = f.values[n_start + 1:n_end + 1]
             q = np.sqrt(sum(0.5 * _row_norms(spatial_norm, (1.0 - th) * left + th * right) ** 2
                             for th in _GAUSS2_THETA))
-        else:
-            q = np.maximum(_row_norms(spatial_norm, left), _row_norms(spatial_norm, right))
+        else:  # each node's norm once, shared by the two intervals it bounds
+            q = _row_norms(spatial_norm, f.values[n_start:n_end + 1])
+            q = np.maximum(q[:-1], q[1:])
     else:
         raise ValueError("unsupported grid function type")
     return _compose(p, w, q, k)

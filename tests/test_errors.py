@@ -309,6 +309,27 @@ def test_velocity_errors_on_space(small_space):
         assert e1 / e2 == pytest.approx(1e3, rel=1e-6)
 
 
+def test_velocity_linf_is_the_node_by_node_formula_bitwise(small_space):
+    # more reference nodes than one evaluation block, with and without a window
+    space = small_space
+    fine, coarse = build_uniform_mesh(1.0, 600), build_alternating_mesh(1.0, 0.1, (0.8, 1.2))
+    rng = np.random.default_rng(29)
+    ref = synthetic_traj(fine, np.zeros((600, space.num_pressure)),
+                         rng.standard_normal((601, space.num_velocity)), space)
+    traj = synthetic_traj(coarse, np.zeros((coarse.num_intervals, space.num_pressure)),
+                          rng.standard_normal((coarse.num_intervals + 1, space.num_velocity)),
+                          space)
+    S = space.stiffness
+    for window_start, alpha in ((0, 0.0), (3, 1.5)):
+        mask = fine.nodes > coarse.nodes[window_start]
+        ts = fine.nodes[mask]
+        d = [traj.velocity.evaluate(t) - r for t, r in zip(ts, ref.velocity.values[mask])]
+        q = np.sqrt([x @ (S @ x) for x in d])
+        w = coarse.tau_values(alpha)[coarse.interval_of(ts) - 1]
+        got = velocity_error(traj, ref, ErrorSpec("velocity_LinfV1", alpha, window_start))
+        assert np.float64(got).tobytes() == np.max(w * q).tobytes()
+
+
 def test_rate_fit_csv_row():
     fit = fit_loglog([0.1, 0.05], [1e-2, 2.5e-3])
     row = fit.csv_row()

@@ -194,6 +194,26 @@ def test_convection_apply_matches_matrix_on_rectangles(rect, seed):
     assert _matches_matrix(space, w, u)
 
 
+def _convection_apply_columns(space, w, u):
+    # the component-column form: both components as the columns of (n, 2) blocks
+    val, gx, gy, test = space._quadrature_operators()
+    n = space.num_scalar
+    W = val @ np.reshape(w, (2, n)).T
+    U2 = np.reshape(u, (2, n)).T
+    conv = W[:, :1] * (gx @ U2) + W[:, 1:] * (gy @ U2)
+    return (test @ conv).T.ravel()
+
+
+@settings(max_examples=25, deadline=None)
+@given(rect=rectangles, seed=st.integers(0, 2**32 - 1))
+def test_convection_apply_is_the_column_form_bitwise(rect, seed):
+    x0, width, y0, height, nx, ny = rect
+    space = build_space((x0, x0 + width, y0, y0 + height), nx, ny)
+    rng = np.random.default_rng(seed)
+    w, u = rng.standard_normal((2, space.num_velocity))
+    assert space.convection_apply(w, u).tobytes() == _convection_apply_columns(space, w, u).tobytes()
+
+
 @settings(max_examples=25, deadline=None)
 @given(rect=rectangles, seed=st.integers(0, 2**32 - 1))
 def test_jacobian_is_derivative_of_convection(rect, seed):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cnflow.spectral_stokes import (
     SpectralField,
@@ -14,7 +16,7 @@ from cnflow.spectral_stokes import (
     vs_norm,
     vs_row_norm,
 )
-from cnflow.time_mesh import build_uniform_mesh
+from cnflow.time_mesh import TimeMesh, build_uniform_mesh
 
 
 def field(lam, c):
@@ -130,6 +132,44 @@ def test_unforced_decay_monotone_in_every_order():
     for s in range(-2, 5):
         norms = [vs_norm(field(lam, v), s) for v in traj.states.values]
         assert np.all(np.diff(norms) <= 1e-13)
+
+
+@settings(max_examples=40, deadline=None)
+@given(steps=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=12),
+       modes=st.integers(1, 20), start_frac=st.floats(0.0, 1.0, exclude_max=True),
+       seed=st.integers(0, 2**32 - 1))
+def test_evolve_cn_is_the_cn_step_loop_bitwise(steps, modes, start_frac, seed):
+    mesh = TimeMesh(np.concatenate([[0.0], np.cumsum(steps)]))
+    N = mesh.num_intervals
+    start = int(start_frac * N)
+    lam = default_spectrum(modes)
+    rng = np.random.default_rng(seed)
+    c0, rk = rng.standard_normal(modes), rng.standard_normal((N, modes))
+    states = [field(lam, c0)] * (start + 1)
+    for n in range(start, N):
+        states.append(cn_step_spectral(states[-1], mesh.steps[n], rk[n]))
+    expected = np.array([f.coefficients for f in states])
+    traj = evolve_cn(mesh, lam, c0, rk, start=start)
+    assert traj.states.values.tobytes() == expected.tobytes()
+    assert traj.forcing.values.tobytes() == rk.tobytes()
+
+
+def test_evolve_cn_rejects_bad_start_and_forcing():
+    # start = -1 used to read an uninitialised row instead of c0, and a
+    # forcing with too few rows raised IndexError
+    lam = default_spectrum(4)
+    mesh = build_uniform_mesh(1.0, 8)
+    c0 = np.ones(4)
+    for start in (-1, 8, 9):
+        with pytest.raises(ValueError, match="start index"):
+            evolve_cn(mesh, lam, c0, np.zeros((8, 4)), start=start)
+    for shape in ((7, 4), (1, 4), (9, 4), (8, 3), (8,), (8, 4, 1)):
+        with pytest.raises(ValueError, match="forcing of shape"):
+            evolve_cn(mesh, lam, c0, np.zeros(shape))
+    for bad_c0 in (1.0, np.ones(1), np.ones(5)):  # a scalar or 1-vector would broadcast
+        with pytest.raises(ValueError, match="initial value"):
+            evolve_cn(mesh, lam, bad_c0, np.zeros((8, 4)))
+    assert evolve_cn(mesh, lam, c0, np.zeros((8, 4)), start=7).states.values.shape == (9, 4)
 
 
 def test_ie_monotone_decay():

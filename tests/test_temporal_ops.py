@@ -321,3 +321,17 @@ def test_cg1_l2_norm_matches_closed_form(mesh, seed):
     exact = np.sum(mesh.steps * np.sum(a * a + a * b + b * b, axis=1) / 3.0)
     got = weighted_temporal_norm(GridFunctionCG1(mesh, vals), 0.0, 2, euclid)
     assert got == pytest.approx(np.sqrt(exact), rel=1e-13)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mesh=meshes(), alpha=st.sampled_from([0.0, 0.5, 1.5]), seed=st.integers(0, 2**32 - 1),
+       window=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+def test_cg1_sup_sample_is_max_of_endpoint_norms_bitwise(mesh, alpha, seed, window):
+    N = mesh.num_intervals
+    lo = min(int(window[0] * N), N - 1)
+    hi = lo + 1 + int(window[1] * (N - lo - 1))
+    vals = np.random.default_rng(seed).standard_normal((N + 1, 3))
+    left, right = euclid(vals[lo:hi]), euclid(vals[lo + 1:hi + 1])
+    expected = np.max(mesh.tau_values(alpha)[lo:hi] * np.maximum(left, right))
+    got = weighted_temporal_norm(GridFunctionCG1(mesh, vals), alpha, np.inf, euclid, (lo, hi))
+    assert np.float64(got).tobytes() == expected.tobytes()
