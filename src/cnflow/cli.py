@@ -149,6 +149,7 @@ class RunConfig:
         if not (0 <= self.n0 < N and self.window_start < N):
             raise ConfigError(f"n0 and window_start must be below the {N} intervals "
                               "of the coarsest mesh")
+        reference_intervals(self.T, self.k_list, self.refinement)
 
     def error_specs(self):
         return [ErrorSpec(norm, self.alpha, self.window_start, self.spatial_norm)
@@ -201,13 +202,20 @@ def resolve_problem(config, space):
                        config.T)
 
 
+def reference_intervals(T, k_list, refinement):
+    """Interval count of the uniform reference mesh, whose step is about
+    min(k)/refinement; ``ConfigError`` unless that step is at least 4x
+    finer than the smallest k."""
+    k_min = min(k_list)
+    N0 = max(int(round(T / (k_min / refinement))), 1)
+    if T / N0 > k_min / 4 * (1 + 1e-12):
+        raise ConfigError("reference step must be at least 4x finer than the smallest k")
+    return N0
+
+
 def build_reference(spec, kind, k_list, refinement):
     """Uniform-mesh reference trajectory with step about min(k)/refinement."""
-    k0 = min(k_list) / refinement
-    N0 = max(int(round(spec.T / k0)), 1)
-    fine = build_uniform_mesh(spec.T, N0)
-    if fine.k_max > min(k_list) / 4 * (1 + 1e-12):
-        raise ValueError("reference step must be at least 4x finer than the smallest k")
+    fine = build_uniform_mesh(spec.T, reference_intervals(spec.T, k_list, refinement))
     return reference_solve(spec, fine, kind=kind)
 
 

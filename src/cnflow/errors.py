@@ -16,7 +16,7 @@ import numpy as np
 from cnflow.temporal_ops import _compose
 
 PRESSURE_NORMS = ("pressure_L2l2", "pressure_Linfl2")
-VELOCITY_NORMS = ("velocity_LinfV1", "velocity_L2V2avg")
+VELOCITY_NORMS = ("velocity_LinfV1",)
 _NODE_BLOCK = 256  # reference nodes evaluated together by velocity_LinfV1
 
 
@@ -224,11 +224,7 @@ def velocity_error(traj, ref, spec):
 
     ``velocity_LinfV1`` takes the maximum over reference nodes (inside
     the window) of the stiffness-weighted seminorm of the difference of
-    the piecewise-linear evaluations.  ``velocity_L2V2avg`` measures the
-    per-coarse-interval averages of the difference in a discrete
-    H2-proxy seminorm (stiffness applied to the recovered gradient
-    components); the proxy stands in for the exact second-order norm,
-    which is unavailable in H1-conforming elements.
+    the piecewise-linear evaluations.
     """
     if spec.norm not in VELOCITY_NORMS:
         raise ValueError(f"{spec.norm} is not a velocity norm")
@@ -236,53 +232,16 @@ def velocity_error(traj, ref, spec):
     space = traj.space or ref.space
     if space is None:
         raise ValueError("velocity errors need a trajectory with a spatial space")
-
-    if spec.norm == "velocity_LinfV1":
-        ts = ref.mesh.nodes
-        mask = _window_mask(ts, traj.mesh, spec.window_start)
-        ts = ts[mask]
-        # the window is a suffix of the ascending nodes, so a view serves
-        S, ref_vals = space.stiffness, ref.velocity.values[mask.size - ts.size:]
-        # blocks of nodes: the differences at every node at once cost tens of MB;
-        # one product per row, since a block product may round differently
-        q = np.sqrt([x @ (S @ x)
-                     for b in range(0, ts.size, _NODE_BLOCK)
-                     for x in traj.velocity.evaluate(ts[b:b + _NODE_BLOCK])
-                     - ref_vals[b:b + _NODE_BLOCK]])
-        w = traj.mesh.tau_values(spec.alpha)[traj.mesh.interval_of(ts) - 1]
-        return _compose(np.inf, w, q)
-
-    # velocity_L2V2avg
-    coarse = traj.mesh
-    n_start = spec.window_start
-    if n_start >= coarse.num_intervals:
-        raise ValueError("window start leaves no intervals")
-    vals, steps = traj.velocity.values, coarse.steps[n_start:]
-    avg_traj = 0.5 * (vals[n_start:-1] + vals[n_start + 1:])
-    avg_ref = integrate_cg1(ref.velocity, coarse.nodes[n_start:-1],
-                            coarse.nodes[n_start + 1:]) / steps[:, None]
-    q = space.h2_proxy_seminorm(avg_traj - avg_ref)
-    return _compose(2, coarse.tau_values(spec.alpha)[n_start:], q, steps)
-
-
-def integrate_cg1(u, a, b):
-    """Exact integral of a piecewise-linear grid function over ``[a, b]``;
-    arrays of bounds give one integral per pair."""
-    mesh, vals = u.mesh, u.values
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if not np.all((0.0 <= a) & (a <= b) & (b <= mesh.T * (1 + 1e-12))):
-        raise ValueError("integration bounds outside the mesh")
-    b = np.minimum(b, mesh.T)
-    trailing = (1,) * (vals.ndim - 1)
-    k = mesh.steps.reshape((-1,) + trailing)
-    cum = np.concatenate([np.zeros((1,) + vals.shape[1:]),
-                          np.cumsum(0.5 * (vals[:-1] + vals[1:]) * k, axis=0)])
-
-    def antider(t):
-        # integral from t_0 to t
-        n = mesh.interval_of(t)
-        dt = np.reshape(t - mesh.nodes[n - 1], t.shape + trailing)
-        slope = (vals[n] - vals[n - 1]) / k[n - 1]
-        return cum[n - 1] + dt * vals[n - 1] + 0.5 * dt * dt * slope
-
-    return antider(b) - antider(a)
+    ts = ref.mesh.nodes
+    mask = _window_mask(ts, traj.mesh, spec.window_start)
+    ts = ts[mask]
+    # the window is a suffix of the ascending nodes, so a view serves
+    S, ref_vals = space.stiffness, ref.velocity.values[mask.size - ts.size:]
+    # blocks of nodes: the differences at every node at once cost tens of MB;
+    # one product per row, since a block product may round differently
+    q = np.sqrt([x @ (S @ x)
+                 for b in range(0, ts.size, _NODE_BLOCK)
+                 for x in traj.velocity.evaluate(ts[b:b + _NODE_BLOCK])
+                 - ref_vals[b:b + _NODE_BLOCK]])
+    w = traj.mesh.tau_values(spec.alpha)[traj.mesh.interval_of(ts) - 1]
+    return _compose(np.inf, w, q)

@@ -431,26 +431,17 @@ class TaylorHoodSpace:
         pv = np.einsum("ej,qj->eq", p[self.tri_pressure], self.psi1_6)
         return float(np.sqrt(np.sum(self.det * np.einsum("q,eq->e", self.qw6, (pv - fv) ** 2))))
 
-    def h2_proxy_seminorm(self, d):
-        """Discrete H2-proxy: stiffness seminorm of the recovered gradient.
-
-        The gradient of each velocity component is L2-projected back onto
-        the quadratic space and measured in the stiffness seminorm.  This
-        is a proxy (exact second-order norms are not available in
-        H1-conforming elements) and is documented as such.  Returns one
-        seminorm per row of the block ``d``.
-        """
-        if "h2ops" not in self._cache:
-            _, gx, gy, test = self._quadrature_operators()
-            self._cache["h2ops"] = (splu(self.scalar_mass.tocsc()), test @ gx, test @ gy,
-                                    self.scalar_stiffness)
-        lu, dx, dy, As = self._cache["h2ops"]
-        acc = 0.0
-        for comp in (d[:, : self.num_scalar], d[:, self.num_scalar:]):
-            for D in (dx, dy):
-                g = lu.solve(D @ comp.T)
-                acc = acc + np.sum(g * (As @ g), axis=0)
-        return np.sqrt(acc)
+    def saddle_border(self):
+        """The blocks every ``BorderedSaddle`` of this space shares: the
+        divergence on interior velocity nodes and the zero-mean border
+        column ``c``."""
+        if "saddle_border" not in self._cache:
+            B_i = self.divergence[:, self.interior_velocity].tocsr()
+            n_p = self.num_pressure
+            c_col = sp.csr_matrix((self.mean_vector, (np.arange(n_p), np.zeros(n_p, dtype=int))),
+                                  shape=(n_p, 1))
+            self._cache["saddle_border"] = (B_i, c_col)
+        return self._cache["saddle_border"]
 
 
 def build_space(bounds, nx, ny):
@@ -485,15 +476,11 @@ class BorderedSaddle:
     def __init__(self, space, K):
         self.space = space
         ii = space.interior_velocity
-        self.K_ii = K[ii][:, ii].tocsr()
-        self.B_i = space.divergence[:, ii].tocsr()
-        c = space.mean_vector
-        n_i, n_p = ii.size, space.num_pressure
-        c_col = sp.csr_matrix((c, (np.arange(n_p), np.zeros(n_p, dtype=int))),
-                              shape=(n_p, 1))
+        K_ii = K[ii][:, ii].tocsr()
+        B_i, c_col = space.saddle_border()
         system = sp.bmat([
-            [self.K_ii, -self.B_i.T, None],
-            [self.B_i, None, c_col],
+            [K_ii, -B_i.T, None],
+            [B_i, None, c_col],
             [None, c_col.T, None],
         ], format="csc")
         try:
@@ -501,7 +488,7 @@ class BorderedSaddle:
         except RuntimeError as exc:
             raise SolverError(f"saddle-point factorization failed: {exc}") from None
         self.system = system
-        self.n_i, self.n_p = n_i, n_p
+        self.n_i, self.n_p = ii.size, space.num_pressure
 
     def solve(self, F):
         space = self.space

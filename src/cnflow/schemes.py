@@ -173,10 +173,14 @@ class Trajectory:
 def _march(spec, mesh, n0, kind, newton, advance):
     """The interval loop shared by the transient steppers.
 
-    ``advance(scheme, k, F, u, P, label)`` returns the velocity and the
-    scaled pressure ``P = k p`` of one interval from the previous velocity
-    and scaled pressure; the loop tags the intervals, integrates the
-    forcing and stores ``p = P / k``.
+    ``advance(scheme, k, F, u, P, label, slot)`` returns the velocity and
+    the scaled pressure ``P = k p`` of one interval from the previous
+    velocity and scaled pressure; the loop tags the intervals, integrates
+    the forcing and stores ``p = P / k``.  ``slot`` is the dict in which
+    the stepper keeps what it reuses across intervals, factorizations
+    above all: one per ``(scheme, k)``, shared by every interval with that
+    key and dropped after the last of them, so a solve holds only the
+    factorizations of keys still to come.
     """
     space = spec.space
     N = mesh.num_intervals
@@ -188,14 +192,19 @@ def _march(spec, mesh, n0, kind, newton, advance):
     vel[0] = u
     P = np.zeros(space.num_pressure)
     tags = ["IE"] * n0 + ["CN"] * (N - n0)
-    for n in range(N):
-        k = mesh.steps[n]
+    keys = list(zip(tags, mesh.steps))
+    last = {key: n for n, key in enumerate(keys)}
+    slots = {}
+    for n, (scheme, k) in enumerate(keys):
         F = spec.forcing.load_integral(space, mesh.nodes[n], mesh.nodes[n + 1])
         try:
-            u, P = advance(tags[n], k, F, u, P, f"step {n + 1}")
+            u, P = advance(scheme, k, F, u, P, f"step {n + 1}",
+                           slots.setdefault((scheme, k), {}))
         except NewtonError as exc:
             exc.step = n + 1
             raise
+        if last[scheme, k] == n:
+            del slots[scheme, k]
         vel[n + 1] = u
         prs[n] = P / k
     return Trajectory(mesh, GridFunctionCG1(mesh, vel), GridFunctionDG0(mesh, prs),
@@ -214,18 +223,16 @@ def stokes_cn_solve(spec, mesh, n0=0):
     """
     space, nu = spec.space, spec.viscosity
     M, A = space.mass, space.stiffness
-    factors = {}
 
-    def advance(scheme, k, F, u, P, label):
-        key = (scheme, k)
-        if key not in factors:
+    def advance(scheme, k, F, u, P, label, slot):
+        if not slot:
             if scheme == "IE":
                 K, K_exp = (M + k * nu * A).tocsr(), M
             else:
                 half = 0.5 * k * nu
                 K, K_exp = (M + half * A).tocsr(), (M - half * A).tocsr()
-            factors[key] = (BorderedSaddle(space, K), K_exp)
-        saddle, K_exp = factors[key]
+            slot["factors"] = (BorderedSaddle(space, K), K_exp)
+        saddle, K_exp = slot["factors"]
         try:
             state = saddle.solve(F + K_exp @ u)
         except SolverError as exc:
@@ -235,7 +242,7 @@ def stokes_cn_solve(spec, mesh, n0=0):
     return _march(spec, mesh, n0, "stokes", None, advance)
 
 
-def _newton(space, momentum, jacobian, U, P, newton, target, label, frozen=None, key=None):
+def _newton(space, momentum, jacobian, U, P, newton, target, label, frozen=None):
     """Newton iteration on one bordered saddle system.
 
     ``momentum(U, P)`` returns the momentum residual and the data
@@ -243,9 +250,9 @@ def _newton(space, momentum, jacobian, U, P, newton, target, label, frozen=None,
     that iterate; incompressibility and the zero pressure mean complete
     the residual here.  The iteration stops once the residual is at most
     ``target``, or within ``newton.tolerance`` and no longer contracting.
-    With a ``frozen`` dict, the factorized Jacobian stored under ``key``
-    is tried first and refreshed as soon as the residual stops
-    contracting.  Returns the state and the iteration count.
+    With a ``frozen`` dict, the factorized Jacobian stored in it under
+    ``"jacobian"`` is tried first and refreshed as soon as the residual
+    stops contracting.  Returns the state and the iteration count.
     """
     B, c = space.divergence, space.mean_vector
     ii = space.interior_velocity
@@ -277,7 +284,7 @@ def _newton(space, momentum, jacobian, U, P, newton, target, label, frozen=None,
         if res <= newton.tolerance and prev_res is not None and res > 0.5 * prev_res:
             # within contract and no longer contracting (round-off floor)
             return MixedState(U, P), it
-        stale = frozen.get(key) if frozen is not None else None
+        stale = frozen.get("jacobian") if frozen is not None else None
         try:
             if stale is not None:
                 dU, dP = solve_update(stale, r, rd, rm)
@@ -288,11 +295,11 @@ def _newton(space, momentum, jacobian, U, P, newton, target, label, frozen=None,
                     U, P, r, rd, rm, prev_res, res, lin = (
                         U_try, P_try, r2, rd2, rm2, res, res2, lin2)
                     continue
-                # stale direction stopped contracting: rebuild below
-                frozen.pop(key, None)
+                # stale direction stopped contracting: free it, rebuild below
+                del frozen["jacobian"], stale
             saddle = BorderedSaddle(space, jacobian(lin))
             if frozen is not None:
-                frozen[key] = saddle
+                frozen["jacobian"] = saddle
             dU, dP = solve_update(saddle, r, rd, rm)
         except (SolverError, RuntimeError) as exc:
             raise NewtonError(f"{label}: linear solve failed: {exc}",
@@ -312,13 +319,14 @@ def _newton(space, momentum, jacobian, U, P, newton, target, label, frozen=None,
         iterations=newton.max_iterations, residual=res)
 
 
-def _newton_saddle(space, nu, k, u_prev, P0, F, scheme, newton, step_label, caches):
+def _newton_saddle(space, nu, k, u_prev, P0, F, scheme, newton, step_label, slot):
     """Newton iteration for one implicit interval of the transient problem.
 
     Scaled pressure ``P = k p`` is the saddle unknown.  The Jacobian
-    carries both linearization terms of the convection form; with
-    ``newton.reuse_jacobian`` a previously factorized Jacobian for the
-    same (scheme, step size) is tried first.
+    carries both linearization terms of the convection form; ``slot`` is
+    the ``_march`` slot of this (scheme, step size), which keeps its
+    linear block and, with ``newton.reuse_jacobian``, the factorized
+    Jacobian that is tried first.
     """
     M, A, BT = space.mass, space.stiffness, space.divergence_transpose
 
@@ -326,11 +334,9 @@ def _newton_saddle(space, nu, k, u_prev, P0, F, scheme, newton, step_label, cach
         coef_nl, coef_visc = k, k * nu
     else:
         coef_nl, coef_visc = 0.25 * k, 0.5 * k * nu
-    key = (scheme, k)
-    lin_cache, jac_cache = caches
-    if key not in lin_cache:
-        lin_cache[key] = (M + coef_visc * A).tocsr()
-    K_lin = lin_cache[key]
+    if "linear" not in slot:
+        slot["linear"] = (M + coef_visc * A).tocsr()
+    K_lin = slot["linear"]
 
     def momentum(U, P):
         w = U if scheme == "IE" else U + u_prev
@@ -350,9 +356,8 @@ def _newton_saddle(space, nu, k, u_prev, P0, F, scheme, newton, step_label, cach
     # a 1/k amplification; drive the iteration to a k-scaled target (the
     # configured tolerance remains the hard acceptance contract).
     target = newton.tolerance * min(1.0, k)
-    frozen = jac_cache if newton.reuse_jacobian else None
     return _newton(space, momentum, jacobian, u_prev.copy(), P0.copy(), newton, target,
-                   step_label, frozen, key)
+                   step_label, slot if newton.reuse_jacobian else None)
 
 
 def nse_cn_solve(spec, mesh, n0=0, newton=None):
@@ -364,11 +369,10 @@ def nse_cn_solve(spec, mesh, n0=0, newton=None):
     """
     newton = newton or NewtonConfig()
     space, nu = spec.space, spec.viscosity
-    caches = ({}, {})
     iterations = []
 
-    def advance(scheme, k, F, u, P, label):
-        state, its = _newton_saddle(space, nu, k, u, P, F, scheme, newton, label, caches)
+    def advance(scheme, k, F, u, P, label, slot):
+        state, its = _newton_saddle(space, nu, k, u, P, F, scheme, newton, label, slot)
         iterations.append(its)
         return state.velocity, state.pressure
 

@@ -219,11 +219,17 @@ def test_main_exit_codes(tmp_path, capsys):
                                       "domain=-1,nan,-1,1", "alpha=nan", "threads=0",
                                       "threads=-3", "experiment=custom", "solver=nse",
                                       "forcing=zero", "initial=stationary", "seed=1",
-                                      "k_list=0.1,0.1", "k_list=0.02,0.02,0.01"])
+                                      "k_list=0.1,0.1", "k_list=0.02,0.02,0.01",
+                                      "norms=velocity_L2V2avg",
+                                      # N0 = round(13.3) = 13 gives a reference
+                                      # step above 0.3 / 4
+                                      "T=1 k_list=0.3 refinement=4"])
 def test_invalid_config_value_exit_code(tmp_path, capsys, override):
+    # an override of several keys separates them by spaces
     config = Path(__file__).parent.parent / "configs" / "stokes_manufactured.cfg"
-    args = ["convergence", "--config", str(config), "--set", override,
-            "--out", str(tmp_path)]
+    args = ["convergence", "--config", str(config), "--out", str(tmp_path)]
+    for item in override.split():
+        args += ["--set", item]
     assert main(args) == 2
     assert "configuration error:" in capsys.readouterr().err
 

@@ -162,16 +162,6 @@ def test_convection_apply_matches_matrix(small_space):
     assert np.allclose(direct, free, rtol=1e-13, atol=1e-13)
 
 
-def test_h2_proxy_seminorm_is_row_wise(small_space):
-    # a block gives each row the seminorm that row gets alone
-    rows = np.random.default_rng(5).standard_normal((4, small_space.num_velocity))
-    block = small_space.h2_proxy_seminorm(rows)
-    alone = [small_space.h2_proxy_seminorm(r[None, :])[0] for r in rows]
-    assert block.shape == (4,)
-    assert np.allclose(block, alone, rtol=1e-14, atol=0)
-    assert np.allclose(small_space.h2_proxy_seminorm(-2.0 * rows), 2.0 * block, rtol=1e-14)
-
-
 def _matches_matrix(space, w, u):
     direct = space.convection(w) @ u
     free = space.convection_apply(w, u)
@@ -311,6 +301,26 @@ def test_saddle_factorization_reuse(medium_space):
         F = rng.standard_normal(space.num_velocity)
         st = saddle.solve(F)
         assert np.isfinite(st.pressure).all()
+
+
+def test_saddle_system_is_the_per_factorization_construction_bitwise():
+    # the interior divergence and the border column are built once per space;
+    # the assembled system is the one built from scratch for each factorization
+    space = build_space((-1.0, 1.0, -1.0, 1.0), 3, 2)
+    ii, n_p = space.interior_velocity, space.num_pressure
+    B_i = space.divergence[:, ii].tocsr()
+    c_col = sp.csr_matrix((space.mean_vector, (np.arange(n_p), np.zeros(n_p, dtype=int))),
+                          shape=(n_p, 1))
+    for k in (0.3, 0.007):
+        K = (space.mass + k * space.stiffness).tocsr()
+        old = sp.bmat([[K[ii][:, ii].tocsr(), -B_i.T, None],
+                       [B_i, None, c_col],
+                       [None, c_col.T, None]], format="csc")
+        new = BorderedSaddle(space, K).system
+        assert new.shape == old.shape
+        for attr in ("indptr", "indices", "data"):
+            assert getattr(new, attr).tobytes() == getattr(old, attr).tobytes()
+    assert space.saddle_border() is space.saddle_border()
 
 
 def test_stationary_stokes_manufactured_convergence():

@@ -1,9 +1,14 @@
 import gc
+import weakref
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cnflow.fem2d import FemMesh2D, TaylorHoodSpace
+from cnflow.fem2d import BorderedSaddle, FemMesh2D, TaylorHoodSpace
 from cnflow.schemes import (
     GeneralForcing,
     NewtonConfig,
@@ -245,6 +250,80 @@ def test_caches_never_serve_another_space():
         stale += not np.array_equal(init.resolve(space, 0.01, "stokes").velocity,
                                     stationary_stokes_solve(space, 0.01, f0).velocity)
     assert stale == 0
+
+
+def straddling_keys(mesh, n0):
+    """Per interval, the (scheme, k) keys used both before it and at or after it,
+    and the number of distinct keys."""
+    keys = [("IE" if n < n0 else "CN", k) for n, k in enumerate(mesh.steps)]
+    first, last = {}, {}
+    for n, key in enumerate(keys):
+        first.setdefault(key, n)
+        last[key] = n
+    return [sum(first[key] < n <= last[key] for key in first)
+            for n in range(len(keys))], len(first)
+
+
+@contextmanager
+def tracked_saddles():
+    """Every ``BorderedSaddle`` built inside, weakly held: ``live`` are those
+    still alive and ``built`` counts the factorizations."""
+    record = {"live": weakref.WeakSet(), "built": 0}
+    init = BorderedSaddle.__init__
+
+    def tracked(self, *args):
+        init(self, *args)
+        record["live"].add(self)
+        record["built"] += 1
+
+    with mock.patch.object(BorderedSaddle, "__init__", tracked):
+        yield record
+
+
+class LiveAtEachInterval(SeparableForcing):
+    """The ramp forcing, noting the live factorizations as each interval starts."""
+
+    def __init__(self, record):
+        base = ramp_forcing()
+        super().__init__(base.time_factor, base.spatial, "tracked")
+        self.record, self.live = record, []
+
+    def load_integral(self, space, a, b):
+        self.live.append(len(self.record["live"]))
+        return super().load_integral(space, a, b)
+
+
+def assert_factorizations_bounded(space, solve, mesh, n0):
+    with tracked_saddles() as record:
+        forcing = LiveAtEachInterval(record)
+        solve(ProblemSpec(space, 0.01, forcing, None, mesh.T), mesh, n0)
+        bound, distinct = straddling_keys(mesh, n0)
+        assert len(forcing.live) == mesh.num_intervals
+        assert all(live <= allowed for live, allowed in zip(forcing.live, bound))
+        assert len(record["live"]) == 0
+    return record["built"], distinct
+
+
+def test_factorizations_freed_after_their_last_interval(small_space):
+    # a uniform mesh has several float steps: each factorization lives only
+    # while intervals of its (scheme, k) are still to come
+    mesh = build_uniform_mesh(0.5, 50)
+    built, distinct = assert_factorizations_bounded(small_space, stokes_cn_solve, mesh, 2)
+    assert distinct > 3
+    assert built == distinct
+    assert_factorizations_bounded(small_space, nse_cn_solve, mesh, 2)
+
+
+@settings(max_examples=15, deadline=None)
+@given(T=st.floats(0.2, 0.6), base_k=st.floats(0.01, 0.04),
+       pattern=st.sampled_from([(0.8, 1.2), (0.5, 1.5), (0.9, 1.0, 1.1)]),
+       n0=st.integers(0, 3))
+def test_factorizations_bounded_on_alternating_meshes(small_space, T, base_k, pattern, n0):
+    mesh = build_alternating_mesh(T, base_k, pattern)
+    n0 = min(n0, mesh.num_intervals - 1)
+    built, distinct = assert_factorizations_bounded(small_space, stokes_cn_solve, mesh, n0)
+    assert built == distinct
+    assert_factorizations_bounded(small_space, nse_cn_solve, mesh, n0)
 
 
 def test_reference_solve_contract(medium_space):
