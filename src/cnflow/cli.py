@@ -14,6 +14,12 @@ re-run the experiment.
 
 Exit codes: 0 success, 1 verification assertion failure, 2 configuration
 error, 3 solver failure.
+
+The module needs numpy only, so ``cnflow verify`` never loads scipy.  The
+flow stack (``cnflow.fem2d`` and ``cnflow.schemes``, which need scipy) is
+imported inside the functions that run a convergence study.  They look its
+entry points up at call time, so a tracer that rebinds those module
+attributes sees every call.
 """
 
 import argparse
@@ -32,15 +38,6 @@ from cnflow.errors import (
     fit_loglog,
     pressure_error,
     velocity_error,
-)
-from cnflow.fem2d import SolverError, build_space
-from cnflow.schemes import (
-    ProblemSpec,
-    SeparableForcing,
-    StationaryInitialData,
-    ZeroForcing,
-    reference_solve,
-    transient_solve,
 )
 from cnflow.spectral_stokes import (
     StabilityReport,
@@ -68,6 +65,8 @@ def smooth_ramp_forcing(amplitude=0.2):
 
     Vanishes to first order at t = 0, so zero initial data is compatible.
     """
+    from cnflow.schemes import SeparableForcing
+
     return SeparableForcing(lambda t: amplitude * t * t * np.exp(-t),
                             oscillatory_field, "smooth-ramp")
 
@@ -85,6 +84,8 @@ def rough_stationary_initial(amplitude=0.2):
     not satisfy the compatibility conditions of the transient problem
     with the forcing switched off.
     """
+    from cnflow.schemes import StationaryInitialData
+
     def f0(x, y):
         fx, fy = sign_modulated_field(x, y)
         return amplitude * fx, amplitude * fy
@@ -92,10 +93,16 @@ def rough_stationary_initial(amplitude=0.2):
     return StationaryInitialData(f0, "stationary-sign-forcing")
 
 
+def zero_forcing():
+    from cnflow.schemes import ZeroForcing
+
+    return ZeroForcing()
+
+
 # experiment -> (forcing factory, initial-data factory or None for zero, solver)
 EXPERIMENTS = {
     "case_i": (smooth_ramp_forcing, None, "nse"),
-    "case_ii": (ZeroForcing, rough_stationary_initial, "nse"),
+    "case_ii": (zero_forcing, rough_stationary_initial, "nse"),
     "stokes_manufactured": (smooth_ramp_forcing, None, "stokes"),
 }
 
@@ -141,6 +148,12 @@ class RunConfig:
         x0, x1, y0, y1 = self.domain
         if x1 <= x0 or y1 <= y0 or self.nx < 1 or self.ny < 1:
             raise ConfigError("need a nonempty domain and nx, ny of at least 1")
+        # an area that under- or overflows, or a subnormal one whose
+        # reciprocal overflows, leaves the assembly with singular operators
+        area = (x1 - x0) / self.nx * ((y1 - y0) / self.ny)
+        if not (0.0 < area < np.inf and 1.0 / area < np.inf):
+            raise ConfigError(f"cell area {area!r} of the domain and nx, ny must be "
+                              "positive with a finite reciprocal")
         if self.window_start is None:
             self.window_start = self.n0 if self.alpha > 0 else 0
         self.error_specs()  # rejects unknown norms and bad weights or windows
@@ -190,13 +203,22 @@ def build_run_config(mapping):
             kwargs[key] = (tuple(element[0](v.strip()) for v in value.split(","))
                            if element else kind(value))
         return RunConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from None
+
+
+def build_space(bounds, nx, ny):
+    """Taylor-Hood space of ``cnflow.fem2d.build_space``."""
+    from cnflow import fem2d
+
+    return fem2d.build_space(bounds, nx, ny)
 
 
 def resolve_problem(config, space):
     """Problem of an experiment on ``space``; its solver is the third entry
     of ``EXPERIMENTS[config.experiment]``."""
+    from cnflow.schemes import ProblemSpec
+
     forcing, initial, _ = EXPERIMENTS[config.experiment]
     return ProblemSpec(space, config.nu, forcing(), None if initial is None else initial(),
                        config.T)
@@ -215,6 +237,8 @@ def reference_intervals(T, k_list, refinement):
 
 def build_reference(spec, kind, k_list, refinement):
     """Uniform-mesh reference trajectory with step about min(k)/refinement."""
+    from cnflow.schemes import reference_solve
+
     fine = build_uniform_mesh(spec.T, reference_intervals(spec.T, k_list, refinement))
     return reference_solve(spec, fine, kind=kind)
 
@@ -222,6 +246,8 @@ def build_reference(spec, kind, k_list, refinement):
 def convergence_rows(spec, kind, reference, k, pattern, n0, error_specs):
     """Error rows of one coarse run against a shared reference, and the
     run's Newton iteration counts (``None`` for Stokes)."""
+    from cnflow.schemes import transient_solve
+
     mesh = build_alternating_mesh(spec.T, k, pattern)
     traj = transient_solve(spec, mesh, kind, n0)
     rows = []
@@ -237,6 +263,8 @@ def convergence_rows(spec, kind, reference, k, pattern, n0, error_specs):
 def run_convergence(config):
     """Full convergence experiment; returns (record, failures, files)."""
     import os
+
+    from cnflow.fem2d import SolverError
 
     os.makedirs(config.out, exist_ok=True)
     t_begin = time.perf_counter()
@@ -449,7 +477,13 @@ def main(argv=None):
                 if value is not None:
                     mapping[key] = str(value)
             config = build_run_config(mapping)
-            _, failures, files = run_convergence(config)
+            from cnflow.fem2d import SolverError
+
+            try:
+                _, failures, files = run_convergence(config)
+            except SolverError as exc:
+                print(f"solver failure: {exc}", file=sys.stderr)
+                return 3
             for path in files:
                 print(path)
             if failures:
@@ -462,15 +496,9 @@ def main(argv=None):
         for line in lines:
             print(line)
         return code
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except SolverError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -1,5 +1,10 @@
 import dataclasses
+import json
+import os
 import re
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -89,6 +94,12 @@ def tiny_mapping(out):
         "norms": "pressure_L2l2,pressure_Linfl2",
         "out": str(out),
     }
+
+
+def tiny_overrides():
+    """``--set`` arguments of ``tiny_mapping`` without its output directory."""
+    return [arg for key, value in tiny_mapping("").items() if key != "out"
+            for arg in ("--set", f"{key}={value}")]
 
 
 def test_run_convergence_deterministic_csv(tmp_path):
@@ -221,6 +232,16 @@ def test_main_exit_codes(tmp_path, capsys):
                                       "forcing=zero", "initial=stationary", "seed=1",
                                       "k_list=0.1,0.1", "k_list=0.02,0.02,0.01",
                                       "norms=velocity_L2V2avg",
+                                      # a cell area that underflows to 0, a width
+                                      # that overflows, and a subnormal cell area
+                                      # whose reciprocal overflows
+                                      "nx=2 ny=2 k_list=0.5 T=1 refinement=4 "
+                                      "domain=0,1e-200,0,1e-200",
+                                      "nx=2 ny=2 k_list=0.5 T=1 refinement=4 "
+                                      "domain=-1e308,1e308,-1,1",
+                                      "nx=2 ny=2 k_list=0.5 T=1 refinement=4 "
+                                      "domain=0,1e-320,0,1",
+                                      pytest.param("nx=1" + "0" * 400, id="nx=1e400"),
                                       # N0 = round(13.3) = 13 gives a reference
                                       # step above 0.3 / 4
                                       "T=1 k_list=0.3 refinement=4"])
@@ -254,20 +275,66 @@ def test_main_solver_failure_exit_code(tmp_path, monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise SolverError("synthetic failure")
 
-    monkeypatch.setattr(cli, "convergence_rows", boom)
-    args = ["convergence", "--out", str(tmp_path / "fail")]
-    for key, value in tiny_mapping(tmp_path / "fail").items():
-        if key != "out":
-            args += ["--set", f"{key}={value}"]
-    assert main(args) == 3
-    assert "solver failure" in capsys.readouterr().err
+    args = ["convergence", "--out", str(tmp_path / "fail")] + tiny_overrides()
+    # a failed coarse run is recorded in the manifest; a failed reference
+    # ends the run, and main catches the error
+    for failing in ("convergence_rows", "build_reference"):
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, failing, boom)
+            assert main(args) == 3
+        assert "solver failure" in capsys.readouterr().err
+
+
+FLOW_STACK = ("scipy", "cnflow.fem2d", "cnflow.schemes")
+
+
+def run_fresh_interpreter(script, *args):
+    """JSON printed by ``script`` in a fresh interpreter that imports cnflow
+    from this checkout."""
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    prelude = ("import json, sys\n"
+               f"def loaded():\n    return [m for m in {FLOW_STACK!r} if m in sys.modules]\n")
+    result = subprocess.run([sys.executable, "-c", prelude + textwrap.dedent(script), *args],
+                            env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def test_verify_loads_numpy_only(tmp_path):
+    # every verify target runs on the spectral surrogate: no scipy, no FEM
+    report = run_fresh_interpreter("""
+        from cnflow.cli import main
+        codes = [main(["verify", target, "--out", sys.argv[1]])
+                 for target in ("temporal", "spectral-stability",
+                                "spectral-smoothing", "euler-rates")]
+        print(json.dumps({"codes": codes, "loaded": loaded()}))
+        """, str(tmp_path))
+    assert report == {"codes": [0, 0, 0, 0], "loaded": []}
+
+
+def test_convergence_loads_flow_stack(tmp_path):
+    report = run_fresh_interpreter("""
+        import cnflow.cli as cli
+        out, overrides = sys.argv[1], sys.argv[2:]
+        before = loaded()
+        ok = cli.main(["convergence", "--out", out + "/ok"] + overrides)
+        after = loaded()
+
+        def boom(*args, **kwargs):
+            from cnflow.fem2d import SolverError
+            raise SolverError("synthetic failure")
+
+        cli.build_reference = boom
+        failed = cli.main(["convergence", "--out", out + "/failed"] + overrides)
+        print(json.dumps({"before": before, "ok": ok, "after": after, "failed": failed}))
+        """, str(tmp_path), *tiny_overrides())
+    assert report == {"before": [], "ok": 0, "after": list(FLOW_STACK), "failed": 3}
 
 
 def test_main_runs_tiny_convergence(tmp_path, capsys):
-    args = ["convergence", "--out", str(tmp_path / "run")]
-    for key, value in tiny_mapping(tmp_path / "run").items():
-        if key != "out":
-            args += ["--set", f"{key}={value}"]
+    args = ["convergence", "--out", str(tmp_path / "run")] + tiny_overrides()
     assert main(args) == 0
     printed = capsys.readouterr().out.strip().split("\n")
     assert printed[0].endswith("convergence.csv")
