@@ -23,6 +23,7 @@ attributes sees every call.
 """
 
 import argparse
+import os
 import sys
 import time
 import typing
@@ -46,7 +47,12 @@ from cnflow.spectral_stokes import (
     verify_smoothing_stability,
 )
 from cnflow.temporal_ops import average, interpolate_nodal, midpoint_sample
-from cnflow.time_mesh import build_alternating_mesh, build_uniform_mesh
+from cnflow.time_mesh import (
+    UNIFORM_RHO_TOL,
+    build_alternating_mesh,
+    build_uniform_mesh,
+    uniform_rho_bound,
+)
 
 
 class ConfigError(ValueError):
@@ -157,12 +163,25 @@ class RunConfig:
         if self.window_start is None:
             self.window_start = self.n0 if self.alpha > 0 else 0
         self.error_specs()  # rejects unknown norms and bad weights or windows
-        # the coarsest mesh checks T and the pattern, and bounds n0 and the window
+        if self.T <= 0.0:
+            raise ConfigError("final time must be positive")
+        # every mesh grows with T / min(k): before one is built, the reference
+        # trajectory must fit in memory and its mesh must pass reference_solve
+        N0 = reference_intervals(self.T, self.k_list, self.refinement)
+        num_velocity = 2 * (2 * self.nx + 1) * (2 * self.ny + 1)  # P2 nodes, two components
+        need, have = (N0 + 1) * num_velocity * 8, physical_memory()
+        if need > have:
+            raise ConfigError(f"the reference trajectory of {N0} intervals needs "
+                              f"{need / 1e9:.3g} GB, more than the {have / 1e9:.3g} GB "
+                              "of physical memory")
+        if uniform_rho_bound(self.T, N0) > UNIFORM_RHO_TOL:
+            raise ConfigError(f"the rounding of a uniform reference mesh of {N0} intervals "
+                              f"on [0, {self.T!r}] may leave rho - 1 above {UNIFORM_RHO_TOL:g}")
+        # the coarsest mesh checks the pattern, and bounds n0 and the window
         N = build_alternating_mesh(self.T, self.k_list[0], self.pattern).num_intervals
         if not (0 <= self.n0 < N and self.window_start < N):
             raise ConfigError(f"n0 and window_start must be below the {N} intervals "
                               "of the coarsest mesh")
-        reference_intervals(self.T, self.k_list, self.refinement)
 
     def error_specs(self):
         return [ErrorSpec(norm, self.alpha, self.window_start, self.spatial_norm)
@@ -224,6 +243,11 @@ def resolve_problem(config, space):
                        config.T)
 
 
+def physical_memory():
+    """Bytes of physical memory of this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def reference_intervals(T, k_list, refinement):
     """Interval count of the uniform reference mesh, whose step is about
     min(k)/refinement; ``ConfigError`` unless that step is at least 4x
@@ -262,8 +286,6 @@ def convergence_rows(spec, kind, reference, k, pattern, n0, error_specs):
 
 def run_convergence(config):
     """Full convergence experiment; returns (record, failures, files)."""
-    import os
-
     from cnflow.fem2d import SolverError
 
     os.makedirs(config.out, exist_ok=True)
@@ -426,8 +448,6 @@ def run_verify(target, out="results", seed=0):
     Writes a pass/fail text report plus a CSV with the measured ratios
     or fitted rates.
     """
-    import os
-
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
     header, checks = _verify_checks(target, seed)

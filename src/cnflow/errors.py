@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from cnflow.temporal_ops import _compose
+from cnflow.time_mesh import UNIFORM_RHO_TOL
 
 PRESSURE_NORMS = ("pressure_L2l2", "pressure_Linfl2")
 VELOCITY_NORMS = ("velocity_LinfV1",)
@@ -72,13 +73,10 @@ class ConvergenceRecord:
                 seen.append(r.norm)
         return seen
 
-    def series(self, norm):
-        rows = sorted((r for r in self.rows if r.norm == norm), key=lambda r: -r.k)
-        return np.array([r.k for r in rows]), np.array([r.error for r in rows])
-
     def fit(self, norm):
-        sub = ConvergenceRecord([r for r in self.rows if r.norm == norm])
-        return fit_rate(sub)
+        """``fit_loglog`` over the rows of ``norm``."""
+        rows = [r for r in self.rows if r.norm == norm]
+        return fit_loglog([r.k for r in rows], [r.error for r in rows])
 
     def to_csv(self):
         """CSV text with header ``k,n0,alpha,norm,error,rate_pairwise``.
@@ -129,15 +127,6 @@ def fit_loglog(k_values, errors):
     slope, intercept = np.linalg.lstsq(A, np.log(e), rcond=None)[0]
     pairwise = np.log(e[:-1] / e[1:]) / np.log(k[:-1] / k[1:])
     return RateFit(k, e, float(slope), float(intercept), pairwise)
-
-
-def fit_rate(record):
-    """Rate fit over the rows of a single-norm convergence record."""
-    norms = record.norms()
-    if len(norms) != 1:
-        raise ValueError("record must contain exactly one norm id")
-    k, e = record.series(norms[0])
-    return fit_loglog(k, e)
 
 
 def _spatial_norm_fn(spec, space):
@@ -207,7 +196,7 @@ def pressure_error(traj, ref, spec):
     _check_pair(traj, ref)
     fine = ref.mesh
     # the midpoint rule below weights every sample with one step
-    if fine.rho > 1.0 + 1e-9:
+    if fine.rho > 1.0 + UNIFORM_RHO_TOL:
         raise ValueError("reference mesh must be uniform")
     k0 = fine.steps[0]
     tm = fine.midpoints

@@ -490,27 +490,31 @@ class BorderedSaddle:
         self.system = system
         self.n_i, self.n_p = ii.size, space.num_pressure
 
-    def solve(self, F):
-        space = self.space
-        F = np.asarray(F, dtype=float)
-        rhs = np.zeros(self.n_i + self.n_p + 1)
-        rhs[: self.n_i] = F[space.interior_velocity]
+    def _block_solve(self, momentum, divergence=0.0, mean=0.0):
+        """Right-hand side ``[momentum on interior nodes | divergence | mean]``,
+        the bordered solution, and its velocity and pressure parts."""
+        ii, n_i = self.space.interior_velocity, self.n_i
+        rhs = np.empty(n_i + self.n_p + 1)
+        rhs[:n_i], rhs[n_i:-1], rhs[-1] = momentum[ii], divergence, mean
         x = self.lu.solve(rhs)
+        U = np.zeros(self.space.num_velocity)
+        U[ii] = x[:n_i]
+        return rhs, x, U, x[n_i:-1]
+
+    def solve(self, F):
+        """The state with momentum load ``F``, certified by residual and pressure mean."""
+        rhs, x, U, P = self._block_solve(np.asarray(F, dtype=float))
         scale = max(float(np.linalg.norm(rhs)), 1e-30)
         resid = float(np.linalg.norm(self.system @ x - rhs))
         if not np.isfinite(resid) or resid > _SADDLE_RTOL * scale:
             raise SolverError(f"saddle-point solve residual {resid:.3e} above "
                               f"{_SADDLE_RTOL:.1e} * {scale:.3e}")
-        U = np.zeros(space.num_velocity)
-        U[space.interior_velocity] = x[: self.n_i]
-        P = x[self.n_i: self.n_i + self.n_p]
-        mean = abs(float(space.mean_vector @ P))
+        mean = abs(float(self.space.mean_vector @ P))
         if mean > 1e-10 * max(1.0, float(np.linalg.norm(P))):
             raise SolverError(f"pressure mean {mean:.3e} above tolerance")
         return MixedState(U, P)
 
-
-def solve_saddle_point(space, K, F):
-    """One-shot constrained saddle solve (factorization not retained)."""
-    return BorderedSaddle(space, K).solve(F)
-
+    def correction(self, r, rd, rm):
+        """Newton update ``(dU, dP)`` of the momentum, divergence and mean
+        residuals; the caller's next residual certifies it."""
+        return self._block_solve(-r, -rd, -rm)[2:]

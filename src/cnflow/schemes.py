@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from cnflow.fem2d import BorderedSaddle, MixedState, SolverError, solve_saddle_point
+from cnflow.fem2d import BorderedSaddle, MixedState, SolverError
 from cnflow.temporal_ops import GridFunctionCG1, GridFunctionDG0, interval_average
+from cnflow.time_mesh import UNIFORM_RHO_TOL
 
 log = logging.getLogger(__name__)
 
@@ -251,12 +252,12 @@ def _newton(space, momentum, jacobian, U, P, newton, target, label, frozen=None)
     the residual here.  The iteration stops once the residual is at most
     ``target``, or within ``newton.tolerance`` and no longer contracting.
     With a ``frozen`` dict, the factorized Jacobian stored in it under
-    ``"jacobian"`` is tried first and refreshed as soon as the residual
-    stops contracting.  Returns the state and the iteration count.
+    ``"jacobian"`` is tried first, and dropped for a fresh one once its
+    update fails to halve the residual.  Every linear solve counts toward
+    ``newton.max_iterations``.  Returns the state and the iteration count.
     """
     B, c = space.divergence, space.mean_vector
     ii = space.interior_velocity
-    n_i = ii.size
 
     def residual(U, P):
         r, lin = momentum(U, P)
@@ -264,16 +265,6 @@ def _newton(space, momentum, jacobian, U, P, newton, target, label, frozen=None)
         rm = float(c @ P)
         norm = float(np.sqrt(np.dot(r[ii], r[ii]) + np.dot(rd, rd) + rm * rm))
         return r, rd, rm, norm, lin
-
-    def solve_update(saddle, r, rd, rm):
-        rhs = np.zeros(n_i + space.num_pressure + 1)
-        rhs[:n_i] = -r[ii]
-        rhs[n_i:-1] = -rd
-        rhs[-1] = -rm
-        delta = saddle.lu.solve(rhs)
-        dU = np.zeros(space.num_velocity)
-        dU[ii] = delta[:n_i]
-        return dU, delta[n_i:-1]
 
     r, rd, rm, res, lin = residual(U, P)
     prev_res = None
@@ -284,33 +275,28 @@ def _newton(space, momentum, jacobian, U, P, newton, target, label, frozen=None)
         if res <= newton.tolerance and prev_res is not None and res > 0.5 * prev_res:
             # within contract and no longer contracting (round-off floor)
             return MixedState(U, P), it
-        stale = frozen.get("jacobian") if frozen is not None else None
+        saddle = frozen.get("jacobian") if frozen is not None else None
+        reused = saddle is not None
         try:
-            if stale is not None:
-                dU, dP = solve_update(stale, r, rd, rm)
-                U_try, P_try = U + dU, P + dP
-                r2, rd2, rm2, res2, lin2 = residual(U_try, P_try)
-                it += 1
-                if res2 <= max(0.5 * res, target):
-                    U, P, r, rd, rm, prev_res, res, lin = (
-                        U_try, P_try, r2, rd2, rm2, res, res2, lin2)
-                    continue
-                # stale direction stopped contracting: free it, rebuild below
-                del frozen["jacobian"], stale
-            saddle = BorderedSaddle(space, jacobian(lin))
-            if frozen is not None:
-                frozen["jacobian"] = saddle
-            dU, dP = solve_update(saddle, r, rd, rm)
+            if not reused:
+                saddle = BorderedSaddle(space, jacobian(lin))
+                if frozen is not None:
+                    frozen["jacobian"] = saddle
+            dU, dP = saddle.correction(r, rd, rm)
         except (SolverError, RuntimeError) as exc:
             raise NewtonError(f"{label}: linear solve failed: {exc}",
                               iterations=it, residual=res) from None
-        U, P = U + dU, P + dP
-        r, rd, rm, new_res, lin = residual(U, P)
+        U_try, P_try = U + dU, P + dP
+        r_try, rd_try, rm_try, res_try, lin_try = residual(U_try, P_try)
+        it += 1
+        if reused and res_try > max(0.5 * res, target):
+            del frozen["jacobian"]  # freed as ``saddle`` is rebound, before the refresh
+            continue
         if prev_res is not None and prev_res > 0.0:
             log.debug("%s newton it %d residual %.3e (tail %.3e)",
-                      label, it, new_res, new_res / max(res, 1e-300) ** 2)
-        prev_res, res = res, new_res
-        it += 1
+                      label, it, res_try, res_try / max(res, 1e-300) ** 2)
+        U, P, r, rd, rm, lin = U_try, P_try, r_try, rd_try, rm_try, lin_try
+        prev_res, res = res, res_try
     if res <= newton.tolerance:
         return MixedState(U, P), newton.max_iterations
     raise NewtonError(
@@ -319,60 +305,51 @@ def _newton(space, momentum, jacobian, U, P, newton, target, label, frozen=None)
         iterations=newton.max_iterations, residual=res)
 
 
-def _newton_saddle(space, nu, k, u_prev, P0, F, scheme, newton, step_label, slot):
-    """Newton iteration for one implicit interval of the transient problem.
-
-    Scaled pressure ``P = k p`` is the saddle unknown.  The Jacobian
-    carries both linearization terms of the convection form; ``slot`` is
-    the ``_march`` slot of this (scheme, step size), which keeps its
-    linear block and, with ``newton.reuse_jacobian``, the factorized
-    Jacobian that is tried first.
-    """
-    M, A, BT = space.mass, space.stiffness, space.divergence_transpose
-
-    if scheme == "IE":
-        coef_nl, coef_visc = k, k * nu
-    else:
-        coef_nl, coef_visc = 0.25 * k, 0.5 * k * nu
-    if "linear" not in slot:
-        slot["linear"] = (M + coef_visc * A).tocsr()
-    K_lin = slot["linear"]
-
-    def momentum(U, P):
-        w = U if scheme == "IE" else U + u_prev
-        nl = space.convection_apply(w, w)
-        if scheme == "IE":
-            r = M @ (U - u_prev) + k * nu * (A @ U) + k * nl - BT @ P - F
-        else:
-            r = (M @ (U - u_prev) + 0.5 * k * nu * (A @ (U + u_prev))
-                 + 0.25 * k * nl - BT @ P - F)
-        return r, w
-
-    def jacobian(w):
-        return (K_lin + coef_nl * (space.convection(w)
-                                   + space.convection_gradient(w))).tocsr()
-
-    # The pressure is recovered as P / k, so residual noise enters it with
-    # a 1/k amplification; drive the iteration to a k-scaled target (the
-    # configured tolerance remains the hard acceptance contract).
-    target = newton.tolerance * min(1.0, k)
-    return _newton(space, momentum, jacobian, u_prev.copy(), P0.copy(), newton, target,
-                   step_label, slot if newton.reuse_jacobian else None)
-
-
 def nse_cn_solve(spec, mesh, n0=0, newton=None):
     """Navier-Stokes stepping: ``n0`` implicit-Euler steps, then Crank-Nicolson.
 
     The Euler prefix uses the fully implicit convection ``u^n . grad u^n``;
     Crank-Nicolson intervals use the averaged form
-    ``(k/4) (u^n + u^{n-1}) . grad (u^n + u^{n-1})``.
+    ``(k/4) (u^n + u^{n-1}) . grad (u^n + u^{n-1})``.  Each interval is one
+    Newton iteration for the scaled pressure ``P = k p``, whose Jacobian
+    carries both linearization terms of the convection form; the
+    ``_march`` slot of its (scheme, step size) keeps the linear block and,
+    with ``newton.reuse_jacobian``, the factorized Jacobian tried first.
     """
     newton = newton or NewtonConfig()
     space, nu = spec.space, spec.viscosity
+    M, A, BT = space.mass, space.stiffness, space.divergence_transpose
     iterations = []
 
-    def advance(scheme, k, F, u, P, label, slot):
-        state, its = _newton_saddle(space, nu, k, u, P, F, scheme, newton, label, slot)
+    def advance(scheme, k, F, u_prev, P, label, slot):
+        if scheme == "IE":
+            coef_nl, coef_visc = k, k * nu
+        else:
+            coef_nl, coef_visc = 0.25 * k, 0.5 * k * nu
+        if "linear" not in slot:
+            slot["linear"] = (M + coef_visc * A).tocsr()
+        K_lin = slot["linear"]
+
+        def momentum(U, P):
+            w = U if scheme == "IE" else U + u_prev
+            nl = space.convection_apply(w, w)
+            if scheme == "IE":
+                r = M @ (U - u_prev) + k * nu * (A @ U) + k * nl - BT @ P - F
+            else:
+                r = (M @ (U - u_prev) + 0.5 * k * nu * (A @ (U + u_prev))
+                     + 0.25 * k * nl - BT @ P - F)
+            return r, w
+
+        def jacobian(w):
+            return (K_lin + coef_nl * (space.convection(w)
+                                       + space.convection_gradient(w))).tocsr()
+
+        # The pressure is recovered as P / k, so residual noise enters it with
+        # a 1/k amplification; drive the iteration to a k-scaled target (the
+        # configured tolerance remains the hard acceptance contract).
+        target = newton.tolerance * min(1.0, k)
+        state, its = _newton(space, momentum, jacobian, u_prev.copy(), P.copy(), newton,
+                             target, label, slot if newton.reuse_jacobian else None)
         iterations.append(its)
         return state.velocity, state.pressure
 
@@ -385,7 +362,7 @@ def stationary_stokes_solve(space, nu, f0):
     """Stationary Stokes solve (also the Newton initial guess for the NSE)."""
     K = (nu * space.stiffness).tocsr()
     F = space.velocity_load(f0)
-    return solve_saddle_point(space, K, F)
+    return BorderedSaddle(space, K).solve(F)
 
 
 def stationary_nse_solve(space, nu, f0, newton=None):
@@ -427,7 +404,7 @@ def reference_solve(spec, fine_mesh, kind="nse", newton=None):
     Incompatible (stationary-solve) initial data gets an ``n0 = 2``
     implicit-Euler prefix; otherwise no prefix is used.
     """
-    if fine_mesh.rho > 1.0 + 1e-9:
+    if fine_mesh.rho > 1.0 + UNIFORM_RHO_TOL:
         raise ValueError("reference mesh must be uniform")
     n0 = 2 if spec.initial_kind == "stationary" else 0
     return transient_solve(spec, fine_mesh, kind, n0, newton)

@@ -79,6 +79,21 @@ class TimeMesh:
         return base ** alpha
 
 
+UNIFORM_RHO_TOL = 1e-9  # largest rho - 1 of a mesh that counts as uniform
+
+
+def uniform_rho_bound(T, N):
+    """Upper bound on ``rho - 1`` of ``build_uniform_mesh(T, N)``, from ``T`` and ``N``.
+
+    ``np.linspace`` rounds each node ``i * fl(T / N)`` to within half an ulp
+    of ``T`` and pins the last node to ``T``, so every step is within
+    ``ulp(T) + N ulp(fl(T / N)) / 2`` of ``fl(T / N)``.
+    """
+    k = T / N
+    dev = np.spacing(T) + N * np.spacing(k) / 2
+    return 2 * dev / (k - dev) if k > dev else np.inf
+
+
 def build_uniform_mesh(T, N):
     """Uniform mesh with ``N`` intervals on ``[0, T]``."""
     if not 0.0 < T < np.inf:

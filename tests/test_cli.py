@@ -255,6 +255,43 @@ def test_invalid_config_value_exit_code(tmp_path, capsys, override):
     assert "configuration error:" in capsys.readouterr().err
 
 
+def test_reference_beyond_physical_memory_exit_code(tmp_path, monkeypatch, capsys):
+    # physical memory is read from the machine: one page cannot hold even
+    # the tiny run's reference trajectory
+    sysconf = os.sysconf
+    monkeypatch.setattr(os, "sysconf",
+                        lambda name: 1 if name == "SC_PHYS_PAGES" else sysconf(name))
+    assert main(["convergence", "--out", str(tmp_path / "run")] + tiny_overrides()) == 2
+    assert "of physical memory" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("override", ["T=2e6", "T=2e4", "T=2e4 nx=1 ny=1"])
+def test_oversized_run_exit_code_before_any_mesh(tmp_path, override):
+    # 1e8 coarse intervals, a 5.6e11-byte reference trajectory, and a
+    # 3.2e7-interval reference mesh that no rounding of np.linspace leaves
+    # uniform to 1e-9: each is refused from the inputs.  A 1 GiB address
+    # space turns an attempt to build the meshes into a MemoryError.
+    def cap_address_space():
+        import resource
+
+        resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+    config = Path(__file__).parent.parent / "configs" / "stokes_manufactured.cfg"
+    args = ["convergence", "--config", str(config), "--out", str(tmp_path / "run")]
+    for item in override.split():
+        args += ["--set", item]
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-m", "cnflow.cli", *args], env=env,
+                            capture_output=True, text=True, timeout=120,
+                            preexec_fn=cap_address_space)
+    assert result.returncode == 2, result.stderr
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("configuration error:")
+
+
 @pytest.mark.parametrize("target", ["temporal", "spectral-stability",
                                     "spectral-smoothing", "euler-rates"])
 def test_verify_negative_seed_exit_code(tmp_path, capsys, target):

@@ -7,7 +7,6 @@ from cnflow.errors import (
     ConvergenceRecord,
     ErrorSpec,
     fit_loglog,
-    fit_rate,
     midpoint_reconstruction,
     pressure_error,
     velocity_error,
@@ -25,17 +24,25 @@ def synthetic_traj(mesh, pressures, velocities=None, space=None):
                       ["CN"] * mesh.num_intervals, space)
 
 
+def record_fit(ks, errs, norm="pressure_L2l2"):
+    """``ConvergenceRecord.fit`` over one row per ``(k, error)`` pair."""
+    rec = ConvergenceRecord()
+    for k, e in zip(ks, errs):
+        rec.add(k, 0, 0.0, norm, e)
+    return rec.fit(norm)
+
+
 def test_fit_rate_exact_slopes():
-    fit = fit_loglog([0.1, 0.01], [1e-2, 1e-4])
+    fit = record_fit([0.1, 0.01], [1e-2, 1e-4])
     assert fit.slope == pytest.approx(2.0, abs=1e-10)
     ks = np.array([0.2, 0.1, 0.05, 0.025])
-    fit3 = fit_loglog(ks, 3.7 * ks ** 1.75)
+    fit3 = record_fit(ks, 3.7 * ks ** 1.75)
     assert fit3.slope == pytest.approx(1.75, abs=1e-10)
     assert np.allclose(fit3.pairwise, 1.75, atol=1e-10)
 
 
 def test_fit_rate_flat_errors():
-    fit = fit_loglog([0.1, 0.05, 0.025], [3.0, 3.0, 3.0])
+    fit = record_fit([0.1, 0.05, 0.025], [3.0, 3.0, 3.0])
     assert fit.slope == pytest.approx(0.0, abs=1e-12)
 
 
@@ -43,25 +50,29 @@ def test_fit_rate_reported_case_data():
     # weighted rows reported for the incompatible-data experiment
     ks = [0.02, 0.01, 0.005, 0.0025]
     errs = [1.86e-5, 5.07e-6, 1.44e-6, 4.06e-7]
-    fit = fit_loglog(ks, errs)
+    fit = record_fit(ks, errs)
     assert fit.slope == pytest.approx(1.84, abs=0.01)
+    # row order does not reach the fit: rows in any order give the same bits
+    shuffled = record_fit(ks[::-1][1:] + ks[-1:], errs[::-1][1:] + errs[-1:])
+    assert shuffled.slope == fit.slope == fit_loglog(ks, errs).slope
+    assert np.array_equal(shuffled.pairwise, fit.pairwise)
 
 
 def test_fit_rate_rejects_bad_rows():
     with pytest.raises(ValueError):
-        fit_loglog([0.1], [1.0])
+        record_fit([0.1], [1.0])
     with pytest.raises(ValueError):
-        fit_loglog([0.1, 0.05], [1.0, 0.0])
+        record_fit([0.1, 0.05], [1.0, 0.0])
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError):
-            fit_loglog([0.1, 0.05, 0.025], [1e-2, bad, 1e-4])
+            record_fit([0.1, 0.05, 0.025], [1e-2, bad, 1e-4])
     rec = ConvergenceRecord()
     rec.add(0.1, 0, 0.0, "pressure_L2l2", 1e-3)
     rec.add(0.05, 0, 0.0, "pressure_L2l2", 2.5e-4)
     rec.add(0.05, 0, 0.0, "pressure_Linfl2", 1e-3)
-    with pytest.raises(ValueError):
-        fit_rate(rec)  # two norm ids
     assert rec.fit("pressure_L2l2").slope == pytest.approx(2.0, abs=1e-10)
+    with pytest.raises(ValueError):
+        rec.fit("pressure_Linfl2")  # one row
 
 
 def test_record_csv_layout():

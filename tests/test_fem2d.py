@@ -10,7 +10,6 @@ from cnflow.fem2d import (
     BorderedSaddle,
     FemMesh2D,
     build_space,
-    solve_saddle_point,
     triangle_rule,
 )
 from cnflow.schemes import stationary_stokes_solve
@@ -257,7 +256,7 @@ def test_degenerate_element_reported():
 
 def test_saddle_zero_rhs(small_space):
     K = (small_space.mass + small_space.stiffness).tocsr()
-    state = solve_saddle_point(small_space, K, np.zeros(small_space.num_velocity))
+    state = BorderedSaddle(small_space, K).solve(np.zeros(small_space.num_velocity))
     assert np.max(np.abs(state.velocity)) == 0.0
     assert np.max(np.abs(state.pressure)) == 0.0
 
@@ -270,7 +269,7 @@ def test_saddle_pressure_nullspace_filtered(small_space):
     # load of f = grad q_h: (grad q_h, v) = -(q_h, div v) for v in H^1_0
     F = -(space.divergence.T @ q)
     K = (0.01 * space.stiffness).tocsr()
-    state = solve_saddle_point(space, K, F)
+    state = BorderedSaddle(space, K).solve(F)
     assert np.max(np.abs(state.velocity)) < 1e-8
     c = space.mean_vector
     q_shift = q - (c @ q) / c.sum()
@@ -283,7 +282,7 @@ def test_saddle_incompressibility_and_residual(medium_space):
     rng = np.random.default_rng(5)
     F = rng.standard_normal(space.num_velocity)
     K = (space.mass + 0.37 * space.stiffness).tocsr()
-    state = solve_saddle_point(space, K, F)
+    state = BorderedSaddle(space, K).solve(F)
     U = state.velocity
     assert np.linalg.norm(space.divergence @ U) <= 1e-9 * max(np.linalg.norm(U), 1e-30)
     # momentum residual against interior tests (Galerkin orthogonality)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cnflow import fem2d
 from cnflow.fem2d import BorderedSaddle, FemMesh2D, TaylorHoodSpace
 from cnflow.schemes import (
     GeneralForcing,
@@ -17,6 +18,7 @@ from cnflow.schemes import (
     SeparableForcing,
     StationaryInitialData,
     ZeroForcing,
+    _newton,
     nse_cn_solve,
     reference_solve,
     stationary_nse_solve,
@@ -104,9 +106,7 @@ def test_stokes_energy_decay_unforced(medium_space):
     idx = medium_space.interior_velocity
     u0[idx] = rng.standard_normal(idx.size)
     # project onto the discretely divergence-free subspace first
-    from cnflow.fem2d import solve_saddle_point
-    state = solve_saddle_point(medium_space, medium_space.mass,
-                               medium_space.mass @ u0)
+    state = BorderedSaddle(medium_space, medium_space.mass).solve(medium_space.mass @ u0)
     u0 = state.velocity
     spec = ProblemSpec(medium_space, 0.01, ZeroForcing(), u0, 1.0)
     traj = stokes_cn_solve(spec, build_uniform_mesh(1.0, 10))
@@ -157,6 +157,68 @@ def test_newton_failure_carries_step_info(medium_space):
     assert err.value.residual is not None
 
 
+@contextmanager
+def counted_lu_solves():
+    """Counts the ``lu.solve`` calls of every factorization built inside."""
+    count = [0]
+    factorize = fem2d.splu
+
+    class CountedLU:
+        def __init__(self, system):
+            self.lu = factorize(system)
+
+        def solve(self, rhs):
+            count[0] += 1
+            return self.lu.solve(rhs)
+
+    with mock.patch.object(fem2d, "splu", CountedLU):
+        yield count
+
+
+def linear_newton_problem(space):
+    """Momentum ``K U - B^T P - F`` with its exact Jacobian ``K``, and a
+    ``frozen`` slot seeded with the wrong factorization of ``10 K``: its
+    update leaves 90% of the residual, so ``_newton`` must reject it."""
+    K = (space.mass + 0.1 * space.stiffness).tocsr()
+    F = space.velocity_load(lambda x, y: (np.cos(x) * y, np.sin(y) * x))
+    BT = space.divergence_transpose
+
+    def momentum(U, P):
+        return K @ U - BT @ P - F, None
+
+    zero = (np.zeros(space.num_velocity), np.zeros(space.num_pressure))
+    return momentum, lambda _: K, zero, {"jacobian": BorderedSaddle(space, 10 * K)}
+
+
+def test_newton_iteration_cap_bounds_linear_solves(small_space):
+    # a rejected reused update spends the only allowed iteration
+    with counted_lu_solves() as solves:
+        momentum, jacobian, (U, P), frozen = linear_newton_problem(small_space)
+        with pytest.raises(NewtonError) as err:
+            _newton(small_space, momentum, jacobian, U, P,
+                    NewtonConfig(max_iterations=1), 1e-10, "capped", frozen)
+    assert solves[0] == 1
+    assert err.value.iterations == 1
+
+
+def test_newton_rejected_jacobian_freed_before_refresh(small_space):
+    with tracked_saddles() as record, counted_lu_solves() as solves:
+        momentum, exact, (U, P), frozen = linear_newton_problem(small_space)
+        alive_at_refresh = []  # the seeded factorization is the only one before
+
+        def jacobian(lin):
+            alive_at_refresh.append(len(record["live"]))
+            return exact(lin)
+
+        state, its = _newton(small_space, momentum, jacobian, U, P,
+                             NewtonConfig(), 1e-10, "refresh", frozen)
+        assert alive_at_refresh == [0]
+        assert frozen["jacobian"] in record["live"] and record["built"] == 2
+    assert its == solves[0] == 2
+    r, _ = momentum(state.velocity, state.pressure)
+    assert np.linalg.norm(r[small_space.interior_velocity]) <= 1e-10
+
+
 def test_nse_stokes_limit_quadratic(medium_space):
     mesh = build_uniform_mesh(0.5, 5)
     diffs = []
@@ -191,9 +253,8 @@ def test_stationary_nse_gradient_forcing(medium_space):
     q = space.interpolate_pressure(lambda x, y: np.sin(x) * np.cos(y))
     F = -(space.divergence.T @ q)
 
-    from cnflow.fem2d import solve_saddle_point
     for K in ((0.01 * space.stiffness).tocsr(),):
-        state = solve_saddle_point(space, K, F)
+        state = BorderedSaddle(space, K).solve(F)
         assert np.max(np.abs(state.velocity)) < 1e-8
         c = space.mean_vector
         q_shift = q - (c @ q) / c.sum()

@@ -3,7 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnflow.time_mesh import TimeMesh, build_alternating_mesh, build_uniform_mesh
+from cnflow.time_mesh import (
+    TimeMesh,
+    build_alternating_mesh,
+    build_uniform_mesh,
+    uniform_rho_bound,
+)
 
 
 def brute_force_ratios(nodes):
@@ -29,6 +34,20 @@ def test_uniform_single_interval():
 def test_uniform_reference_step():
     mesh = build_uniform_mesh(2.0, 4000)
     assert mesh.k_max == pytest.approx(0.0005, rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(T=st.floats(1e-6, 1e6), N=st.integers(1, 50_000))
+def test_uniform_rho_bound_holds(T, N):
+    assert build_uniform_mesh(T, N).rho - 1.0 <= uniform_rho_bound(T, N)
+
+
+def test_uniform_rho_bound_limits():
+    # the stock references (3,200 and 6,400 steps on [0, 2]) are far inside
+    # the 1e-9 uniformity check; 3.2e7 steps on [0, 2e4] are not
+    assert uniform_rho_bound(2.0, 6400) < 1e-11
+    assert uniform_rho_bound(2e4, 32_000_000) > 1e-9
+    assert uniform_rho_bound(-1.0, 4) == np.inf
 
 
 @pytest.mark.parametrize("bad", [(0.0, 4), (-1.0, 4), (2.0, 0), (np.nan, 4), (np.inf, 4)])
