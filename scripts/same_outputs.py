@@ -4,7 +4,9 @@
 
 In each tree, with that tree's ``src`` first on ``PYTHONPATH``, it runs
 
-- ``cnflow convergence`` on ``configs/stokes_manufactured.cfg``;
+- ``cnflow convergence`` on ``configs/stokes_manufactured.cfg``, and again
+  with an implicit-Euler prefix (``n0=2 k_list=0.02,0.01,0.005
+  refinement=4``), the one study that runs the Stokes Euler steps;
 - ``cnflow convergence`` on ``configs/case_ii_weighted.cfg`` and on
   ``configs/case_i.cfg``, each with ``k_list=0.02,0.01,0.005 refinement=4``;
 - ``cnflow verify`` for every target at seeds 0 and 23.
@@ -26,6 +28,8 @@ from pathlib import Path
 REDUCED = ["--set", "k_list=0.02,0.01,0.005", "--set", "refinement=4"]
 CONVERGENCE = {
     "stokes_manufactured": ["--config", "configs/stokes_manufactured.cfg"],
+    "stokes_euler_prefix": ["--config", "configs/stokes_manufactured.cfg", "--set", "n0=2",
+                            *REDUCED],
     "case_ii_weighted": ["--config", "configs/case_ii_weighted.cfg", *REDUCED],
     "case_i": ["--config", "configs/case_i.cfg", *REDUCED],
 }

@@ -28,8 +28,9 @@ class ErrorSpec:
     ``window_start`` is the number of leading coarse intervals excluded
     from the evaluation window ``(t_{n0}, T]``; weighted norms use it to
     skip the Euler prefix.  ``spatial`` picks the spatial composition:
-    ``"mass"`` (mass-matrix weighted, mesh-size independent) or
-    ``"nodal"`` (plain Euclidean norm of coefficient differences).
+    ``"mass"`` (operator weighted, mesh-size independent: the pressure mass
+    matrix, or the stiffness matrix of ``velocity_LinfV1``) or ``"nodal"``
+    (plain Euclidean norm of coefficient differences, pressure norms only).
     """
 
     norm: str
@@ -46,6 +47,8 @@ class ErrorSpec:
             raise ValueError("window start must be nonnegative")
         if self.spatial not in ("mass", "nodal"):
             raise ValueError(f"unknown spatial norm flavor {self.spatial!r}")
+        if self.spatial == "nodal" and self.norm in VELOCITY_NORMS:
+            raise ValueError(f"{self.norm} is stiffness-weighted and has no nodal variant")
 
 
 @dataclass
@@ -130,16 +133,15 @@ def fit_loglog(k_values, errors):
 
 
 def _spatial_norm_fn(spec, space):
-    """Row-wise spatial norm of ``spec``: one dot product per row of a block."""
+    """Row-wise spatial norm of ``spec``: one dot product per row of a block,
+    ``x . x`` if nodal, else ``x . (S x)`` with the pressure mass matrix, or
+    the stiffness matrix for ``velocity_LinfV1``, as ``S``."""
     if spec.spatial == "nodal":
         return lambda d: np.sqrt([np.dot(x, x) for x in d])
     if space is None:
-        raise ValueError("mass-weighted norms need a trajectory with a spatial space")
-    if spec.norm in PRESSURE_NORMS:
-        M = space.pressure_mass
-    else:
-        M = space.mass
-    return lambda d: np.sqrt([x @ (M @ x) for x in d])
+        raise ValueError("weighted norms need a trajectory with a spatial space")
+    S = space.pressure_mass if spec.norm in PRESSURE_NORMS else space.stiffness
+    return lambda d: np.sqrt([x @ (S @ x) for x in d])
 
 
 def _window_mask(times, coarse_mesh, window_start):
@@ -218,19 +220,15 @@ def velocity_error(traj, ref, spec):
     if spec.norm not in VELOCITY_NORMS:
         raise ValueError(f"{spec.norm} is not a velocity norm")
     _check_pair(traj, ref)
-    space = traj.space or ref.space
-    if space is None:
-        raise ValueError("velocity errors need a trajectory with a spatial space")
+    norm = _spatial_norm_fn(spec, traj.space or ref.space)
     ts = ref.mesh.nodes
     mask = _window_mask(ts, traj.mesh, spec.window_start)
     ts = ts[mask]
     # the window is a suffix of the ascending nodes, so a view serves
-    S, ref_vals = space.stiffness, ref.velocity.values[mask.size - ts.size:]
-    # blocks of nodes: the differences at every node at once cost tens of MB;
-    # one product per row, since a block product may round differently
-    q = np.sqrt([x @ (S @ x)
-                 for b in range(0, ts.size, _NODE_BLOCK)
-                 for x in traj.velocity.evaluate(ts[b:b + _NODE_BLOCK])
-                 - ref_vals[b:b + _NODE_BLOCK]])
+    ref_vals = ref.velocity.values[mask.size - ts.size:]
+    # blocks of nodes: the differences at every node at once cost tens of MB
+    q = np.concatenate([norm(traj.velocity.evaluate(ts[b:b + _NODE_BLOCK])
+                             - ref_vals[b:b + _NODE_BLOCK])
+                        for b in range(0, ts.size, _NODE_BLOCK)])
     w = traj.mesh.tau_values(spec.alpha)[traj.mesh.interval_of(ts) - 1]
     return _compose(np.inf, w, q)

@@ -206,7 +206,21 @@ class TaylorHoodSpace:
 
     # --- assembly ------------------------------------------------------
 
-    def _scatter(self, local, rows_map, cols_map, shape):
+    def _assembled(self, key, build):
+        """The operator cached under ``key``, built by ``build()`` on first use
+        (``perfbench/spans.py`` reads the keys to tell an assembly from a hit)."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
+    def _scatter(self, local, rows_map, cols_map, shape, symmetric=False):
+        """Global CSR matrix of reference-scaled element matrices ``local``
+        (``det`` multiplies them here); ``symmetric`` forms are symmetrized
+        first, so their symmetry does not depend on the association order
+        inside the contraction."""
+        if symmetric:
+            local = 0.5 * (local + np.swapaxes(local, -1, -2))
+        local = self.det[:, None, None] * local
         nt, a, b = local.shape
         rows = np.broadcast_to(rows_map[:, :, None], (nt, a, b)).ravel()
         cols = np.broadcast_to(cols_map[:, None, :], (nt, a, b)).ravel()
@@ -215,99 +229,61 @@ class TaylorHoodSpace:
         mat.sort_indices()
         return mat
 
-    @staticmethod
-    def _symmetrize(local):
-        # enforce exact symmetry of symmetric forms (independent of the
-        # floating-point association order inside the contraction)
-        return 0.5 * (local + np.swapaxes(local, -1, -2))
-
-    def _scalar_mass_local(self):
-        m = np.einsum("q,qi,qj->ij", self.qw, self.phi2, self.phi2)
-        return self.det[:, None, None] * self._symmetrize(m)
-
-    def _scalar_stiffness_local(self):
-        k = np.einsum("q,eqia,eqja->eij", self.qw, self.grad2, self.grad2)
-        return self.det[:, None, None] * self._symmetrize(k)
-
-    def _p1_mass_local(self):
-        m = np.einsum("q,qi,qj->ij", self.qw, self.psi1, self.psi1)
-        return self.det[:, None, None] * self._symmetrize(m)
-
-    def _assemble_scalar(self, kind):
-        if kind == "mass":
-            local = self._scalar_mass_local()
-        elif kind == "stiffness":
-            local = self._scalar_stiffness_local()
-        else:
-            raise ValueError(kind)
-        n = self.num_scalar
-        return self._scatter(local, self.tri_scalar, self.tri_scalar, (n, n))
-
     @property
     def scalar_mass(self):
-        if "Ms" not in self._cache:
-            self._cache["Ms"] = self._assemble_scalar("mass")
-        return self._cache["Ms"]
+        n = self.num_scalar
+        return self._assembled("Ms", lambda: self._scatter(
+            np.einsum("q,qi,qj->ij", self.qw, self.phi2, self.phi2),
+            self.tri_scalar, self.tri_scalar, (n, n), symmetric=True))
 
     @property
     def scalar_stiffness(self):
-        if "As" not in self._cache:
-            self._cache["As"] = self._assemble_scalar("stiffness")
-        return self._cache["As"]
+        n = self.num_scalar
+        return self._assembled("As", lambda: self._scatter(
+            np.einsum("q,eqia,eqja->eij", self.qw, self.grad2, self.grad2),
+            self.tri_scalar, self.tri_scalar, (n, n), symmetric=True))
 
     @property
     def mass(self):
-        if "M" not in self._cache:
-            self._cache["M"] = sp.block_diag(
-                [self.scalar_mass, self.scalar_mass], format="csr")
-        return self._cache["M"]
+        return self._assembled("M", lambda: sp.block_diag(
+            [self.scalar_mass, self.scalar_mass], format="csr"))
 
     @property
     def stiffness(self):
-        if "A" not in self._cache:
-            self._cache["A"] = sp.block_diag(
-                [self.scalar_stiffness, self.scalar_stiffness], format="csr")
-        return self._cache["A"]
+        return self._assembled("A", lambda: sp.block_diag(
+            [self.scalar_stiffness, self.scalar_stiffness], format="csr"))
 
     @property
     def divergence(self):
         """(B U)_q = integral of q_h div u_h; shape (n_pressure, n_velocity)."""
-        if "B" not in self._cache:
-            n_p, n_s = self.num_pressure, self.num_scalar
-            bx = np.einsum("q,qm,eqj->emj", self.qw, self.psi1, self.grad2[..., 0])
-            by = np.einsum("q,qm,eqj->emj", self.qw, self.psi1, self.grad2[..., 1])
-            bx = self._scatter(self.det[:, None, None] * bx,
-                               self.tri_pressure, self.tri_scalar, (n_p, n_s))
-            by = self._scatter(self.det[:, None, None] * by,
-                               self.tri_pressure, self.tri_scalar, (n_p, n_s))
-            self._cache["B"] = sp.hstack([bx, by], format="csr")
-        return self._cache["B"]
+        shape = (self.num_pressure, self.num_scalar)
+        return self._assembled("B", lambda: sp.hstack([self._scatter(
+            np.einsum("q,qm,eqj->emj", self.qw, self.psi1, self.grad2[..., d]),
+            self.tri_pressure, self.tri_scalar, shape) for d in (0, 1)], format="csr"))
 
     @property
     def pressure_mass(self):
-        if "Mp" not in self._cache:
-            n_p = self.num_pressure
-            self._cache["Mp"] = self._scatter(
-                self._p1_mass_local(), self.tri_pressure, self.tri_pressure, (n_p, n_p))
-        return self._cache["Mp"]
+        n_p = self.num_pressure
+        return self._assembled("Mp", lambda: self._scatter(
+            np.einsum("q,qi,qj->ij", self.qw, self.psi1, self.psi1),
+            self.tri_pressure, self.tri_pressure, (n_p, n_p), symmetric=True))
 
     @property
     def mean_vector(self):
         """Vector c with c_q = integral of the pressure basis function q."""
-        if "c" not in self._cache:
+        def build():
             loc = self.det[:, None] * np.einsum("q,qm->m", self.qw, self.psi1)
-            c = np.zeros(self.num_pressure)
+            c = np.zeros(self.num_pressure)  # a COO sum may reorder the duplicates
             np.add.at(c, self.tri_pressure.ravel(),
                       np.broadcast_to(loc, self.tri_pressure.shape).ravel())
-            self._cache["c"] = c
-        return self._cache["c"]
+            return c
+
+        return self._assembled("c", build)
 
     @property
     def divergence_transpose(self):
         """``B^T`` in CSR, for the ``B^T P`` term of every momentum residual."""
-        if "BT" not in self._cache:
-            self._cache["BT"] = self.divergence.T.tocsr()
-        return self._cache["BT"]
+        return self._assembled("BT", lambda: self.divergence.T.tocsr())
 
     def _quadrature_operators(self):
         """Sparse maps between scalar P2 coefficients and the assembly points.
@@ -318,7 +294,7 @@ class TaylorHoodSpace:
         ``val^T`` scaled by ``det * qw``, so ``test @ g`` integrates point
         values ``g`` against every scalar basis function.
         """
-        if "quad_ops" not in self._cache:
+        def build():
             nt, nq = self.mesh.num_triangles, self.qw.size
             shape = (nt * nq, self.num_scalar)
             indptr = np.arange(0, 6 * nt * nq + 1, 6)
@@ -329,10 +305,10 @@ class TaylorHoodSpace:
 
             phi = np.broadcast_to(self.phi2, (nt, nq, 6))
             weight = self.det[:, None, None] * self.qw[:, None]
-            self._cache["quad_ops"] = (
-                point_map(phi), point_map(self.grad2[..., 0]), point_map(self.grad2[..., 1]),
-                point_map(weight * phi).T.tocsr())
-        return self._cache["quad_ops"]
+            return (point_map(phi), point_map(self.grad2[..., 0]),
+                    point_map(self.grad2[..., 1]), point_map(weight * phi).T.tocsr())
+
+        return self._assembled("quad_ops", build)
 
     def _velocity_quadrature_operators(self):
         """``val``, ``gx``, ``gy`` and ``test`` of ``_quadrature_operators`` as
@@ -342,16 +318,15 @@ class TaylorHoodSpace:
         would sort the unsorted indices of ``val`` and with them the order in
         which each row is summed.
         """
-        if "velocity_quad_ops" not in self._cache:
-            def doubled(a):
-                m, n = a.shape
-                return sp.csr_matrix((np.concatenate([a.data, a.data]),
-                                      np.concatenate([a.indices, a.indices + n]),
-                                      np.concatenate([a.indptr, a.indptr[1:] + a.nnz])),
-                                     shape=(2 * m, 2 * n))
+        def doubled(a):
+            m, n = a.shape
+            return sp.csr_matrix((np.concatenate([a.data, a.data]),
+                                  np.concatenate([a.indices, a.indices + n]),
+                                  np.concatenate([a.indptr, a.indptr[1:] + a.nnz])),
+                                 shape=(2 * m, 2 * n))
 
-            self._cache["velocity_quad_ops"] = tuple(map(doubled, self._quadrature_operators()))
-        return self._cache["velocity_quad_ops"]
+        return self._assembled("velocity_quad_ops",
+                               lambda: tuple(map(doubled, self._quadrature_operators())))
 
     def convection_apply(self, w, u):
         """Matrix-free evaluation of the convection term against all tests.
@@ -435,13 +410,14 @@ class TaylorHoodSpace:
         """The blocks every ``BorderedSaddle`` of this space shares: the
         divergence on interior velocity nodes and the zero-mean border
         column ``c``."""
-        if "saddle_border" not in self._cache:
+        def build():
             B_i = self.divergence[:, self.interior_velocity].tocsr()
             n_p = self.num_pressure
             c_col = sp.csr_matrix((self.mean_vector, (np.arange(n_p), np.zeros(n_p, dtype=int))),
                                   shape=(n_p, 1))
-            self._cache["saddle_border"] = (B_i, c_col)
-        return self._cache["saddle_border"]
+            return B_i, c_col
+
+        return self._assembled("saddle_border", build)
 
 
 def build_space(bounds, nx, ny):

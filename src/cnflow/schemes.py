@@ -22,6 +22,10 @@ from cnflow.time_mesh import UNIFORM_RHO_TOL
 
 log = logging.getLogger(__name__)
 
+# theta of the theta-scheme per interval tag: implicit Euler, Crank-Nicolson.
+# Both are powers of two, so a theta-scaled product rounds as the unscaled one.
+THETA = {"IE": 1.0, "CN": 0.5}
+
 
 class NewtonError(SolverError):
     def __init__(self, message, step=None, iterations=None, residual=None):
@@ -213,13 +217,12 @@ def _march(spec, mesh, n0, kind, newton, advance):
 
 
 def stokes_cn_solve(spec, mesh, n0=0):
-    """Crank-Nicolson Stokes stepping with an ``n0``-step Euler prefix.
+    """Theta-scheme Stokes stepping: ``n0`` implicit-Euler steps, then Crank-Nicolson.
 
-    Implicit Euler intervals solve
-        ``(M + k nu A) u^n - B^T P = F_n + M u^{n-1}``
-    and Crank-Nicolson intervals
-        ``(M + k nu A / 2) u^n - B^T P = F_n + (M - k nu A / 2) u^{n-1}``
-    with ``P = k p^n``, discrete incompressibility and zero pressure mean
+    Each interval solves
+        ``(M + theta k nu A) u^n - B^T P = F_n + (M - (1 - theta) k nu A) u^{n-1}``
+    with ``theta = THETA[scheme]`` (1 for Euler, 1/2 for Crank-Nicolson),
+    ``P = k p^n``, discrete incompressibility and zero pressure mean
     enforced through the bordered constraint.
     """
     space, nu = spec.space, spec.viscosity
@@ -227,11 +230,9 @@ def stokes_cn_solve(spec, mesh, n0=0):
 
     def advance(scheme, k, F, u, P, label, slot):
         if not slot:
-            if scheme == "IE":
-                K, K_exp = (M + k * nu * A).tocsr(), M
-            else:
-                half = 0.5 * k * nu
-                K, K_exp = (M + half * A).tocsr(), (M - half * A).tocsr()
+            theta = THETA[scheme]
+            K = (M + theta * k * nu * A).tocsr()
+            K_exp = M if theta == 1.0 else (M - (1.0 - theta) * k * nu * A).tocsr()
             slot["factors"] = (BorderedSaddle(space, K), K_exp)
         saddle, K_exp = slot["factors"]
         try:
@@ -306,15 +307,17 @@ def _newton(space, momentum, jacobian, U, P, newton, target, label, frozen=None)
 
 
 def nse_cn_solve(spec, mesh, n0=0, newton=None):
-    """Navier-Stokes stepping: ``n0`` implicit-Euler steps, then Crank-Nicolson.
+    """Theta-scheme Navier-Stokes stepping: ``n0`` implicit-Euler steps, then
+    Crank-Nicolson.
 
-    The Euler prefix uses the fully implicit convection ``u^n . grad u^n``;
-    Crank-Nicolson intervals use the averaged form
-    ``(k/4) (u^n + u^{n-1}) . grad (u^n + u^{n-1})``.  Each interval is one
-    Newton iteration for the scaled pressure ``P = k p``, whose Jacobian
-    carries both linearization terms of the convection form; the
-    ``_march`` slot of its (scheme, step size) keeps the linear block and,
-    with ``newton.reuse_jacobian``, the factorized Jacobian tried first.
+    Each interval is one Newton iteration for the scaled pressure ``P = k p``
+    on the residual ``M (U - u^{n-1}) + k nu A w + k N(w, w) - B^T P - F_n``,
+    with ``theta = THETA[scheme]``: ``w = U`` for Euler (fully implicit
+    convection) and the midpoint ``w = theta (U + u^{n-1})`` for
+    Crank-Nicolson.  Its Jacobian ``M + theta k nu A + theta k (C(w) + G(w))``
+    carries both linearization terms of the convection form; the ``_march``
+    slot of its (scheme, step size) keeps the linear block and, with
+    ``newton.reuse_jacobian``, the factorized Jacobian tried first.
     """
     newton = newton or NewtonConfig()
     space, nu = spec.space, spec.viscosity
@@ -322,27 +325,20 @@ def nse_cn_solve(spec, mesh, n0=0, newton=None):
     iterations = []
 
     def advance(scheme, k, F, u_prev, P, label, slot):
-        if scheme == "IE":
-            coef_nl, coef_visc = k, k * nu
-        else:
-            coef_nl, coef_visc = 0.25 * k, 0.5 * k * nu
+        theta = THETA[scheme]
         if "linear" not in slot:
-            slot["linear"] = (M + coef_visc * A).tocsr()
+            slot["linear"] = (M + theta * k * nu * A).tocsr()
         K_lin = slot["linear"]
 
         def momentum(U, P):
-            w = U if scheme == "IE" else U + u_prev
-            nl = space.convection_apply(w, w)
-            if scheme == "IE":
-                r = M @ (U - u_prev) + k * nu * (A @ U) + k * nl - BT @ P - F
-            else:
-                r = (M @ (U - u_prev) + 0.5 * k * nu * (A @ (U + u_prev))
-                     + 0.25 * k * nl - BT @ P - F)
+            w = U if theta == 1.0 else theta * (U + u_prev)
+            r = (M @ (U - u_prev) + k * nu * (A @ w) + k * space.convection_apply(w, w)
+                 - BT @ P - F)
             return r, w
 
         def jacobian(w):
-            return (K_lin + coef_nl * (space.convection(w)
-                                       + space.convection_gradient(w))).tocsr()
+            return (K_lin + theta * k * (space.convection(w)
+                                         + space.convection_gradient(w))).tocsr()
 
         # The pressure is recovered as P / k, so residual noise enters it with
         # a 1/k amplification; drive the iteration to a k-scaled target (the

@@ -53,9 +53,37 @@ assert expected <= seen, sorted(expected - seen)
 """
 
 
-def test_span_install_binds_every_entry_point():
+# every cached operator property that spans.install wraps, read twice on a
+# fresh space: each first read assembles once, no second read assembles
+ASSEMBLY_SCRIPT = """
+import spans
+from cnflow.fem2d import build_space
+
+tracer = spans.Tracer()
+spans.install(tracer)
+space = build_space((0.0, 2.0, 0.0, 1.0), 3, 2)
+names = ("scalar_mass", "scalar_stiffness", "mass", "stiffness", "divergence",
+         "pressure_mass", "mean_vector")
+for assembled in (7, 0):
+    first = len(tracer.spans)
+    for name in names:
+        getattr(space, name)
+    read = [span[spans.NAME] for span in tracer.spans[first:]]
+    assert read == ["fem2d.assembly"] * assembled, read
+"""
+
+
+def run_traced(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "perfbench"), str(ROOT / "src")])
-    proc = subprocess.run([sys.executable, "-c", SCRIPT], env=env, cwd=ROOT,
+    proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_span_install_binds_every_entry_point():
+    run_traced(SCRIPT)
+
+
+def test_cached_operator_assembles_once():
+    run_traced(ASSEMBLY_SCRIPT)

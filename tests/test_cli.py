@@ -232,6 +232,9 @@ def test_main_exit_codes(tmp_path, capsys):
                                       "forcing=zero", "initial=stationary", "seed=1",
                                       "k_list=0.1,0.1", "k_list=0.02,0.02,0.01",
                                       "norms=velocity_L2V2avg",
+                                      # the stiffness-weighted velocity norm
+                                      # has no nodal variant
+                                      "norms=velocity_LinfV1 spatial_norm=nodal",
                                       # a cell area that underflows to 0, a width
                                       # that overflows, and a subnormal cell area
                                       # whose reciprocal overflows

@@ -94,6 +94,8 @@ def test_error_spec_validation():
         ErrorSpec("pressure_L2l2", alpha=-1.0)
     with pytest.raises(ValueError):
         ErrorSpec("pressure_L2l2", spatial="fancy")
+    with pytest.raises(ValueError):  # the velocity norm is stiffness-weighted only
+        ErrorSpec("velocity_LinfV1", spatial="nodal")
 
 
 def test_identical_trajectories_zero_error():
@@ -250,7 +252,7 @@ def test_velocity_error_requires_space():
     fine = build_uniform_mesh(1.0, 32)
     traj = synthetic_traj(fine, np.zeros((32, 2)))
     with pytest.raises(ValueError):
-        velocity_error(traj, traj, ErrorSpec("velocity_LinfV1", spatial="nodal"))
+        velocity_error(traj, traj, ErrorSpec("velocity_LinfV1"))
 
 
 def test_velocity_errors_on_space(small_space):

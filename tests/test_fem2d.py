@@ -64,12 +64,14 @@ def test_boundary_detection(small_space):
 
 
 def test_p1_mass_reference_values(two_element_space):
-    # both triangles have area 1/2: local P1 mass has diagonal 1/12 and
-    # off-diagonal 1/24
-    local = two_element_space._p1_mass_local()
-    expected = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 24.0
-    assert np.allclose(local[0], expected, atol=1e-15)
-    assert np.allclose(local[1], expected, atol=1e-15)
+    # both triangles (vertices 0, 1, 3 and 0, 3, 2) have area 1/2: each adds
+    # a P1 mass with diagonal 1/12 and off-diagonal 1/24, summed at the
+    # shared diagonal vertices 0 and 3; vertices 1 and 2 share no triangle
+    expected = np.array([[4.0, 1.0, 1.0, 2.0],
+                         [1.0, 2.0, 0.0, 1.0],
+                         [1.0, 0.0, 2.0, 1.0],
+                         [2.0, 1.0, 1.0, 4.0]]) / 24.0
+    assert np.allclose(two_element_space.pressure_mass.toarray(), expected, atol=1e-15)
 
 
 def test_csr_invariants(small_space):

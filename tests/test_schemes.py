@@ -18,6 +18,7 @@ from cnflow.schemes import (
     SeparableForcing,
     StationaryInitialData,
     ZeroForcing,
+    _march,
     _newton,
     nse_cn_solve,
     reference_solve,
@@ -98,6 +99,94 @@ def test_nse_steps_satisfy_scheme_equations(medium_space):
     # intervals
     wrong = step_residuals(medium_space, traj, spec, convective=False)
     assert np.min(wrong) > 1e-8
+
+
+def explicit_stokes_solve(spec, mesh, n0):
+    """Stokes stepping with the implicit-Euler and Crank-Nicolson operators
+    written out one by one: the bitwise reference of the theta table."""
+    space, nu = spec.space, spec.viscosity
+    M, A = space.mass, space.stiffness
+
+    def advance(scheme, k, F, u, P, label, slot):
+        if not slot:
+            if scheme == "IE":
+                K, K_exp = (M + k * nu * A).tocsr(), M
+            else:
+                half = 0.5 * k * nu
+                K, K_exp = (M + half * A).tocsr(), (M - half * A).tocsr()
+            slot["factors"] = (BorderedSaddle(space, K), K_exp)
+        saddle, K_exp = slot["factors"]
+        state = saddle.solve(F + K_exp @ u)
+        return state.velocity, state.pressure
+
+    return _march(spec, mesh, n0, "stokes", None, advance)
+
+
+def explicit_nse_solve(spec, mesh, n0, newton):
+    """Navier-Stokes stepping with the implicit-Euler and Crank-Nicolson
+    residuals and Jacobians written out one by one, the bitwise reference of
+    the theta table; also returns the Newton iteration count of each interval."""
+    space, nu = spec.space, spec.viscosity
+    M, A, BT = space.mass, space.stiffness, space.divergence_transpose
+    iterations = []
+
+    def advance(scheme, k, F, u_prev, P, label, slot):
+        if scheme == "IE":
+            coef_nl, coef_visc = k, k * nu
+        else:
+            coef_nl, coef_visc = 0.25 * k, 0.5 * k * nu
+        if "linear" not in slot:
+            slot["linear"] = (M + coef_visc * A).tocsr()
+        K_lin = slot["linear"]
+
+        def momentum(U, P):
+            w = U if scheme == "IE" else U + u_prev
+            nl = space.convection_apply(w, w)
+            if scheme == "IE":
+                r = M @ (U - u_prev) + k * nu * (A @ U) + k * nl - BT @ P - F
+            else:
+                r = (M @ (U - u_prev) + 0.5 * k * nu * (A @ (U + u_prev))
+                     + 0.25 * k * nl - BT @ P - F)
+            return r, w
+
+        def jacobian(w):
+            return (K_lin + coef_nl * (space.convection(w)
+                                       + space.convection_gradient(w))).tocsr()
+
+        state, its = _newton(space, momentum, jacobian, u_prev.copy(), P.copy(), newton,
+                             newton.tolerance * min(1.0, k), label,
+                             slot if newton.reuse_jacobian else None)
+        iterations.append(its)
+        return state.velocity, state.pressure
+
+    return _march(spec, mesh, n0, "nse", newton, advance), iterations
+
+
+def assert_same_bytes(a, b):
+    assert a.scheme_tags == b.scheme_tags
+    assert a.velocity.values.tobytes() == b.velocity.values.tobytes()
+    assert a.pressure.values.tobytes() == b.pressure.values.tobytes()
+
+
+def test_theta_table_matches_explicit_stokes_steps(small_space):
+    spec = ProblemSpec(small_space, 0.01, ramp_forcing(), None, 0.5)
+    mesh = build_alternating_mesh(0.5, 0.1, [0.8, 1.2])
+    assert_same_bytes(stokes_cn_solve(spec, mesh, n0=2), explicit_stokes_solve(spec, mesh, 2))
+
+
+@pytest.mark.parametrize("reuse", [True, False])
+def test_theta_table_matches_explicit_nse_steps(small_space, reuse):
+    # initial velocity of size 3: the convection moves every Newton step
+    u0 = stationary_stokes_solve(
+        small_space, 0.01, lambda x, y: (np.sin(x) * y, np.cos(y) * x)).velocity
+    spec = ProblemSpec(small_space, 0.01, ramp_forcing(), u0, 0.5)
+    mesh = build_alternating_mesh(0.5, 0.1, [0.8, 1.2])
+    newton = NewtonConfig(reuse_jacobian=reuse)
+    traj = nse_cn_solve(spec, mesh, n0=2, newton=newton)
+    explicit, iterations = explicit_nse_solve(spec, mesh, 2, newton)
+    assert_same_bytes(traj, explicit)
+    assert traj.newton_iterations.tolist() == iterations
+    assert traj.scheme_tags[:3] == ["IE", "IE", "CN"] and min(iterations) >= 1
 
 
 def test_stokes_energy_decay_unforced(medium_space):
