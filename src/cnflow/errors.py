@@ -6,7 +6,7 @@ reference mesh, a spatial norm is applied to the difference, and the
 values are composed in time either by the midpoint-rule L2 sum or by a
 maximum.  Weighted variants multiply each sample by the smoothing weight
 of the coarse-mesh interval containing it, and a window ``(t_n0, T]``
-restricts the samples.
+restricts the samples.  Velocity errors sample the reference nodes alike.
 """
 
 from dataclasses import dataclass, field
@@ -16,9 +16,13 @@ import numpy as np
 from cnflow.temporal_ops import _compose
 from cnflow.time_mesh import UNIFORM_RHO_TOL
 
-PRESSURE_NORMS = ("pressure_L2l2", "pressure_Linfl2")
-VELOCITY_NORMS = ("velocity_LinfV1",)
-_NODE_BLOCK = 256  # reference nodes evaluated together by velocity_LinfV1
+# norm id -> (field it reads, temporal exponent p of ``_compose``)
+NORMS = {
+    "pressure_L2l2": ("pressure", 2),
+    "pressure_Linfl2": ("pressure", np.inf),
+    "velocity_LinfV1": ("velocity", np.inf),
+}
+_NODE_BLOCK = 256  # reference samples evaluated together by ``_sampled_error``
 
 
 @dataclass(frozen=True)
@@ -39,7 +43,7 @@ class ErrorSpec:
     spatial: str = "mass"
 
     def __post_init__(self):
-        if self.norm not in PRESSURE_NORMS + VELOCITY_NORMS:
+        if self.norm not in NORMS:
             raise ValueError(f"unknown norm id {self.norm!r}")
         if self.alpha < 0.0:
             raise ValueError("weight exponent must be nonnegative")
@@ -47,7 +51,7 @@ class ErrorSpec:
             raise ValueError("window start must be nonnegative")
         if self.spatial not in ("mass", "nodal"):
             raise ValueError(f"unknown spatial norm flavor {self.spatial!r}")
-        if self.spatial == "nodal" and self.norm in VELOCITY_NORMS:
+        if self.spatial == "nodal" and NORMS[self.norm][0] == "velocity":
             raise ValueError(f"{self.norm} is stiffness-weighted and has no nodal variant")
 
 
@@ -140,18 +144,8 @@ def _spatial_norm_fn(spec, space):
         return lambda d: np.sqrt([np.dot(x, x) for x in d])
     if space is None:
         raise ValueError("weighted norms need a trajectory with a spatial space")
-    S = space.pressure_mass if spec.norm in PRESSURE_NORMS else space.stiffness
+    S = space.pressure_mass if NORMS[spec.norm][0] == "pressure" else space.stiffness
     return lambda d: np.sqrt([x @ (S @ x) for x in d])
-
-
-def _window_mask(times, coarse_mesh, window_start):
-    if window_start >= coarse_mesh.num_intervals:
-        raise ValueError("window start leaves no intervals")
-    t_start = coarse_mesh.nodes[window_start]
-    mask = times > t_start
-    if not np.any(mask):
-        raise ValueError("window contains no evaluation times")
-    return mask
 
 
 def _check_pair(traj, ref):
@@ -184,6 +178,28 @@ def midpoint_reconstruction(pressure, ts):
     return (1.0 - theta) * vals[seg - 1] + theta * vals[seg]
 
 
+def _sampled_error(traj, ref, spec, field, times, ref_values, coarse_at, k=None):
+    """The ``field`` norm of ``spec`` of ``coarse_at(times) - ref_values``
+    over the window, each sample weighted by its coarse interval's smoothing
+    weight; ``k`` is the step of the temporal L2 sum."""
+    if NORMS[spec.norm][0] != field:
+        raise ValueError(f"{spec.norm} is not a {field} norm")
+    _check_pair(traj, ref)
+    norm = _spatial_norm_fn(spec, traj.space or ref.space)
+    if spec.window_start >= traj.mesh.num_intervals:
+        raise ValueError("window start leaves no intervals")
+    ts = times[times > traj.mesh.nodes[spec.window_start]]
+    if not ts.size:
+        raise ValueError("window contains no evaluation times")
+    # the window is a suffix of the ascending times, so a view serves
+    ref_values = ref_values[times.size - ts.size:]
+    # blocks of samples: the differences at every sample at once cost tens of MB
+    q = np.concatenate([norm(coarse_at(ts[b:b + _NODE_BLOCK]) - ref_values[b:b + _NODE_BLOCK])
+                        for b in range(0, ts.size, _NODE_BLOCK)])
+    w = traj.mesh.tau_values(spec.alpha)[traj.mesh.interval_of(ts) - 1]
+    return _compose(NORMS[spec.norm][1], w, q, k)
+
+
 def pressure_error(traj, ref, spec):
     """Midpoint-rule pressure error of ``traj`` against the reference.
 
@@ -193,21 +209,12 @@ def pressure_error(traj, ref, spec):
     stored values; the smoothing weight of the coarse interval containing
     each midpoint multiplies the spatial norm of the difference.
     """
-    if spec.norm not in PRESSURE_NORMS:
-        raise ValueError(f"{spec.norm} is not a pressure norm")
-    _check_pair(traj, ref)
     fine = ref.mesh
-    # the midpoint rule below weights every sample with one step
+    # the midpoint rule weights every sample with one step
     if fine.rho > 1.0 + UNIFORM_RHO_TOL:
         raise ValueError("reference mesh must be uniform")
-    k0 = fine.steps[0]
-    tm = fine.midpoints
-    mask = _window_mask(tm, traj.mesh, spec.window_start)
-    tm = tm[mask]
-    d = midpoint_reconstruction(traj.pressure, tm) - ref.pressure.values[mask]
-    q = _spatial_norm_fn(spec, traj.space or ref.space)(d)
-    w = traj.mesh.tau_values(spec.alpha)[traj.mesh.interval_of(tm) - 1]
-    return _compose(2 if spec.norm == "pressure_L2l2" else np.inf, w, q, k0)
+    return _sampled_error(traj, ref, spec, "pressure", fine.midpoints, ref.pressure.values,
+                          lambda ts: midpoint_reconstruction(traj.pressure, ts), fine.steps[0])
 
 
 def velocity_error(traj, ref, spec):
@@ -217,18 +224,5 @@ def velocity_error(traj, ref, spec):
     the window) of the stiffness-weighted seminorm of the difference of
     the piecewise-linear evaluations.
     """
-    if spec.norm not in VELOCITY_NORMS:
-        raise ValueError(f"{spec.norm} is not a velocity norm")
-    _check_pair(traj, ref)
-    norm = _spatial_norm_fn(spec, traj.space or ref.space)
-    ts = ref.mesh.nodes
-    mask = _window_mask(ts, traj.mesh, spec.window_start)
-    ts = ts[mask]
-    # the window is a suffix of the ascending nodes, so a view serves
-    ref_vals = ref.velocity.values[mask.size - ts.size:]
-    # blocks of nodes: the differences at every node at once cost tens of MB
-    q = np.concatenate([norm(traj.velocity.evaluate(ts[b:b + _NODE_BLOCK])
-                             - ref_vals[b:b + _NODE_BLOCK])
-                        for b in range(0, ts.size, _NODE_BLOCK)])
-    w = traj.mesh.tau_values(spec.alpha)[traj.mesh.interval_of(ts) - 1]
-    return _compose(np.inf, w, q)
+    return _sampled_error(traj, ref, spec, "velocity", ref.mesh.nodes, ref.velocity.values,
+                          traj.velocity.evaluate)

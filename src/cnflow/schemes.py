@@ -53,8 +53,10 @@ class NewtonConfig:
     reuse_jacobian: bool = True
 
     def __post_init__(self):
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.tolerance < np.inf:
+            raise ValueError("tolerance must be positive and finite")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be at least 1")
 
 
 # --- forcing terms ----------------------------------------------------

@@ -235,6 +235,10 @@ def test_main_exit_codes(tmp_path, capsys):
                                       # the stiffness-weighted velocity norm
                                       # has no nodal variant
                                       "norms=velocity_LinfV1 spatial_norm=nodal",
+                                      # a repeated norm gives rows of equal k,
+                                      # whose pairwise rate is nan
+                                      "nx=4 ny=4 T=0.4 k_list=0.1,0.05 refinement=4 "
+                                      "norms=pressure_L2l2,pressure_L2l2",
                                       # a cell area that underflows to 0, a width
                                       # that overflows, and a subnormal cell area
                                       # whose reciprocal overflows

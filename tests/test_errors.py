@@ -297,6 +297,30 @@ def test_velocity_linf_is_the_node_by_node_formula_bitwise(small_space):
         assert np.float64(got).tobytes() == np.max(w * q).tobytes()
 
 
+def test_pressure_norms_are_the_sample_by_sample_formula_bitwise(small_space):
+    # more reference midpoints than one evaluation block, with and without a
+    # window and weight, for each pressure norm in mass and nodal form
+    space = small_space
+    fine, coarse = build_uniform_mesh(1.0, 600), build_alternating_mesh(1.0, 0.1, (0.8, 1.2))
+    rng = np.random.default_rng(31)
+    ref = synthetic_traj(fine, rng.standard_normal((600, space.num_pressure)), space=space)
+    traj = synthetic_traj(coarse, rng.standard_normal((coarse.num_intervals,
+                                                       space.num_pressure)), space=space)
+    Mp, k0 = space.pressure_mass, fine.steps[0]
+    for window_start, alpha in ((0, 0.0), (3, 1.5)):
+        mask = fine.midpoints > coarse.nodes[window_start]
+        ts = fine.midpoints[mask]
+        d = [midpoint_reconstruction(traj.pressure, [t])[0] - r
+             for t, r in zip(ts, ref.pressure.values[mask])]
+        w = coarse.tau_values(alpha)[coarse.interval_of(ts) - 1]
+        for spatial, q in (("mass", np.sqrt([x @ (Mp @ x) for x in d])),
+                           ("nodal", np.sqrt([np.dot(x, x) for x in d]))):
+            for norm, want in (("pressure_L2l2", np.sqrt(np.sum(k0 * (w * q) ** 2))),
+                               ("pressure_Linfl2", np.max(w * q))):
+                got = pressure_error(traj, ref, ErrorSpec(norm, alpha, window_start, spatial))
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 def test_rate_fit_csv_row():
     fit = fit_loglog([0.1, 0.05], [1e-2, 2.5e-3])
     row = fit.csv_row()

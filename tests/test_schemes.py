@@ -236,6 +236,15 @@ def test_newton_converges_immediately_for_zero_problem(medium_space):
     assert np.max(np.abs(traj.velocity.values)) == 0.0
 
 
+@pytest.mark.parametrize("kwargs", [{"tolerance": float("nan")}, {"tolerance": np.inf},
+                                    {"tolerance": 0.0}, {"max_iterations": 0},
+                                    {"max_iterations": -3}])
+def test_newton_config_rejects_unusable_controls(kwargs):
+    # a nan tolerance can never be met, and no iteration cannot converge
+    with pytest.raises(ValueError):
+        NewtonConfig(**kwargs)
+
+
 def test_newton_failure_carries_step_info(medium_space):
     spec = ProblemSpec(medium_space, 0.01, ramp_forcing(), None, 0.5)
     cfg = NewtonConfig(tolerance=1e-10, max_iterations=1, reuse_jacobian=False)
