@@ -8,9 +8,10 @@ In each tree, with that tree's ``src`` first on ``PYTHONPATH``, it runs
   with an implicit-Euler prefix (``n0=2 k_list=0.02,0.01,0.005
   refinement=4``), the one study that runs the Stokes Euler steps;
 - ``cnflow convergence`` on ``configs/stokes_manufactured.cfg`` with
-  ``k_list=0.02,0.01,0.005 refinement=4`` twice more: all three norms
-  weighted (``n0=1 alpha=2``), and both pressure norms with
-  ``spatial_norm=nodal``;
+  ``k_list=0.02,0.01,0.005 refinement=4`` three times more: all three norms
+  weighted (``n0=1 alpha=2``), both pressure norms with
+  ``spatial_norm=nodal``, and ``velocity_LinfV1`` alone, the one study whose
+  trajectories store the velocity without the pressure;
 - ``cnflow convergence`` on ``configs/case_ii_weighted.cfg`` and on
   ``configs/case_i.cfg``, each with ``k_list=0.02,0.01,0.005 refinement=4``;
 - ``cnflow verify`` for every target at seeds 0 and 23.
@@ -40,6 +41,8 @@ CONVERGENCE = {
     "stokes_nodal": ["--config", "configs/stokes_manufactured.cfg", "--set",
                      "norms=pressure_L2l2,pressure_Linfl2", "--set", "spatial_norm=nodal",
                      *REDUCED],
+    "stokes_velocity_only": ["--config", "configs/stokes_manufactured.cfg", "--set",
+                             "norms=velocity_LinfV1", *REDUCED],
     "case_ii_weighted": ["--config", "configs/case_ii_weighted.cfg", *REDUCED],
     "case_i": ["--config", "configs/case_i.cfg", *REDUCED],
 }

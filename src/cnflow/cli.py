@@ -37,6 +37,7 @@ from cnflow.errors import (
     NORMS,
     ConvergenceRecord,
     ErrorSpec,
+    fields_read,
     fit_loglog,
     pressure_error,
     velocity_error,
@@ -163,16 +164,20 @@ class RunConfig:
                               "positive with a finite reciprocal")
         if self.window_start is None:
             self.window_start = self.n0 if self.alpha > 0 else 0
-        self.error_specs()  # rejects unknown norms and bad weights or windows
+        fields = fields_read(self.error_specs())  # rejects unknown norms, bad weights or windows
         if len(set(self.norms)) < len(self.norms):
             raise ConfigError(f"norms repeat: {','.join(self.norms)}")
         if self.T <= 0.0:
             raise ConfigError("final time must be positive")
-        # every mesh grows with T / min(k): before one is built, the reference
-        # trajectory must fit in memory and its mesh must pass reference_solve
+        # every mesh grows with T / min(k): before one is built, the fields of
+        # the reference trajectory that the norms read must fit in memory and
+        # its mesh must pass reference_solve
         N0 = reference_intervals(self.T, self.k_list, self.refinement)
         num_velocity = 2 * (2 * self.nx + 1) * (2 * self.ny + 1)  # P2 nodes, two components
-        need, have = (N0 + 1) * num_velocity * 8, physical_memory()
+        num_pressure = (self.nx + 1) * (self.ny + 1)  # P1 vertices
+        need = 8 * (("velocity" in fields) * (N0 + 1) * num_velocity
+                    + ("pressure" in fields) * N0 * num_pressure)
+        have = physical_memory()
         if need > have:
             raise ConfigError(f"the reference trajectory of {N0} intervals needs "
                               f"{need / 1e9:.3g} GB, more than the {have / 1e9:.3g} GB "
@@ -262,12 +267,13 @@ def reference_intervals(T, k_list, refinement):
     return N0
 
 
-def build_reference(spec, kind, k_list, refinement):
-    """Uniform-mesh reference trajectory with step about min(k)/refinement."""
+def build_reference(spec, kind, k_list, refinement, error_specs):
+    """Uniform-mesh reference trajectory with step about min(k)/refinement,
+    storing the fields that ``error_specs`` read."""
     from cnflow.schemes import reference_solve
 
     fine = build_uniform_mesh(spec.T, reference_intervals(spec.T, k_list, refinement))
-    return reference_solve(spec, fine, kind=kind)
+    return reference_solve(spec, fine, kind=kind, fields=fields_read(error_specs))
 
 
 def convergence_rows(spec, kind, reference, k, pattern, n0, error_specs):
@@ -276,7 +282,7 @@ def convergence_rows(spec, kind, reference, k, pattern, n0, error_specs):
     from cnflow.schemes import transient_solve
 
     mesh = build_alternating_mesh(spec.T, k, pattern)
-    traj = transient_solve(spec, mesh, kind, n0)
+    traj = transient_solve(spec, mesh, kind, n0, fields=fields_read(error_specs))
     rows = []
     for es in error_specs:
         # looked up per call, so a tracer that rebinds either function sees it
@@ -313,7 +319,7 @@ def run_convergence(config):
     with ThreadPoolExecutor(max_workers=config.threads) as pool:
         t0 = time.perf_counter()
         reference = pool.submit(build_reference, spec, kind, config.k_list,
-                                config.refinement).result()
+                                config.refinement, error_specs).result()
         timings.append(("reference", time.perf_counter() - t0))
         iterations = [("reference", reference.newton_iterations)]
         futures = [(k, pool.submit(one, k)) for k in config.k_list]
@@ -337,6 +343,8 @@ def run_convergence(config):
         fh.write(f"version = {__version__}\n")
         for key, value in config.items():
             fh.write(f"{key} = {value}\n")
+        fh.write(f"stored_fields = {','.join(fields_read(error_specs))}\n")
+        fh.write(f"reference_euler_steps = {reference.n0}\n")
         for norm in record.norms():
             try:
                 fh.write(f"fitted_rate[{norm}] = {record.fit(norm).slope!r}\n")

@@ -25,6 +25,12 @@ NORMS = {
 _NODE_BLOCK = 256  # reference samples evaluated together by ``_sampled_error``
 
 
+def fields_read(error_specs):
+    """The trajectory fields the norms of ``error_specs`` read, each once, in
+    the order the norms first name them."""
+    return tuple(dict.fromkeys(NORMS[es.norm][0] for es in error_specs))
+
+
 @dataclass(frozen=True)
 class ErrorSpec:
     """Selection of one error norm.
@@ -45,8 +51,8 @@ class ErrorSpec:
     def __post_init__(self):
         if self.norm not in NORMS:
             raise ValueError(f"unknown norm id {self.norm!r}")
-        if self.alpha < 0.0:
-            raise ValueError("weight exponent must be nonnegative")
+        if not 0.0 <= self.alpha < np.inf:
+            raise ValueError("weight exponent must be nonnegative and finite")
         if self.window_start < 0:
             raise ValueError("window start must be nonnegative")
         if self.spatial not in ("mass", "nodal"):
@@ -148,12 +154,16 @@ def _spatial_norm_fn(spec, space):
     return lambda d: np.sqrt([x @ (S @ x) for x in d])
 
 
-def _check_pair(traj, ref):
+def _check_pair(traj, ref, field):
+    """Both trajectories share a space and store ``field`` with one shape."""
     if traj.space is not None and ref.space is not None and traj.space is not ref.space:
         raise ValueError("trajectories live on different spatial spaces")
-    for a, b in ((traj.pressure, ref.pressure), (traj.velocity, ref.velocity)):
-        if a.values.shape[1:] != b.values.shape[1:]:
-            raise ValueError("coefficient dimensions do not match")
+    a, b = getattr(traj, field), getattr(ref, field)
+    for name, f in (("trajectory", a), ("reference", b)):
+        if f is None:
+            raise ValueError(f"the {name} did not store the {field}")
+    if a.values.shape[1:] != b.values.shape[1:]:
+        raise ValueError("coefficient dimensions do not match")
 
 
 def midpoint_reconstruction(pressure, ts):
@@ -178,13 +188,15 @@ def midpoint_reconstruction(pressure, ts):
     return (1.0 - theta) * vals[seg - 1] + theta * vals[seg]
 
 
-def _sampled_error(traj, ref, spec, field, times, ref_values, coarse_at, k=None):
-    """The ``field`` norm of ``spec`` of ``coarse_at(times) - ref_values``
+def _sampled_error(traj, ref, spec, field, times, coarse_at, k=None):
+    """The ``field`` norm of ``spec`` of ``coarse_at(coarse field, times)``
+    less the reference values at ``times`` (one per stored reference value)
     over the window, each sample weighted by its coarse interval's smoothing
     weight; ``k`` is the step of the temporal L2 sum."""
     if NORMS[spec.norm][0] != field:
         raise ValueError(f"{spec.norm} is not a {field} norm")
-    _check_pair(traj, ref)
+    _check_pair(traj, ref, field)
+    coarse, ref_values = getattr(traj, field), getattr(ref, field).values
     norm = _spatial_norm_fn(spec, traj.space or ref.space)
     if spec.window_start >= traj.mesh.num_intervals:
         raise ValueError("window start leaves no intervals")
@@ -194,7 +206,8 @@ def _sampled_error(traj, ref, spec, field, times, ref_values, coarse_at, k=None)
     # the window is a suffix of the ascending times, so a view serves
     ref_values = ref_values[times.size - ts.size:]
     # blocks of samples: the differences at every sample at once cost tens of MB
-    q = np.concatenate([norm(coarse_at(ts[b:b + _NODE_BLOCK]) - ref_values[b:b + _NODE_BLOCK])
+    q = np.concatenate([norm(coarse_at(coarse, ts[b:b + _NODE_BLOCK])
+                             - ref_values[b:b + _NODE_BLOCK])
                         for b in range(0, ts.size, _NODE_BLOCK)])
     w = traj.mesh.tau_values(spec.alpha)[traj.mesh.interval_of(ts) - 1]
     return _compose(NORMS[spec.norm][1], w, q, k)
@@ -213,8 +226,8 @@ def pressure_error(traj, ref, spec):
     # the midpoint rule weights every sample with one step
     if fine.rho > 1.0 + UNIFORM_RHO_TOL:
         raise ValueError("reference mesh must be uniform")
-    return _sampled_error(traj, ref, spec, "pressure", fine.midpoints, ref.pressure.values,
-                          lambda ts: midpoint_reconstruction(traj.pressure, ts), fine.steps[0])
+    return _sampled_error(traj, ref, spec, "pressure", fine.midpoints, midpoint_reconstruction,
+                          fine.steps[0])
 
 
 def velocity_error(traj, ref, spec):
@@ -224,5 +237,5 @@ def velocity_error(traj, ref, spec):
     the window) of the stiffness-weighted seminorm of the difference of
     the piecewise-linear evaluations.
     """
-    return _sampled_error(traj, ref, spec, "velocity", ref.mesh.nodes, ref.velocity.values,
-                          traj.velocity.evaluate)
+    return _sampled_error(traj, ref, spec, "velocity", ref.mesh.nodes,
+                          lambda velocity, ts: velocity.evaluate(ts))

@@ -22,6 +22,9 @@ from cnflow.time_mesh import UNIFORM_RHO_TOL
 
 log = logging.getLogger(__name__)
 
+# The trajectory fields a solve can store.
+FIELDS = ("velocity", "pressure")
+
 # theta of the theta-scheme per interval tag: implicit Euler, Crank-Nicolson.
 # Both are powers of two, so a theta-scaled product rounds as the unscaled one.
 THETA = {"IE": 1.0, "CN": 0.5}
@@ -164,20 +167,21 @@ class ProblemSpec:
 class Trajectory:
     """Velocity (piecewise linear) and pressure (piecewise constant) in time.
 
+    A field the solve was not asked to store is ``None``.
     ``newton_iterations`` holds the Newton iteration count of each interval
     of a Navier-Stokes run; it is ``None`` for Stokes.
     """
 
     mesh: object
-    velocity: GridFunctionCG1
-    pressure: GridFunctionDG0
+    velocity: GridFunctionCG1 | None
+    pressure: GridFunctionDG0 | None
     scheme_tags: list
     space: object = None
     n0: int = 0
     newton_iterations: np.ndarray = None
 
 
-def _march(spec, mesh, n0, kind, newton, advance):
+def _march(spec, mesh, n0, kind, newton, advance, fields=FIELDS):
     """The interval loop shared by the transient steppers.
 
     ``advance(scheme, k, F, u, P, label, slot)`` returns the velocity and
@@ -187,16 +191,21 @@ def _march(spec, mesh, n0, kind, newton, advance):
     the stepper keeps what it reuses across intervals, factorizations
     above all: one per ``(scheme, k)``, shared by every interval with that
     key and dropped after the last of them, so a solve holds only the
-    factorizations of keys still to come.
+    factorizations of keys still to come.  Only the ``fields`` (a subset of
+    ``FIELDS``) keep their history; of the others the loop keeps the
+    current iterate alone.
     """
     space = spec.space
     N = mesh.num_intervals
     if not 0 <= n0 < N:
         raise ValueError("Euler prefix must leave at least one interval")
+    if not set(fields) <= set(FIELDS):
+        raise ValueError(f"fields must be a subset of {FIELDS}, got {tuple(fields)}")
     u = spec.initial_velocity(kind, newton)
-    vel = np.empty((N + 1, space.num_velocity))
-    prs = np.empty((N, space.num_pressure))
-    vel[0] = u
+    vel = np.empty((N + 1, space.num_velocity)) if "velocity" in fields else None
+    prs = np.empty((N, space.num_pressure)) if "pressure" in fields else None
+    if vel is not None:
+        vel[0] = u
     P = np.zeros(space.num_pressure)
     tags = ["IE"] * n0 + ["CN"] * (N - n0)
     keys = list(zip(tags, mesh.steps))
@@ -212,20 +221,23 @@ def _march(spec, mesh, n0, kind, newton, advance):
             raise
         if last[scheme, k] == n:
             del slots[scheme, k]
-        vel[n + 1] = u
-        prs[n] = P / k
-    return Trajectory(mesh, GridFunctionCG1(mesh, vel), GridFunctionDG0(mesh, prs),
-                      tags, space, n0)
+        if vel is not None:
+            vel[n + 1] = u
+        if prs is not None:
+            prs[n] = P / k
+    return Trajectory(mesh, None if vel is None else GridFunctionCG1(mesh, vel),
+                      None if prs is None else GridFunctionDG0(mesh, prs), tags, space, n0)
 
 
-def stokes_cn_solve(spec, mesh, n0=0):
+def stokes_cn_solve(spec, mesh, n0=0, fields=FIELDS):
     """Theta-scheme Stokes stepping: ``n0`` implicit-Euler steps, then Crank-Nicolson.
 
     Each interval solves
         ``(M + theta k nu A) u^n - B^T P = F_n + (M - (1 - theta) k nu A) u^{n-1}``
     with ``theta = THETA[scheme]`` (1 for Euler, 1/2 for Crank-Nicolson),
     ``P = k p^n``, discrete incompressibility and zero pressure mean
-    enforced through the bordered constraint.
+    enforced through the bordered constraint.  ``fields`` are the fields
+    the trajectory stores (see ``_march``).
     """
     space, nu = spec.space, spec.viscosity
     M, A = space.mass, space.stiffness
@@ -243,7 +255,7 @@ def stokes_cn_solve(spec, mesh, n0=0):
             raise SolverError(f"{label}: {exc}") from None
         return state.velocity, state.pressure
 
-    return _march(spec, mesh, n0, "stokes", None, advance)
+    return _march(spec, mesh, n0, "stokes", None, advance, fields)
 
 
 def _newton(space, momentum, jacobian, U, P, newton, target, label, frozen=None):
@@ -308,7 +320,7 @@ def _newton(space, momentum, jacobian, U, P, newton, target, label, frozen=None)
         iterations=newton.max_iterations, residual=res)
 
 
-def nse_cn_solve(spec, mesh, n0=0, newton=None):
+def nse_cn_solve(spec, mesh, n0=0, newton=None, fields=FIELDS):
     """Theta-scheme Navier-Stokes stepping: ``n0`` implicit-Euler steps, then
     Crank-Nicolson.
 
@@ -320,6 +332,7 @@ def nse_cn_solve(spec, mesh, n0=0, newton=None):
     carries both linearization terms of the convection form; the ``_march``
     slot of its (scheme, step size) keeps the linear block and, with
     ``newton.reuse_jacobian``, the factorized Jacobian tried first.
+    ``fields`` are the fields the trajectory stores (see ``_march``).
     """
     newton = newton or NewtonConfig()
     space, nu = spec.space, spec.viscosity
@@ -351,7 +364,7 @@ def nse_cn_solve(spec, mesh, n0=0, newton=None):
         iterations.append(its)
         return state.velocity, state.pressure
 
-    traj = _march(spec, mesh, n0, "nse", newton, advance)
+    traj = _march(spec, mesh, n0, "nse", newton, advance, fields)
     traj.newton_iterations = np.array(iterations, dtype=int)
     return traj
 
@@ -387,17 +400,19 @@ def stationary_nse_solve(space, nu, f0, newton=None):
     return state
 
 
-def transient_solve(spec, mesh, kind="nse", n0=0, newton=None):
-    """Stokes (``kind="stokes"``) or Navier-Stokes (``"nse"``) stepping."""
+def transient_solve(spec, mesh, kind="nse", n0=0, newton=None, fields=FIELDS):
+    """Stokes (``kind="stokes"``) or Navier-Stokes (``"nse"``) stepping that
+    stores the ``fields`` of its trajectory."""
     if kind == "stokes":
-        return stokes_cn_solve(spec, mesh, n0=n0)
+        return stokes_cn_solve(spec, mesh, n0=n0, fields=fields)
     if kind == "nse":
-        return nse_cn_solve(spec, mesh, n0=n0, newton=newton)
+        return nse_cn_solve(spec, mesh, n0=n0, newton=newton, fields=fields)
     raise ValueError(f"unknown solver kind {kind!r}")
 
 
-def reference_solve(spec, fine_mesh, kind="nse", newton=None):
-    """Reference trajectory on a uniform fine mesh, shared spatial space.
+def reference_solve(spec, fine_mesh, kind="nse", newton=None, fields=FIELDS):
+    """Reference trajectory on a uniform fine mesh, shared spatial space,
+    that stores the ``fields`` of its trajectory.
 
     Incompatible (stationary-solve) initial data gets an ``n0 = 2``
     implicit-Euler prefix; otherwise no prefix is used.
@@ -405,4 +420,4 @@ def reference_solve(spec, fine_mesh, kind="nse", newton=None):
     if fine_mesh.rho > 1.0 + UNIFORM_RHO_TOL:
         raise ValueError("reference mesh must be uniform")
     n0 = 2 if spec.initial_kind == "stationary" else 0
-    return transient_solve(spec, fine_mesh, kind, n0, newton)
+    return transient_solve(spec, fine_mesh, kind, n0, newton, fields)

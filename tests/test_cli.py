@@ -126,6 +126,33 @@ def test_manifest_contents(tmp_path):
     assert "newton_iterations" not in manifest  # Stokes runs no Newton iteration
 
 
+@pytest.mark.parametrize("experiment, norms, fields, euler_steps", [
+    ("stokes_manufactured", "pressure_L2l2,pressure_Linfl2", "pressure", 0),
+    ("case_ii", "velocity_LinfV1,pressure_L2l2", "velocity,pressure", 2),
+])
+def test_manifest_stored_fields_and_reference_euler_steps(tmp_path, experiment, norms,
+                                                          fields, euler_steps):
+    mapping = tiny_mapping(tmp_path / "m")
+    mapping.update(experiment=experiment, norms=norms)
+    _, fails, files = run_convergence(build_run_config(mapping))
+    assert not fails
+    manifest = open(files[1]).read().splitlines()
+    assert f"stored_fields = {fields}" in manifest
+    assert f"reference_euler_steps = {euler_steps}" in manifest
+
+
+def test_pressure_only_study_stores_no_reference_velocity(tmp_path, monkeypatch):
+    rows, seen = cli.convergence_rows, []
+
+    def spy(spec, kind, reference, *args):
+        seen.append(reference.velocity is None)
+        return rows(spec, kind, reference, *args)
+
+    monkeypatch.setattr(cli, "convergence_rows", spy)
+    _, fails, _ = run_convergence(build_run_config(tiny_mapping(tmp_path / "p")))
+    assert not fails and seen == [True, True]
+
+
 def test_manifest_newton_iterations(tmp_path):
     mapping = tiny_mapping(tmp_path / "n")
     mapping["experiment"] = "case_i"
@@ -271,6 +298,20 @@ def test_reference_beyond_physical_memory_exit_code(tmp_path, monkeypatch, capsy
     assert main(["convergence", "--out", str(tmp_path / "run")] + tiny_overrides()) == 2
     assert "of physical memory" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_memory_guard_counts_the_stored_fields(tmp_path, monkeypatch, capsys):
+    # the tiny run's reference stores 32 x 25 pressure values (6,400 bytes)
+    # or 33 x 162 velocity values (42,768 bytes); the memory lies between
+    sysconf = os.sysconf
+    pages = 16384 // sysconf("SC_PAGE_SIZE")
+    monkeypatch.setattr(os, "sysconf",
+                        lambda name: pages if name == "SC_PHYS_PAGES" else sysconf(name))
+    assert 6400 < cli.physical_memory() < 42768
+    args = ["convergence", "--out", str(tmp_path / "run")] + tiny_overrides()
+    assert main(args) == 0
+    assert main(args + ["--set", "norms=velocity_LinfV1"]) == 2
+    assert "of physical memory" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("override", ["T=2e6", "T=2e4", "T=2e4 nx=1 ny=1"])

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnflow.errors import (
+    NORMS,
     ConvergenceRecord,
     ErrorSpec,
     fit_loglog,
@@ -90,8 +93,9 @@ def test_record_csv_layout():
 def test_error_spec_validation():
     with pytest.raises(ValueError):
         ErrorSpec("bogus")
-    with pytest.raises(ValueError):
-        ErrorSpec("pressure_L2l2", alpha=-1.0)
+    for alpha in (-1.0, np.nan, np.inf):  # a NaN or infinite weight makes nan or 0.0
+        with pytest.raises(ValueError):
+            ErrorSpec("pressure_L2l2", alpha=alpha)
     with pytest.raises(ValueError):
         ErrorSpec("pressure_L2l2", spatial="fancy")
     with pytest.raises(ValueError):  # the velocity norm is stiffness-weighted only
@@ -253,6 +257,26 @@ def test_velocity_error_requires_space():
     traj = synthetic_traj(fine, np.zeros((32, 2)))
     with pytest.raises(ValueError):
         velocity_error(traj, traj, ErrorSpec("velocity_LinfV1"))
+
+
+@pytest.mark.parametrize("norm", ["pressure_L2l2", "velocity_LinfV1"])
+def test_missing_field_is_named(small_space, norm):
+    space, field = small_space, NORMS[norm][0]
+    other = "velocity" if field == "pressure" else "pressure"
+    error = pressure_error if field == "pressure" else velocity_error
+
+    def zero_traj(mesh):
+        return synthetic_traj(mesh, np.zeros((mesh.num_intervals, space.num_pressure)),
+                              np.zeros((mesh.num_intervals + 1, space.num_velocity)), space)
+
+    traj, ref = zero_traj(build_uniform_mesh(1.0, 4)), zero_traj(build_uniform_mesh(1.0, 16))
+    spec = ErrorSpec(norm)
+    with pytest.raises(ValueError, match=f"the trajectory did not store the {field}"):
+        error(replace(traj, **{field: None}), ref, spec)
+    with pytest.raises(ValueError, match=f"the reference did not store the {field}"):
+        error(traj, replace(ref, **{field: None}), spec)
+    # the field the norm does not read may be missing on both sides
+    assert error(replace(traj, **{other: None}), replace(ref, **{other: None}), spec) == 0.0
 
 
 def test_velocity_errors_on_space(small_space):

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 from contextlib import contextmanager
 from unittest import mock
@@ -25,6 +26,7 @@ from cnflow.schemes import (
     stationary_nse_solve,
     stationary_stokes_solve,
     stokes_cn_solve,
+    transient_solve,
 )
 from cnflow.time_mesh import build_alternating_mesh, build_uniform_mesh
 
@@ -520,6 +522,51 @@ def test_reference_halving_audit(medium_space):
         ref = reference_solve(spec, build_uniform_mesh(0.5, 10 * refine), "stokes")
         errs.append(pressure_error(coarse, ref, es))
     assert abs(errs[0] - errs[1]) <= 0.02 * errs[1]
+
+
+def test_pressure_only_reference_keeps_no_velocity_history(small_space):
+    # a 2,000-interval reference that stores the pressure alone peaks below
+    # the bytes of the velocity history it no longer keeps (numpy reports
+    # its arrays to tracemalloc), and its errors keep every bit
+    from cnflow.errors import ErrorSpec, pressure_error
+
+    space = small_space
+    spec = ProblemSpec(space, 0.01, ramp_forcing(), None, 2.0)
+    # the operators and the load are cached on first use, before the solve
+    _ = (space.mass, space.stiffness, space.divergence, space.mean_vector,
+         spec.forcing.spatial_load(space))
+    fine = build_uniform_mesh(2.0, 2000)
+    tracemalloc.start()
+    try:
+        ref = reference_solve(spec, fine, "stokes", fields=("pressure",))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ref.velocity is None
+    assert peak < (fine.num_intervals + 1) * space.num_velocity * 8
+    full = reference_solve(spec, fine, "stokes")
+    coarse = stokes_cn_solve(spec, build_alternating_mesh(2.0, 0.02, [0.8, 1.2]))
+    for norm in ("pressure_L2l2", "pressure_Linfl2"):
+        got, want = (pressure_error(coarse, r, ErrorSpec(norm)) for r in (ref, full))
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["stokes", "nse"])
+def test_stored_fields_keep_every_bit(small_space, kind):
+    spec = ProblemSpec(small_space, 0.01, ramp_forcing(), None, 0.5)
+    mesh = build_alternating_mesh(0.5, 0.05, [0.8, 1.2])
+    full = transient_solve(spec, mesh, kind, 2)
+    velocity = transient_solve(spec, mesh, kind, 2, fields=("velocity",))
+    pressure = transient_solve(spec, mesh, kind, 2, fields=("pressure",))
+    assert velocity.pressure is None and pressure.velocity is None
+    assert velocity.velocity.values.tobytes() == full.velocity.values.tobytes()
+    assert pressure.pressure.values.tobytes() == full.pressure.values.tobytes()
+    for traj in (velocity, pressure):
+        assert (traj.newton_iterations is None) == (kind == "stokes")
+        if kind == "nse":
+            assert np.array_equal(traj.newton_iterations, full.newton_iterations)
+    with pytest.raises(ValueError, match="subset"):
+        transient_solve(spec, mesh, kind, fields=("pressure", "vorticity"))
 
 
 def test_forcing_representations_agree(medium_space):
