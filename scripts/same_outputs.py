@@ -12,6 +12,9 @@ In each tree, with that tree's ``src`` first on ``PYTHONPATH``, it runs
   weighted (``n0=1 alpha=2``), both pressure norms with
   ``spatial_norm=nodal``, and ``velocity_LinfV1`` alone, the one study whose
   trajectories store the velocity without the pressure;
+- ``cnflow convergence`` on ``configs/stokes_manufactured.cfg`` with
+  ``--threads 2 k_list=0.02,0.01,0.005 refinement=4``, whose coarse runs
+  share the pool before the reference scores them;
 - ``cnflow convergence`` on ``configs/case_ii_weighted.cfg`` and on
   ``configs/case_i.cfg``, each with ``k_list=0.02,0.01,0.005 refinement=4``;
 - ``cnflow verify`` for every target at seeds 0 and 23.
@@ -43,6 +46,8 @@ CONVERGENCE = {
                      *REDUCED],
     "stokes_velocity_only": ["--config", "configs/stokes_manufactured.cfg", "--set",
                              "norms=velocity_LinfV1", *REDUCED],
+    "stokes_threads2": ["--config", "configs/stokes_manufactured.cfg", "--threads", "2",
+                        *REDUCED],
     "case_ii_weighted": ["--config", "configs/case_ii_weighted.cfg", *REDUCED],
     "case_i": ["--config", "configs/case_i.cfg", *REDUCED],
 }

@@ -34,9 +34,11 @@ import numpy as np
 
 from cnflow import __version__
 from cnflow.errors import (
+    _NODE_BLOCK,
     NORMS,
     ConvergenceRecord,
     ErrorSpec,
+    StreamedReference,
     fields_read,
     fit_loglog,
     pressure_error,
@@ -169,19 +171,22 @@ class RunConfig:
             raise ConfigError(f"norms repeat: {','.join(self.norms)}")
         if self.T <= 0.0:
             raise ConfigError("final time must be positive")
-        # every mesh grows with T / min(k): before one is built, the fields of
-        # the reference trajectory that the norms read must fit in memory and
-        # its mesh must pass reference_solve
+        # every mesh grows with T / min(k): before one is built, what the study
+        # stores must fit in memory, the fields that the norms read of every
+        # coarse run and of one reference block, and the reference mesh must
+        # pass reference_solve
         N0 = reference_intervals(self.T, self.k_list, self.refinement)
-        num_velocity = 2 * (2 * self.nx + 1) * (2 * self.ny + 1)  # P2 nodes, two components
-        num_pressure = (self.nx + 1) * (self.ny + 1)  # P1 vertices
-        need = 8 * (("velocity" in fields) * (N0 + 1) * num_velocity
-                    + ("pressure" in fields) * N0 * num_pressure)
+        coarse = [max(round(self.T / k), 1) for k in self.k_list]  # about T / k intervals
+        block = min(_NODE_BLOCK, N0)
+        rows = {"velocity": sum(coarse) + len(coarse) + block, "pressure": sum(coarse) + block}
+        dims = {"velocity": 2 * (2 * self.nx + 1) * (2 * self.ny + 1),  # P2 nodes, two components
+                "pressure": (self.nx + 1) * (self.ny + 1)}  # P1 vertices
+        need = 8 * sum(rows[f] * dims[f] for f in fields)
         have = physical_memory()
         if need > have:
-            raise ConfigError(f"the reference trajectory of {N0} intervals needs "
-                              f"{need / 1e9:.3g} GB, more than the {have / 1e9:.3g} GB "
-                              "of physical memory")
+            raise ConfigError(f"the {','.join(fields)} of {sum(coarse)} coarse intervals and "
+                              f"of a {block}-interval reference block need {need / 1e9:.3g} GB, "
+                              f"more than the {have / 1e9:.3g} GB of physical memory")
         if uniform_rho_bound(self.T, N0) > UNIFORM_RHO_TOL:
             raise ConfigError(f"the rounding of a uniform reference mesh of {N0} intervals "
                               f"on [0, {self.T!r}] may leave rho - 1 above {UNIFORM_RHO_TOL:g}")
@@ -267,28 +272,36 @@ def reference_intervals(T, k_list, refinement):
     return N0
 
 
-def build_reference(spec, kind, k_list, refinement, error_specs):
-    """Uniform-mesh reference trajectory with step about min(k)/refinement,
-    storing the fields that ``error_specs`` read."""
-    from cnflow.schemes import reference_solve
-
-    fine = build_uniform_mesh(spec.T, reference_intervals(spec.T, k_list, refinement))
-    return reference_solve(spec, fine, kind=kind, fields=fields_read(error_specs))
-
-
-def convergence_rows(spec, kind, reference, k, pattern, n0, error_specs):
-    """Error rows of one coarse run against a shared reference, and the
-    run's Newton iteration counts (``None`` for Stokes)."""
+def coarse_run(spec, kind, k, pattern, n0, error_specs):
+    """Trajectory of one coarse run of step ``k``, storing the fields that
+    ``error_specs`` read."""
     from cnflow.schemes import transient_solve
 
     mesh = build_alternating_mesh(spec.T, k, pattern)
-    traj = transient_solve(spec, mesh, kind, n0, fields=fields_read(error_specs))
+    return transient_solve(spec, mesh, kind, n0, fields=fields_read(error_specs))
+
+
+def build_reference(spec, kind, k_list, refinement, runs, error_specs):
+    """Uniform-mesh reference with step about min(k)/refinement, which scores
+    the coarse trajectories ``runs`` in the norms of ``error_specs`` as it
+    steps and stores no field: its trajectory and its ``StreamedReference``."""
+    from cnflow.schemes import reference_solve
+
+    fine = build_uniform_mesh(spec.T, reference_intervals(spec.T, k_list, refinement))
+    streamed = StreamedReference(fine, spec.space, runs, error_specs)
+    trajectory = reference_solve(spec, fine, kind=kind, fields=(), observer=streamed.observe)
+    return trajectory, streamed
+
+
+def convergence_rows(reference, k, run, error_specs):
+    """Error rows of the coarse trajectory ``run`` of step ``k`` against the
+    ``StreamedReference`` that scored it."""
     rows = []
     for es in error_specs:
         # looked up per call, so a tracer that rebinds either function sees it
         error = pressure_error if NORMS[es.norm][0] == "pressure" else velocity_error
-        rows.append((k, n0, es.alpha, es.norm, error(traj, reference, es)))
-    return rows, traj.newton_iterations
+        rows.append((k, run.n0, es.alpha, es.norm, error(run, reference, es)))
+    return rows
 
 
 def run_convergence(config):
@@ -300,37 +313,37 @@ def run_convergence(config):
     space = build_space(config.domain, config.nx, config.ny)
     spec = resolve_problem(config, space)
     kind = EXPERIMENTS[config.experiment][2]
-    timings = []
 
     record = ConvergenceRecord()
     failures = []
     error_specs = config.error_specs()
 
-    def one(k):
+    def timed(fn, *args):
         t0 = time.perf_counter()
-        rows, its = convergence_rows(spec, kind, reference, k,
-                                     config.pattern, config.n0, error_specs)
-        return rows, its, time.perf_counter() - t0
+        return fn(*args), time.perf_counter() - t0
 
-    # Every solve runs on the pool's ``threads`` workers, the reference first.
-    # With one worker all of them allocate from one thread's malloc arena: a
-    # reference solved on the main thread raised the peak RSS of the
-    # nse_incompatible perfbench study from 200 to 221 MB.
+    # Every solve runs on the pool's ``threads`` workers: the coarse runs, then
+    # the reference that scores them.  With one worker all of them allocate
+    # from one thread's malloc arena: a reference solved on the main thread
+    # raised the peak RSS of the nse_incompatible perfbench study from 200 to 221 MB.
     with ThreadPoolExecutor(max_workers=config.threads) as pool:
-        t0 = time.perf_counter()
-        reference = pool.submit(build_reference, spec, kind, config.k_list,
-                                config.refinement, error_specs).result()
-        timings.append(("reference", time.perf_counter() - t0))
-        iterations = [("reference", reference.newton_iterations)]
-        futures = [(k, pool.submit(one, k)) for k in config.k_list]
+        futures = [(k, pool.submit(timed, coarse_run, spec, kind, k, config.pattern,
+                                   config.n0, error_specs)) for k in config.k_list]
+        runs = [future.result()[0] for _, future in futures if future.exception() is None]
+        (reference, streamed), dt = pool.submit(timed, build_reference, spec, kind,
+                                                config.k_list, config.refinement, runs,
+                                                error_specs).result()
+    timings = [("reference", dt)]
+    iterations = [("reference", reference.newton_iterations)]
     for k, future in futures:
         try:
-            rows, its, dt = future.result()
+            run, dt = future.result()
+            rows = convergence_rows(streamed, k, run, error_specs)
         except SolverError as exc:
             failures.append((k, str(exc)))
             continue
         timings.append((f"k={k!r}", dt))
-        iterations.append((f"k={k!r}", its))
+        iterations.append((f"k={k!r}", run.newton_iterations))
         for row in rows:
             record.add(*row)
 

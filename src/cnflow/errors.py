@@ -7,6 +7,12 @@ values are composed in time either by the midpoint-rule L2 sum or by a
 maximum.  Weighted variants multiply each sample by the smoothing weight
 of the coarse-mesh interval containing it, and a window ``(t_n0, T]``
 restricts the samples.  Velocity errors sample the reference nodes alike.
+
+The reference is either a trajectory that stores the field a norm reads or
+a ``StreamedReference``, which takes the reference values interval by
+interval while the reference is solved, scores every coarse trajectory
+against them block by block and stores no field.  Both feed the same
+samples, so both give the same bits.
 """
 
 from dataclasses import dataclass, field
@@ -22,7 +28,10 @@ NORMS = {
     "pressure_Linfl2": ("pressure", np.inf),
     "velocity_LinfV1": ("velocity", np.inf),
 }
-_NODE_BLOCK = 256  # reference samples evaluated together by ``_sampled_error``
+# Reference samples evaluated together.  A block's values, coarse values and
+# their temporaries hold about four blocks of a field; the per-row spatial
+# norms, not the block size, set the time (the same from 16 to 256 rows).
+_NODE_BLOCK = 32
 
 
 def fields_read(error_specs):
@@ -154,18 +163,6 @@ def _spatial_norm_fn(spec, space):
     return lambda d: np.sqrt([x @ (S @ x) for x in d])
 
 
-def _check_pair(traj, ref, field):
-    """Both trajectories share a space and store ``field`` with one shape."""
-    if traj.space is not None and ref.space is not None and traj.space is not ref.space:
-        raise ValueError("trajectories live on different spatial spaces")
-    a, b = getattr(traj, field), getattr(ref, field)
-    for name, f in (("trajectory", a), ("reference", b)):
-        if f is None:
-            raise ValueError(f"the {name} did not store the {field}")
-    if a.values.shape[1:] != b.values.shape[1:]:
-        raise ValueError("coefficient dimensions do not match")
-
-
 def midpoint_reconstruction(pressure, ts):
     """Pressure samples read as midpoint values, interpolated in time.
 
@@ -188,29 +185,119 @@ def midpoint_reconstruction(pressure, ts):
     return (1.0 - theta) * vals[seg - 1] + theta * vals[seg]
 
 
-def _sampled_error(traj, ref, spec, field, times, coarse_at, k=None):
-    """The ``field`` norm of ``spec`` of ``coarse_at(coarse field, times)``
-    less the reference values at ``times`` (one per stored reference value)
-    over the window, each sample weighted by its coarse interval's smoothing
-    weight; ``k`` is the step of the temporal L2 sum."""
+# field -> (its reference sample times on a mesh, the coarse field at times)
+_SAMPLING = {
+    "pressure": (lambda mesh: mesh.midpoints, midpoint_reconstruction),
+    "velocity": (lambda mesh: mesh.nodes, lambda velocity, ts: velocity.evaluate(ts)),
+}
+
+
+class _Samples:
+    """The samples of one norm of one coarse trajectory against a reference on
+    ``mesh``: the spatial norm of the coarse field less the reference value at
+    each reference sample time inside the window, filled by ``feed`` as the
+    reference values arrive in order, and the smoothing weight of the coarse
+    interval containing each time."""
+
+    def __init__(self, traj, spec, mesh, space):
+        field = NORMS[spec.norm][0]
+        if traj.space is not None and space is not None and traj.space is not space:
+            raise ValueError("trajectories live on different spatial spaces")
+        if getattr(traj, field) is None:
+            raise ValueError(f"the trajectory did not store the {field}")
+        if spec.window_start >= traj.mesh.num_intervals:
+            raise ValueError("window start leaves no intervals")
+        times, self._at = _SAMPLING[field]
+        times = times(mesh)
+        self._ts = times[times > traj.mesh.nodes[spec.window_start]]
+        if not self._ts.size:
+            raise ValueError("window contains no evaluation times")
+        # the window is a suffix of the ascending times
+        self._skip = times.size - self._ts.size
+        self._norm = _spatial_norm_fn(spec, traj.space or space)
+        self._coarse = getattr(traj, field)
+        self._p = NORMS[spec.norm][1]
+        self._w = traj.mesh.tau_values(spec.alpha)[traj.mesh.interval_of(self._ts) - 1]
+        self._q = np.empty(self._ts.size)
+        self._filled = 0
+
+    def feed(self, first, values):
+        """Take the reference ``values`` of the samples ``first, first + 1, ...``."""
+        lo, hi = max(first - self._skip, 0), first + len(values) - self._skip
+        if lo < hi:
+            d = self._at(self._coarse, self._ts[lo:hi])
+            d -= values[lo + self._skip - first:]
+            self._q[lo:hi] = self._norm(d)
+            self._filled = hi
+
+    def error(self, k=None):
+        """The temporal norm of the weighted samples; ``k`` is the step of
+        the L2 sum."""
+        if self._filled < self._q.size:
+            raise ValueError("the reference ended before the window")
+        return _compose(self._p, self._w, self._q, k)
+
+
+class StreamedReference:
+    """A reference scored while it is solved, storing no field.
+
+    Pass ``observe`` as the observer of the reference solve on ``mesh``: it
+    keeps one block of ``_NODE_BLOCK`` intervals of each field the norms read
+    and hands every full block, and the last one, to the samples of each
+    coarse trajectory of ``runs`` and spec of ``error_specs``.  The
+    trajectories must store those fields; ``pressure_error`` and
+    ``velocity_error`` then compose their samples.
+    """
+
+    def __init__(self, mesh, space, runs, error_specs):
+        self.mesh = mesh
+        self._samples = {(id(traj), es): _Samples(traj, es, mesh, space)
+                         for traj in runs for es in error_specs}
+        rows = min(_NODE_BLOCK, mesh.num_intervals)
+        dims = {"velocity": space.num_velocity, "pressure": space.num_pressure}
+        self._block = {f: np.empty((rows, dims[f])) for f in fields_read(error_specs)}
+        self._done = 0  # intervals observed
+
+    def observe(self, u, p):
+        row = self._done % _NODE_BLOCK
+        for field, value in (("velocity", u), ("pressure", p)):
+            if field in self._block:
+                self._block[field][row] = value
+        self._done += 1
+        if row + 1 == _NODE_BLOCK or self._done == self.mesh.num_intervals:
+            # interval n ends at velocity sample n (node n) and holds pressure
+            # sample n - 1 (midpoint n)
+            n = self._done - row  # first interval of the block
+            for (_, es), samples in self._samples.items():
+                field = NORMS[es.norm][0]
+                samples.feed(n - (field == "pressure"), self._block[field][:row + 1])
+
+    def samples(self, traj, spec):
+        """The samples of ``traj`` and ``spec``."""
+        try:
+            return self._samples[id(traj), spec]
+        except KeyError:
+            raise ValueError("the reference did not score this trajectory and norm") from None
+
+
+def _sampled_error(traj, ref, spec, field, k=None):
+    """The ``field`` norm of ``spec`` of ``traj`` against ``ref``: a
+    ``StreamedReference`` that scored it, or a trajectory that stores the
+    field, fed to the samples block by block; ``k`` is the step of the
+    temporal L2 sum."""
     if NORMS[spec.norm][0] != field:
         raise ValueError(f"{spec.norm} is not a {field} norm")
-    _check_pair(traj, ref, field)
-    coarse, ref_values = getattr(traj, field), getattr(ref, field).values
-    norm = _spatial_norm_fn(spec, traj.space or ref.space)
-    if spec.window_start >= traj.mesh.num_intervals:
-        raise ValueError("window start leaves no intervals")
-    ts = times[times > traj.mesh.nodes[spec.window_start]]
-    if not ts.size:
-        raise ValueError("window contains no evaluation times")
-    # the window is a suffix of the ascending times, so a view serves
-    ref_values = ref_values[times.size - ts.size:]
-    # blocks of samples: the differences at every sample at once cost tens of MB
-    q = np.concatenate([norm(coarse_at(coarse, ts[b:b + _NODE_BLOCK])
-                             - ref_values[b:b + _NODE_BLOCK])
-                        for b in range(0, ts.size, _NODE_BLOCK)])
-    w = traj.mesh.tau_values(spec.alpha)[traj.mesh.interval_of(ts) - 1]
-    return _compose(NORMS[spec.norm][1], w, q, k)
+    if isinstance(ref, StreamedReference):
+        return ref.samples(traj, spec).error(k)
+    if getattr(ref, field) is None:
+        raise ValueError(f"the reference did not store the {field}")
+    samples = _Samples(traj, spec, ref.mesh, ref.space)
+    values = getattr(ref, field).values
+    if values.shape[1:] != getattr(traj, field).values.shape[1:]:
+        raise ValueError("coefficient dimensions do not match")
+    for b in range(0, len(values), _NODE_BLOCK):
+        samples.feed(b, values[b:b + _NODE_BLOCK])
+    return samples.error(k)
 
 
 def pressure_error(traj, ref, spec):
@@ -226,8 +313,7 @@ def pressure_error(traj, ref, spec):
     # the midpoint rule weights every sample with one step
     if fine.rho > 1.0 + UNIFORM_RHO_TOL:
         raise ValueError("reference mesh must be uniform")
-    return _sampled_error(traj, ref, spec, "pressure", fine.midpoints, midpoint_reconstruction,
-                          fine.steps[0])
+    return _sampled_error(traj, ref, spec, "pressure", fine.steps[0])
 
 
 def velocity_error(traj, ref, spec):
@@ -237,5 +323,4 @@ def velocity_error(traj, ref, spec):
     the window) of the stiffness-weighted seminorm of the difference of
     the piecewise-linear evaluations.
     """
-    return _sampled_error(traj, ref, spec, "velocity", ref.mesh.nodes,
-                          lambda velocity, ts: velocity.evaluate(ts))
+    return _sampled_error(traj, ref, spec, "velocity")

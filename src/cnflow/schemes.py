@@ -12,7 +12,7 @@ stepping.
 
 import logging
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -119,9 +119,12 @@ class StationaryInitialData:
     def resolve(self, space, nu, kind, newton=None):
         cache = self._cache.setdefault(space, {})
         key = (float(nu), kind)
+        if kind == "nse":
+            newton = newton or NewtonConfig()
+            key += astuple(newton)  # a Navier-Stokes state is the one of its Newton settings
         if key not in cache:
             if kind == "nse":
-                state = stationary_nse_solve(space, nu, self.f0, newton or NewtonConfig())
+                state = stationary_nse_solve(space, nu, self.f0, newton)
             else:
                 state = stationary_stokes_solve(space, nu, self.f0)
             cache[key] = state
@@ -181,7 +184,7 @@ class Trajectory:
     newton_iterations: np.ndarray = None
 
 
-def _march(spec, mesh, n0, kind, newton, advance, fields=FIELDS):
+def _march(spec, mesh, n0, kind, newton, advance, fields=FIELDS, observer=None):
     """The interval loop shared by the transient steppers.
 
     ``advance(scheme, k, F, u, P, label, slot)`` returns the velocity and
@@ -193,7 +196,8 @@ def _march(spec, mesh, n0, kind, newton, advance, fields=FIELDS):
     key and dropped after the last of them, so a solve holds only the
     factorizations of keys still to come.  Only the ``fields`` (a subset of
     ``FIELDS``) keep their history; of the others the loop keeps the
-    current iterate alone.
+    current iterate alone.  An ``observer(u, p)`` is handed the velocity at
+    the end of each interval and the pressure of that interval, in order.
     """
     space = spec.space
     N = mesh.num_intervals
@@ -221,15 +225,18 @@ def _march(spec, mesh, n0, kind, newton, advance, fields=FIELDS):
             raise
         if last[scheme, k] == n:
             del slots[scheme, k]
+        p = P / k
         if vel is not None:
             vel[n + 1] = u
         if prs is not None:
-            prs[n] = P / k
+            prs[n] = p
+        if observer is not None:
+            observer(u, p)
     return Trajectory(mesh, None if vel is None else GridFunctionCG1(mesh, vel),
                       None if prs is None else GridFunctionDG0(mesh, prs), tags, space, n0)
 
 
-def stokes_cn_solve(spec, mesh, n0=0, fields=FIELDS):
+def stokes_cn_solve(spec, mesh, n0=0, fields=FIELDS, observer=None):
     """Theta-scheme Stokes stepping: ``n0`` implicit-Euler steps, then Crank-Nicolson.
 
     Each interval solves
@@ -237,7 +244,8 @@ def stokes_cn_solve(spec, mesh, n0=0, fields=FIELDS):
     with ``theta = THETA[scheme]`` (1 for Euler, 1/2 for Crank-Nicolson),
     ``P = k p^n``, discrete incompressibility and zero pressure mean
     enforced through the bordered constraint.  ``fields`` are the fields
-    the trajectory stores (see ``_march``).
+    the trajectory stores and ``observer`` sees every interval (see
+    ``_march``).
     """
     space, nu = spec.space, spec.viscosity
     M, A = space.mass, space.stiffness
@@ -255,7 +263,7 @@ def stokes_cn_solve(spec, mesh, n0=0, fields=FIELDS):
             raise SolverError(f"{label}: {exc}") from None
         return state.velocity, state.pressure
 
-    return _march(spec, mesh, n0, "stokes", None, advance, fields)
+    return _march(spec, mesh, n0, "stokes", None, advance, fields, observer)
 
 
 def _newton(space, momentum, jacobian, U, P, newton, target, label, frozen=None):
@@ -320,7 +328,7 @@ def _newton(space, momentum, jacobian, U, P, newton, target, label, frozen=None)
         iterations=newton.max_iterations, residual=res)
 
 
-def nse_cn_solve(spec, mesh, n0=0, newton=None, fields=FIELDS):
+def nse_cn_solve(spec, mesh, n0=0, newton=None, fields=FIELDS, observer=None):
     """Theta-scheme Navier-Stokes stepping: ``n0`` implicit-Euler steps, then
     Crank-Nicolson.
 
@@ -332,7 +340,8 @@ def nse_cn_solve(spec, mesh, n0=0, newton=None, fields=FIELDS):
     carries both linearization terms of the convection form; the ``_march``
     slot of its (scheme, step size) keeps the linear block and, with
     ``newton.reuse_jacobian``, the factorized Jacobian tried first.
-    ``fields`` are the fields the trajectory stores (see ``_march``).
+    ``fields`` are the fields the trajectory stores and ``observer`` sees
+    every interval (see ``_march``).
     """
     newton = newton or NewtonConfig()
     space, nu = spec.space, spec.viscosity
@@ -364,7 +373,7 @@ def nse_cn_solve(spec, mesh, n0=0, newton=None, fields=FIELDS):
         iterations.append(its)
         return state.velocity, state.pressure
 
-    traj = _march(spec, mesh, n0, "nse", newton, advance, fields)
+    traj = _march(spec, mesh, n0, "nse", newton, advance, fields, observer)
     traj.newton_iterations = np.array(iterations, dtype=int)
     return traj
 
@@ -400,19 +409,22 @@ def stationary_nse_solve(space, nu, f0, newton=None):
     return state
 
 
-def transient_solve(spec, mesh, kind="nse", n0=0, newton=None, fields=FIELDS):
+def transient_solve(spec, mesh, kind="nse", n0=0, newton=None, fields=FIELDS, observer=None):
     """Stokes (``kind="stokes"``) or Navier-Stokes (``"nse"``) stepping that
-    stores the ``fields`` of its trajectory."""
+    stores the ``fields`` of its trajectory and hands every interval to
+    ``observer``."""
     if kind == "stokes":
-        return stokes_cn_solve(spec, mesh, n0=n0, fields=fields)
+        return stokes_cn_solve(spec, mesh, n0=n0, fields=fields, observer=observer)
     if kind == "nse":
-        return nse_cn_solve(spec, mesh, n0=n0, newton=newton, fields=fields)
+        return nse_cn_solve(spec, mesh, n0=n0, newton=newton, fields=fields,
+                            observer=observer)
     raise ValueError(f"unknown solver kind {kind!r}")
 
 
-def reference_solve(spec, fine_mesh, kind="nse", newton=None, fields=FIELDS):
+def reference_solve(spec, fine_mesh, kind="nse", newton=None, fields=FIELDS, observer=None):
     """Reference trajectory on a uniform fine mesh, shared spatial space,
-    that stores the ``fields`` of its trajectory.
+    that stores the ``fields`` of its trajectory and hands every interval to
+    ``observer``.
 
     Incompatible (stationary-solve) initial data gets an ``n0 = 2``
     implicit-Euler prefix; otherwise no prefix is used.
@@ -420,4 +432,4 @@ def reference_solve(spec, fine_mesh, kind="nse", newton=None, fields=FIELDS):
     if fine_mesh.rho > 1.0 + UNIFORM_RHO_TOL:
         raise ValueError("reference mesh must be uniform")
     n0 = 2 if spec.initial_kind == "stationary" else 0
-    return transient_solve(spec, fine_mesh, kind, n0, newton, fields)
+    return transient_solve(spec, fine_mesh, kind, n0, newton, fields, observer)

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -142,15 +143,38 @@ def test_manifest_stored_fields_and_reference_euler_steps(tmp_path, experiment, 
 
 
 def test_pressure_only_study_stores_no_reference_velocity(tmp_path, monkeypatch):
-    rows, seen = cli.convergence_rows, []
+    # the reference stores no field at all: the norms read it as it steps
+    build, seen = cli.build_reference, []
 
-    def spy(spec, kind, reference, *args):
-        seen.append(reference.velocity is None)
-        return rows(spec, kind, reference, *args)
+    def spy(*args):
+        reference, streamed = build(*args)
+        seen.append((reference.velocity, reference.pressure))
+        return reference, streamed
 
-    monkeypatch.setattr(cli, "convergence_rows", spy)
+    monkeypatch.setattr(cli, "build_reference", spy)
     _, fails, _ = run_convergence(build_run_config(tiny_mapping(tmp_path / "p")))
-    assert not fails and seen == [True, True]
+    assert not fails and seen == [(None, None)]
+
+
+def test_study_memory_does_not_grow_with_the_reference(tmp_path):
+    # scoring velocity_LinfV1 against a 512- instead of a 32-interval
+    # reference adds less to the traced peak (numpy reports its arrays to
+    # tracemalloc) than the 513 x 162 velocity history it does not store
+    def peak(refinement):
+        mapping = tiny_mapping(tmp_path / str(refinement))
+        mapping.update(norms="velocity_LinfV1", refinement=str(refinement))
+        config = build_run_config(mapping)
+        tracemalloc.start()
+        try:
+            _, fails, _ = run_convergence(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not fails
+        return peak
+
+    peak(4)  # a first study also imports and fills caches
+    assert peak(64) - peak(4) < 513 * 162 * 8
 
 
 def test_manifest_newton_iterations(tmp_path):
@@ -291,7 +315,7 @@ def test_invalid_config_value_exit_code(tmp_path, capsys, override):
 
 def test_reference_beyond_physical_memory_exit_code(tmp_path, monkeypatch, capsys):
     # physical memory is read from the machine: one page cannot hold even
-    # the tiny run's reference trajectory
+    # the fields the tiny run stores
     sysconf = os.sysconf
     monkeypatch.setattr(os, "sysconf",
                         lambda name: 1 if name == "SC_PHYS_PAGES" else sysconf(name))
@@ -301,8 +325,9 @@ def test_reference_beyond_physical_memory_exit_code(tmp_path, monkeypatch, capsy
 
 
 def test_memory_guard_counts_the_stored_fields(tmp_path, monkeypatch, capsys):
-    # the tiny run's reference stores 32 x 25 pressure values (6,400 bytes)
-    # or 33 x 162 velocity values (42,768 bytes); the memory lies between
+    # the tiny run stores 12 x 25 coarse and 32 x 25 reference-block pressure
+    # values (8,800 bytes) or 14 x 162 coarse and 32 x 162 reference-block
+    # velocity values (59,616 bytes); the memory lies between
     sysconf = os.sysconf
     pages = 16384 // sysconf("SC_PAGE_SIZE")
     monkeypatch.setattr(os, "sysconf",
@@ -316,10 +341,11 @@ def test_memory_guard_counts_the_stored_fields(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("override", ["T=2e6", "T=2e4", "T=2e4 nx=1 ny=1"])
 def test_oversized_run_exit_code_before_any_mesh(tmp_path, override):
-    # 1e8 coarse intervals, a 5.6e11-byte reference trajectory, and a
-    # 3.2e7-interval reference mesh that no rounding of np.linspace leaves
-    # uniform to 1e-9: each is refused from the inputs.  A 1 GiB address
-    # space turns an attempt to build the meshes into a MemoryError.
+    # 7e8 coarse intervals, 7e6 coarse intervals whose fields need 1.4e11
+    # bytes, and a 3.2e7-interval reference mesh that no rounding of
+    # np.linspace leaves uniform to 1e-9: each is refused from the inputs.
+    # A 1 GiB address space turns an attempt to build the meshes into a
+    # MemoryError.
     def cap_address_space():
         import resource
 

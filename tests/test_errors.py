@@ -6,15 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnflow.errors import (
+    _NODE_BLOCK,
     NORMS,
     ConvergenceRecord,
     ErrorSpec,
+    StreamedReference,
     fit_loglog,
     midpoint_reconstruction,
     pressure_error,
     velocity_error,
 )
-from cnflow.schemes import Trajectory
+from cnflow.schemes import (
+    ProblemSpec,
+    SeparableForcing,
+    Trajectory,
+    reference_solve,
+    stokes_cn_solve,
+)
 from cnflow.temporal_ops import GridFunctionCG1, GridFunctionDG0
 from cnflow.time_mesh import TimeMesh, build_alternating_mesh, build_uniform_mesh
 
@@ -343,6 +351,36 @@ def test_pressure_norms_are_the_sample_by_sample_formula_bitwise(small_space):
                                ("pressure_Linfl2", np.max(w * q))):
                 got = pressure_error(traj, ref, ErrorSpec(norm, alpha, window_start, spatial))
                 assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_streamed_reference_gives_the_stored_reference_bits(small_space):
+    # a 300-interval Stokes reference spans several blocks; the weighted
+    # window of the coarse runs starts inside the first one
+    spec = ProblemSpec(small_space, 0.01, SeparableForcing(
+        lambda t: t * t * np.exp(-t), lambda x, y: (np.cos(x) * y, np.sin(y) * x)), None, 0.3)
+    fine = build_uniform_mesh(0.3, 300)
+    runs = [stokes_cn_solve(spec, build_alternating_mesh(0.3, k, (0.8, 1.2)))
+            for k in (0.02, 0.01)]
+    assert fine.num_intervals > 2 * _NODE_BLOCK
+    assert 0 < np.searchsorted(fine.midpoints, runs[0].mesh.nodes[1]) < _NODE_BLOCK
+    specs = [ErrorSpec(norm, alpha, window_start, spatial)
+             for norm in NORMS for alpha, window_start in ((0.0, 0), (2.0, 1))
+             for spatial in ("mass", "nodal")
+             if not (spatial == "nodal" and NORMS[norm][0] == "velocity")]
+    streamed = StreamedReference(fine, small_space, runs, specs)
+    with pytest.raises(ValueError, match="ended before the window"):
+        pressure_error(runs[0], streamed, specs[0])
+    bare = reference_solve(spec, fine, "stokes", fields=(), observer=streamed.observe)
+    stored = reference_solve(spec, fine, "stokes")
+    assert bare.velocity is None and bare.pressure is None
+    for run in runs:
+        for es in specs:
+            error = pressure_error if NORMS[es.norm][0] == "pressure" else velocity_error
+            got, want = error(run, streamed, es), error(run, stored, es)
+            assert got > 0.0
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), es
+    with pytest.raises(ValueError, match="did not score"):
+        pressure_error(runs[0], streamed, ErrorSpec("pressure_L2l2", alpha=1.0))
 
 
 def test_rate_fit_csv_row():

@@ -395,6 +395,23 @@ def test_stationary_initial_data_cached(medium_space):
     assert c is not a
 
 
+def test_stationary_initial_data_keys_on_newton_settings(small_space):
+    # a loose Newton tolerance must not serve its state to a tight request
+    init = StationaryInitialData(
+        lambda x, y: (0.2 * np.sign(x * y) * np.sin(4 * x + y) * y, np.cos(x - 4 * y) * x),
+        "probe")
+    loose = init.resolve(small_space, 0.01, "nse", NewtonConfig(tolerance=1e-2))
+    tight = init.resolve(small_space, 0.01, "nse", NewtonConfig(tolerance=1e-12))
+    exact = stationary_nse_solve(small_space, 0.01, init.f0, NewtonConfig(tolerance=1e-12))
+    assert tight is not loose
+    assert np.array_equal(tight.velocity, exact.velocity)
+    assert not np.array_equal(loose.velocity, exact.velocity)
+    # equal settings share one solve, and no settings mean the defaults
+    assert init.resolve(small_space, 0.01, "nse", NewtonConfig(tolerance=1e-12)) is tight
+    assert init.resolve(small_space, 0.01, "nse") is init.resolve(small_space, 0.01, "nse",
+                                                                   NewtonConfig())
+
+
 def test_caches_never_serve_another_space():
     # a space built right after another is collected usually gets its id:
     # the caches must still compute its own load vector and initial state
@@ -549,6 +566,22 @@ def test_pressure_only_reference_keeps_no_velocity_history(small_space):
     for norm in ("pressure_L2l2", "pressure_Linfl2"):
         got, want = (pressure_error(coarse, r, ErrorSpec(norm)) for r in (ref, full))
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["stokes", "nse"])
+def test_observer_sees_every_interval_bitwise(small_space, kind):
+    # the observer gets the velocity at each interval's end and its pressure,
+    # bit for bit the stored values, from a solve that stores no field
+    spec = ProblemSpec(small_space, 0.01, ramp_forcing(), None, 0.5)
+    mesh = build_alternating_mesh(0.5, 0.05, [0.8, 1.2])
+    full = transient_solve(spec, mesh, kind, 2)
+    seen = []
+    bare = transient_solve(spec, mesh, kind, 2, fields=(),
+                           observer=lambda u, p: seen.append((u.copy(), p.copy())))
+    assert bare.velocity is None and bare.pressure is None
+    assert len(seen) == mesh.num_intervals
+    assert np.array([u for u, _ in seen]).tobytes() == full.velocity.values[1:].tobytes()
+    assert np.array([p for _, p in seen]).tobytes() == full.pressure.values.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["stokes", "nse"])
