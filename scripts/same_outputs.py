@@ -22,11 +22,17 @@ In each tree, with that tree's ``src`` first on ``PYTHONPATH``, it runs
 It then compares, byte for byte, every ``convergence.csv``, every
 ``verify_*.csv`` and ``verify_*.txt`` and the ``newton_iterations`` lines of
 every ``manifest.txt``, prints one line per file and exits 1 on any
-difference, 0 otherwise.  A convergence run must exit 0; a verify run may
-exit 1 (a failed check, which its report records).  Any other exit code, or
-a tree without ``src/cnflow``, exits 2.  Standard library only.
+difference, 0 otherwise.  A differing CSV's line also gives the number of
+differing cells and the largest relative difference among the numeric ones,
+which tells a last-digit change from a real one.  A convergence run must
+exit 0; a verify run may exit 1 (a failed check, which its report records).
+Any other exit code, or a tree without ``src/cnflow``, exits 2.  Standard
+library only.
 """
 
+import csv
+import itertools
+import math
 import os
 import subprocess
 import sys
@@ -86,6 +92,34 @@ def compared_outputs(out):
     return found
 
 
+def _finite(cell):
+    """The cell as a finite float, else None (also for a missing cell)."""
+    try:
+        value = float(cell)
+    except (TypeError, ValueError):
+        return None
+    return value if math.isfinite(value) else None
+
+
+def csv_difference(a, b):
+    """How two CSV texts differ: the number of differing cells (a cell on one
+    side only counts) and the largest relative difference of the differing
+    cells that are finite numbers on both sides."""
+    rows = [list(csv.reader(text.decode().splitlines())) for text in (a, b)]
+    cells, largest = 0, None
+    for row_a, row_b in itertools.zip_longest(*rows, fillvalue=[]):
+        for x, y in itertools.zip_longest(row_a, row_b):
+            if x == y:
+                continue
+            cells += 1
+            u, v = _finite(x), _finite(y)
+            if u is not None and v is not None:
+                rel = abs(u - v) / max(abs(u), abs(v)) if u != v else 0.0
+                largest = rel if largest is None else max(largest, rel)
+    spread = "none numeric" if largest is None else f"{largest:.3g}"
+    return f"differing cells: {cells}, largest relative difference: {spread}"
+
+
 def compare(old, new):
     """Print one line per compared output; 1 if any differs or is missing, else 0."""
     a, b = compared_outputs(old), compared_outputs(new)
@@ -96,7 +130,9 @@ def compare(old, new):
               "missing" if name not in a or name not in b else "DIFFERS"
               for name in sorted(a.keys() | b.keys())}
     for name, what in status.items():
-        print(f"{what:<8} {name}")
+        detail = (f" ({csv_difference(a[name], b[name])})"
+                  if what == "DIFFERS" and name.endswith(".csv") else "")
+        print(f"{what:<8} {name}{detail}")
     return 0 if set(status.values()) == {"same"} else 1
 
 

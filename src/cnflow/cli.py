@@ -330,11 +330,14 @@ def run_convergence(config):
         futures = [(k, pool.submit(timed, coarse_run, spec, kind, k, config.pattern,
                                    config.n0, error_specs)) for k in config.k_list]
         runs = [future.result()[0] for _, future in futures if future.exception() is None]
-        (reference, streamed), dt = pool.submit(timed, build_reference, spec, kind,
-                                                config.k_list, config.refinement, runs,
-                                                error_specs).result()
-    timings = [("reference", dt)]
-    iterations = [("reference", reference.newton_iterations)]
+        reference = streamed = None
+        timings, iterations = [], []
+        if runs:  # else nothing is left to score: skip the costliest solve
+            (reference, streamed), dt = pool.submit(timed, build_reference, spec, kind,
+                                                    config.k_list, config.refinement, runs,
+                                                    error_specs).result()
+            timings.append(("reference", dt))
+            iterations.append(("reference", reference.newton_iterations))
     for k, future in futures:
         try:
             run, dt = future.result()
@@ -357,7 +360,8 @@ def run_convergence(config):
         for key, value in config.items():
             fh.write(f"{key} = {value}\n")
         fh.write(f"stored_fields = {','.join(fields_read(error_specs))}\n")
-        fh.write(f"reference_euler_steps = {reference.n0}\n")
+        if reference is not None:
+            fh.write(f"reference_euler_steps = {reference.n0}\n")
         for norm in record.norms():
             try:
                 fh.write(f"fitted_rate[{norm}] = {record.fit(norm).slope!r}\n")

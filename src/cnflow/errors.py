@@ -251,8 +251,10 @@ class StreamedReference:
 
     def __init__(self, mesh, space, runs, error_specs):
         self.mesh = mesh
+        # holding the runs keeps each ``id`` key from passing to a new object
+        self._runs = tuple(runs)
         self._samples = {(id(traj), es): _Samples(traj, es, mesh, space)
-                         for traj in runs for es in error_specs}
+                         for traj in self._runs for es in error_specs}
         rows = min(_NODE_BLOCK, mesh.num_intervals)
         dims = {"velocity": space.num_velocity, "pressure": space.num_pressure}
         self._block = {f: np.empty((rows, dims[f])) for f in fields_read(error_specs)}

@@ -168,23 +168,40 @@ _TRIAL_DECAY = -1.2  # spectral decay exponent of the random trial data
 
 
 def _random_trial(rng, lam, s):
-    """Mesh-independent random data: initial field and a smooth forcing.
+    """Mesh-independent random data: an initial field and the coefficients of
+    a smooth forcing.
 
-    The initial coefficients are normalized to unit V^s size and the
-    forcing, a three-term trigonometric polynomial in time per mode, to
-    unit L2(V^{s-1}) size; both are independent of the time mesh, so
-    refinement studies rediscretize the same underlying data.
+    The initial coefficients ``c0`` decay like ``lambda^(-s/2) j^-1.2`` and
+    the forcing, ``b[0] + b[1] cos(pi t/T) + b[2] sin(2 pi t/T)`` per mode
+    with ``b`` of shape ``(3, M)``, like ``lambda^((1-s)/2) j^-1.2``, so
+    that their V^s and L2(V^{s-1}) sizes depend on neither ``s`` nor the time
+    mesh: refinement studies rediscretize the same underlying data.
     """
     M = lam.size
     j = np.arange(1, M + 1, dtype=float)
     c0 = rng.standard_normal(M) * lam ** (-s / 2.0) * j ** _TRIAL_DECAY
     b = rng.standard_normal((3, M)) * (lam ** ((1.0 - s) / 2.0) * j ** _TRIAL_DECAY)
+    return c0, b
 
-    def forcing(t, T):
-        t = np.asarray(t)[..., None]
-        return b[0] + b[1] * np.cos(np.pi * t / T) + b[2] * np.sin(2.0 * np.pi * t / T)
 
-    return c0, forcing
+def _time_factors(mesh):
+    """Interval averages of the time factors ``(1, cos(pi t/T), sin(2 pi t/T))``
+    of the trial forcing: an ``(N, 3)`` block."""
+    T = mesh.T
+
+    def factors(t):
+        return np.stack([np.ones_like(t), np.cos(np.pi * t / T),
+                         np.sin(2.0 * np.pi * t / T)], axis=-1)
+
+    return average(factors, mesh).values
+
+
+def _trial_forcing(phi, b):
+    """Interval averages of the forcing of coefficients ``b`` (see
+    ``_random_trial``) from the averaged time factors ``phi``: the forcing is
+    separable in time, so this is the same Gauss rule regrouped.  An explicit
+    three-term sum, so the bits do not depend on the BLAS build."""
+    return (phi[:, :1] * b[0] + phi[:, 1:2] * b[1]) + phi[:, 2:] * b[2]
 
 
 def _norms(traj, avg, dt, s, alpha, window):
@@ -217,12 +234,12 @@ def _stability_ratios(s, ell, n0, mesh, trial_count, rng_seed, eigenvalues):
     window = (n0, mesh.num_intervals)
     kmax = mesh.k_max
     a_ell, a_lower = 0.5 * ell, 0.5 * (ell - 1)
+    phi = _time_factors(mesh)  # once per mesh, not per trial
     ratios = []
     for t in range(trial_count):
         rng = np.random.default_rng([rng_seed, t])
-        c0, forcing = _random_trial(rng, lam, s)
-        rk = average(lambda t: forcing(t, mesh.T), mesh).values
-        traj = evolve_cn(mesh, lam, c0, rk, start=n0)
+        c0, b = _random_trial(rng, lam, s)
+        traj = evolve_cn(mesh, lam, c0, _trial_forcing(phi, b), start=n0)
         avg, dt = average(traj.states), time_derivative(traj.states)
         linf, l2_avg, l2_dt = _norms(traj, avg, dt, s, a_ell, window)
         rhs = (kmax ** a_ell * vs_norm(SpectralField(lam, c0), s)

@@ -214,6 +214,24 @@ def test_solver_failures_recorded(tmp_path, monkeypatch):
     assert "failed[k=0.1] = synthetic failure" in manifest
 
 
+def test_no_reference_when_every_coarse_run_fails(tmp_path, monkeypatch, capsys):
+    def boom(*args, **kwargs):
+        raise SolverError("synthetic failure")
+
+    calls = []
+    monkeypatch.setattr(cli, "coarse_run", boom)
+    monkeypatch.setattr(cli, "build_reference", lambda *args: calls.append(args))
+    out = tmp_path / "all_failed"
+    assert main(["convergence", "--out", str(out)] + tiny_overrides()) == 3
+    assert calls == []
+    manifest = (out / "manifest.txt").read_text().splitlines()
+    assert "failed[k=0.1] = synthetic failure" in manifest
+    assert "failed[k=0.05] = synthetic failure" in manifest
+    assert not [line for line in manifest if line.startswith(
+        ("reference_euler_steps", "time[reference]", "newton_iterations[reference]"))]
+    assert "solver failure at k=0.1" in capsys.readouterr().err
+
+
 def test_threaded_run_matches_serial(tmp_path):
     serial = tiny_mapping(tmp_path / "s")
     threaded = tiny_mapping(tmp_path / "t")

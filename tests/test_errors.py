@@ -1,3 +1,5 @@
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -381,6 +383,20 @@ def test_streamed_reference_gives_the_stored_reference_bits(small_space):
             assert np.float64(got).tobytes() == np.float64(want).tobytes(), es
     with pytest.raises(ValueError, match="did not score"):
         pressure_error(runs[0], streamed, ErrorSpec("pressure_L2l2", alpha=1.0))
+
+
+def test_streamed_reference_keeps_its_runs_alive(small_space):
+    # samples are keyed by id(run): a run freed while the reference still
+    # holds its samples could hand that id to a new trajectory
+    coarse = build_uniform_mesh(1.0, 10)
+    run = synthetic_traj(coarse, np.zeros((10, small_space.num_pressure)), space=small_space)
+    alive = weakref.ref(run)
+    streamed = StreamedReference(build_uniform_mesh(1.0, 40), small_space, [run],
+                                 [ErrorSpec("pressure_L2l2")])
+    del run
+    gc.collect()
+    assert alive() is not None
+    assert streamed.samples(alive(), ErrorSpec("pressure_L2l2")) is not None
 
 
 def test_rate_fit_csv_row():

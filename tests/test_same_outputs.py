@@ -62,3 +62,28 @@ def test_missing_output_exits_1(tmp_path, same_outputs, capsys):
     (new / "verify_seed23/verify_temporal.csv").unlink()
     assert same_outputs.compare(old, new) == 1
     assert "missing  verify_seed23/verify_temporal.csv" in capsys.readouterr().out
+
+
+def test_differing_csv_line_counts_cells_and_relative_difference(tmp_path, same_outputs,
+                                                                   capsys):
+    old = output_tree(tmp_path / "old")
+    new = shutil.copytree(old, tmp_path / "new")
+    name = "verify_seed23/verify_temporal.csv"
+    (old / name).write_text("operator,slope,pairwise\ninterpolation,2.0,1.5\n")
+    (new / name).write_text("operator,slope,pairwise\nInterpolation,2.0000000000000004,1.5\n")
+    assert same_outputs.compare(old, new) == 1
+    out = capsys.readouterr().out
+    assert (f"DIFFERS  {name} (differing cells: 2, largest relative difference: 2.22e-16)"
+            in out.splitlines())
+
+
+@pytest.mark.parametrize("a, b, want", [
+    ("x,1.0\n", "x,1.0\n", "differing cells: 0, largest relative difference: none numeric"),
+    ("x,1.0\n", "x,1.5\n", "differing cells: 1, largest relative difference: 0.333"),
+    ("x,1.0\ny,2.0\n", "x,1.0\ny,2.0,3.0\nz\n",
+     "differing cells: 2, largest relative difference: none numeric"),
+    ("x,0.0,nan\n", "x,-0.0,inf\n",
+     "differing cells: 2, largest relative difference: 0"),
+])
+def test_csv_difference(same_outputs, a, b, want):
+    assert same_outputs.csv_difference(a.encode(), b.encode()) == want

@@ -16,6 +16,7 @@ from cnflow.spectral_stokes import (
     vs_norm,
     vs_row_norm,
 )
+from cnflow.temporal_ops import average
 from cnflow.time_mesh import TimeMesh, build_uniform_mesh
 
 
@@ -278,21 +279,21 @@ def test_smoothing_single_mode_ratio_finite():
 def test_smoothing_coarse_ratio_bounds_finer_forced_trials():
     # with zero initial data and random forcing, the coarse-mesh constant
     # bounds the finer-mesh trials up to modest slack
-    from cnflow.spectral_stokes import _norms, _random_trial
-    from cnflow.temporal_ops import weighted_temporal_norm, average, time_derivative
+    from cnflow.spectral_stokes import _norms, _random_trial, _time_factors, _trial_forcing
+    from cnflow.temporal_ops import weighted_temporal_norm, time_derivative
     from cnflow.time_mesh import build_uniform_mesh as bum
 
     lam = default_spectrum(96)
     coarse = verify_smoothing_stability(1, 1, 0, bum(1.0, 64), trial_count=20,
                                         rng_seed=5, eigenvalues=lam)
     mesh = bum(1.0, 128)
+    phi = _time_factors(mesh)
     ell, s = 1, 1
     worst = 0.0
     for t in range(20):
         rng = np.random.default_rng([5, t])
-        _, forcing = _random_trial(rng, lam, s)
-        rk = average(lambda t: forcing(t, mesh.T), mesh).values
-        traj = evolve_cn(mesh, lam, np.zeros(lam.size), rk)
+        _, b = _random_trial(rng, lam, s)
+        traj = evolve_cn(mesh, lam, np.zeros(lam.size), _trial_forcing(phi, b))
         avg, dt = average(traj.states), time_derivative(traj.states)
         linf, l2a, l2d = _norms(traj, avg, dt, s, 0.5 * ell, None)
         nrm_sm1, nrm_s = vs_row_norm(lam, s - 1), vs_row_norm(lam, s)
@@ -301,6 +302,47 @@ def test_smoothing_coarse_ratio_bounds_finer_forced_trials():
                + mesh.k_max * weighted_temporal_norm(dt, 0.0, 2, nrm_s))
         worst = max(worst, (linf + l2a + l2d) / rhs)
     assert worst <= 1.15 * coarse.max_ratio
+
+
+@pytest.mark.parametrize("N", [16, 256])
+@pytest.mark.parametrize("s", [0, 1, 2])
+def test_trial_forcing_is_the_gauss_rule_of_the_forcing(N, s):
+    # the averaged time factors, combined per trial, against the 3-point
+    # Gauss rule applied to the whole forcing at every point
+    from cnflow.spectral_stokes import _random_trial, _time_factors, _trial_forcing
+    from cnflow.temporal_ops import gauss_rule
+
+    mesh = build_uniform_mesh(0.7, N)
+    lam = default_spectrum()
+    _, b = _random_trial(np.random.default_rng([3, N, s]), lam, s)
+    x, w = gauss_rule(3)
+    t = (0.5 * (mesh.nodes[:-1] + mesh.nodes[1:])[:, None]
+         + 0.5 * mesh.steps[:, None] * x)[..., None]
+    values = (b[0] + b[1] * np.cos(np.pi * t / mesh.T)
+              + b[2] * np.sin(2.0 * np.pi * t / mesh.T))
+    want = 0.5 * np.einsum("k,nkm->nm", w, values)
+    got = _trial_forcing(_time_factors(mesh), b)
+    # relative to the size of each mode's coefficients: the forcing itself
+    # may cancel to near zero
+    scale = np.abs(b).sum(axis=0)
+    assert got.shape == (N, lam.size)
+    assert np.max(np.abs(got - want) / scale) <= 1e-14
+
+
+def test_stability_ratios_average_the_forcing_once(monkeypatch):
+    from cnflow import spectral_stokes
+    from cnflow.temporal_ops import GridFunctionCG1, GridFunctionDG0
+
+    averaged = []
+
+    def spy(u, *args, **kwargs):
+        if not isinstance(u, (GridFunctionCG1, GridFunctionDG0)):
+            averaged.append(u)
+        return average(u, *args, **kwargs)
+
+    monkeypatch.setattr(spectral_stokes, "average", spy)
+    verify_smoothing_stability(1, 1, 2, build_uniform_mesh(1.0, 32), trial_count=6)
+    assert len(averaged) == 1
 
 
 def test_sharp_field_norms():
