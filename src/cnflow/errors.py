@@ -244,17 +244,15 @@ class StreamedReference:
     Pass ``observe`` as the observer of the reference solve on ``mesh``: it
     keeps one block of ``_NODE_BLOCK`` intervals of each field the norms read
     and hands every full block, and the last one, to the samples of each
-    coarse trajectory of ``runs`` and spec of ``error_specs``.  The
-    trajectories must store those fields; ``pressure_error`` and
-    ``velocity_error`` then compose their samples.
+    coarse trajectory of ``runs`` and spec of ``error_specs``, keyed by the
+    trajectory itself.  The trajectories must store those fields;
+    ``pressure_error`` and ``velocity_error`` then compose their samples.
     """
 
     def __init__(self, mesh, space, runs, error_specs):
         self.mesh = mesh
-        # holding the runs keeps each ``id`` key from passing to a new object
-        self._runs = tuple(runs)
-        self._samples = {(id(traj), es): _Samples(traj, es, mesh, space)
-                         for traj in self._runs for es in error_specs}
+        self._samples = {(traj, es): _Samples(traj, es, mesh, space)
+                         for traj in runs for es in error_specs}
         rows = min(_NODE_BLOCK, mesh.num_intervals)
         dims = {"velocity": space.num_velocity, "pressure": space.num_pressure}
         self._block = {f: np.empty((rows, dims[f])) for f in fields_read(error_specs)}
@@ -277,7 +275,7 @@ class StreamedReference:
     def samples(self, traj, spec):
         """The samples of ``traj`` and ``spec``."""
         try:
-            return self._samples[id(traj), spec]
+            return self._samples[traj, spec]
         except KeyError:
             raise ValueError("the reference did not score this trajectory and norm") from None
 

@@ -166,11 +166,12 @@ class ProblemSpec:
         return u0
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
     """Velocity (piecewise linear) and pressure (piecewise constant) in time.
 
-    A field the solve was not asked to store is ``None``.
+    Trajectories compare and hash by identity.  A field the solve was not
+    asked to store is ``None``.
     ``newton_iterations`` holds the Newton iteration count of each interval
     of a Navier-Stokes run; it is ``None`` for Stokes.
     """
@@ -251,13 +252,13 @@ def stokes_cn_solve(spec, mesh, n0=0, fields=FIELDS, observer=None):
     M, A = space.mass, space.stiffness
 
     def advance(scheme, k, F, u, P, label, slot):
-        if not slot:
-            theta = THETA[scheme]
-            K = (M + theta * k * nu * A).tocsr()
-            K_exp = M if theta == 1.0 else (M - (1.0 - theta) * k * nu * A).tocsr()
-            slot["factors"] = (BorderedSaddle(space, K), K_exp)
-        saddle, K_exp = slot["factors"]
         try:
+            if not slot:
+                theta = THETA[scheme]
+                K = (M + theta * k * nu * A).tocsr()
+                K_exp = M if theta == 1.0 else (M - (1.0 - theta) * k * nu * A).tocsr()
+                slot["factors"] = (BorderedSaddle(space, K), K_exp)
+            saddle, K_exp = slot["factors"]
             state = saddle.solve(F + K_exp @ u)
         except SolverError as exc:
             raise SolverError(f"{label}: {exc}") from None
@@ -337,9 +338,9 @@ def nse_cn_solve(spec, mesh, n0=0, newton=None, fields=FIELDS, observer=None):
     with ``theta = THETA[scheme]``: ``w = U`` for Euler (fully implicit
     convection) and the midpoint ``w = theta (U + u^{n-1})`` for
     Crank-Nicolson.  Its Jacobian ``M + theta k nu A + theta k (C(w) + G(w))``
-    carries both linearization terms of the convection form; the ``_march``
-    slot of its (scheme, step size) keeps the linear block and, with
-    ``newton.reuse_jacobian``, the factorized Jacobian tried first.
+    carries both linearization terms of the convection form; with
+    ``newton.reuse_jacobian`` the ``_march`` slot of its (scheme, step size)
+    keeps the factorized Jacobian tried first, and nothing else.
     ``fields`` are the fields the trajectory stores and ``observer`` sees
     every interval (see ``_march``).
     """
@@ -350,9 +351,6 @@ def nse_cn_solve(spec, mesh, n0=0, newton=None, fields=FIELDS, observer=None):
 
     def advance(scheme, k, F, u_prev, P, label, slot):
         theta = THETA[scheme]
-        if "linear" not in slot:
-            slot["linear"] = (M + theta * k * nu * A).tocsr()
-        K_lin = slot["linear"]
 
         def momentum(U, P):
             w = U if theta == 1.0 else theta * (U + u_prev)
@@ -361,8 +359,8 @@ def nse_cn_solve(spec, mesh, n0=0, newton=None, fields=FIELDS, observer=None):
             return r, w
 
         def jacobian(w):
-            return (K_lin + theta * k * (space.convection(w)
-                                         + space.convection_gradient(w))).tocsr()
+            C, G = space.convection(w), space.convection_gradient(w)
+            return (M + theta * k * nu * A + theta * k * (C + G)).tocsr()
 
         # The pressure is recovered as P / k, so residual noise enters it with
         # a 1/k amplification; drive the iteration to a k-scaled target (the

@@ -242,7 +242,7 @@ def _stability_ratios(s, ell, n0, mesh, trial_count, rng_seed, eigenvalues):
         traj = evolve_cn(mesh, lam, c0, _trial_forcing(phi, b), start=n0)
         avg, dt = average(traj.states), time_derivative(traj.states)
         linf, l2_avg, l2_dt = _norms(traj, avg, dt, s, a_ell, window)
-        rhs = (kmax ** a_ell * vs_norm(SpectralField(lam, c0), s)
+        rhs = (kmax ** a_ell * vs_row_norm(lam, s)(c0)
                + weighted_temporal_norm(traj.forcing, a_ell, 2, vs_row_norm(lam, s - 1), window))
         if ell >= 1:  # summed left to right, so the rounding matches one four-term sum
             rhs = (rhs

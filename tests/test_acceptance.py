@@ -146,17 +146,19 @@ def space16():
 
 @pytest.fixture(scope="module")
 def incompatible_bundle(space16):
-    """Shared reference and coarse runs for the incompatible-data study."""
+    """Shared reference and coarse runs for the incompatible-data study,
+    which store the pressure alone: criterion 8 reads no velocity."""
     spec = ProblemSpec(space16, 0.01, ZeroForcing(), rough_stationary_initial(), 2.0)
     k_list = (0.005, 0.0025, 0.00125, 0.000625)
     refinement = 8
     n_ref = int(round(2.0 / (min(k_list) / refinement)))
-    reference = reference_solve(spec, build_uniform_mesh(2.0, n_ref), kind="nse")
+    reference = reference_solve(spec, build_uniform_mesh(2.0, n_ref), kind="nse",
+                                fields=("pressure",))
     trajectories = {}
     for n0 in (0, 1, 2):
         for k in k_list:
             mesh = build_alternating_mesh(2.0, k, ALTERNATING)
-            trajectories[(n0, k)] = nse_cn_solve(spec, mesh, n0=n0)
+            trajectories[(n0, k)] = nse_cn_solve(spec, mesh, n0=n0, fields=("pressure",))
     return spec, k_list, reference, trajectories
 
 
@@ -191,10 +193,12 @@ def test_criterion_6_stokes_manufactured(space16):
 def test_criterion_7_compatible_second_order(space16):
     spec = ProblemSpec(space16, 0.01, smooth_ramp_forcing(), None, 2.0)
     k_list = (0.02, 0.01, 0.005, 0.0025)
-    reference = reference_solve(spec, build_uniform_mesh(2.0, 6400), kind="nse")
+    reference = reference_solve(spec, build_uniform_mesh(2.0, 6400), kind="nse",
+                                fields=("pressure",))
     errs = {norm: [] for norm in ("pressure_L2l2", "pressure_Linfl2")}
     for k in k_list:
-        traj = nse_cn_solve(spec, build_alternating_mesh(2.0, k, ALTERNATING), n0=0)
+        traj = nse_cn_solve(spec, build_alternating_mesh(2.0, k, ALTERNATING), n0=0,
+                            fields=("pressure",))
         for norm in errs:
             errs[norm].append(pressure_error(traj, reference, ErrorSpec(norm)))
     rates = {norm: fit_loglog(k_list, e).slope for norm, e in errs.items()}

@@ -32,6 +32,25 @@ def test_diffs_the_committed_bench_files():
         assert row[6] == f"{(b - a) / a:+.1%}"
 
 
+def test_lists_the_counts_that_moved(tmp_path):
+    bench = json.loads((ROOT / "BENCH_19.json").read_text())
+    factor = bench["trace"]["change"]["metrics"]["stokes_manufactured.fem2d.factor.calls"]
+    old_value, factor["value"] = factor["value"], 7
+    moved = tmp_path / "moved.json"
+    moved.write_text(json.dumps(bench))
+    same = bench_diff(ROOT / "BENCH_19.json", ROOT / "BENCH_19.json")
+    result = bench_diff(ROOT / "BENCH_19.json", moved)
+    assert same.returncode == result.returncode == 0, result.stderr
+    # the end-to-end rows stay as they are, then a blank line, a header and one row
+    table = same.stdout.splitlines()
+    lines = result.stdout.splitlines()
+    assert lines[1:len(table)] == table[1:]
+    tail = lines[len(table):]
+    assert len(tail) == 3 and tail[0] == ""
+    assert tail[2].split() == ["stokes_manufactured", "fem2d.factor.calls",
+                               str(old_value), "->", "7"]
+
+
 def drop_metric(end_to_end):
     del end_to_end["spectral_verify"]["metrics"]["setup_s"]
     return ["'setup_s'", "'spectral_verify'"]

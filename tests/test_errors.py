@@ -386,8 +386,8 @@ def test_streamed_reference_gives_the_stored_reference_bits(small_space):
 
 
 def test_streamed_reference_keeps_its_runs_alive(small_space):
-    # samples are keyed by id(run): a run freed while the reference still
-    # holds its samples could hand that id to a new trajectory
+    # samples are keyed by the run itself, by identity, so the reference
+    # keeps every run it scores alive
     coarse = build_uniform_mesh(1.0, 10)
     run = synthetic_traj(coarse, np.zeros((10, small_space.num_pressure)), space=small_space)
     alive = weakref.ref(run)

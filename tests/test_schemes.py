@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnflow import fem2d
-from cnflow.fem2d import BorderedSaddle, FemMesh2D, TaylorHoodSpace
+from cnflow import fem2d, schemes
+from cnflow.fem2d import BorderedSaddle, FemMesh2D, SolverError, TaylorHoodSpace
 from cnflow.schemes import (
     GeneralForcing,
     NewtonConfig,
@@ -255,6 +255,18 @@ def test_newton_failure_carries_step_info(medium_space):
         nse_cn_solve(spec, build_uniform_mesh(0.5, 2), newton=cfg)
     assert err.value.step is not None
     assert err.value.residual is not None
+
+
+def test_stokes_factorization_failure_names_its_step(small_space):
+    spec = ProblemSpec(small_space, 0.01, ramp_forcing(), None, 0.5)
+
+    def singular(system):
+        raise RuntimeError("Factor is exactly singular")
+
+    with mock.patch.object(fem2d, "splu", singular):
+        with pytest.raises(SolverError) as err:
+            stokes_cn_solve(spec, build_uniform_mesh(0.5, 2))
+    assert str(err.value).startswith("step 1: saddle-point factorization failed")
 
 
 @contextmanager
@@ -502,6 +514,24 @@ def test_factorizations_bounded_on_alternating_meshes(small_space, T, base_k, pa
     built, distinct = assert_factorizations_bounded(small_space, stokes_cn_solve, mesh, n0)
     assert built == distinct
     assert_factorizations_bounded(small_space, nse_cn_solve, mesh, n0)
+
+
+def test_nse_slots_hold_only_their_jacobian(small_space, monkeypatch):
+    held = set()
+    march = schemes._march
+
+    def spy(spec, mesh, n0, kind, newton, advance, *rest):
+        def watched(*args):
+            out = advance(*args)
+            held.update(args[-1])  # the keys of the interval's slot
+            return out
+
+        return march(spec, mesh, n0, kind, newton, watched, *rest)
+
+    monkeypatch.setattr(schemes, "_march", spy)
+    spec = ProblemSpec(small_space, 0.01, ramp_forcing(), None, 0.5)
+    nse_cn_solve(spec, build_uniform_mesh(0.5, 10), n0=2)
+    assert held == {"jacobian"}
 
 
 def test_reference_solve_contract(medium_space):
