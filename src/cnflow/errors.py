@@ -8,11 +8,9 @@ maximum.  Weighted variants multiply each sample by the smoothing weight
 of the coarse-mesh interval containing it, and a window ``(t_n0, T]``
 restricts the samples.  Velocity errors sample the reference nodes alike.
 
-The reference is either a trajectory that stores the field a norm reads or
-a ``StreamedReference``, which takes the reference values interval by
-interval while the reference is solved, scores every coarse trajectory
-against them block by block and stores no field.  Both feed the same
-samples, so both give the same bits.
+The reference is a ``StreamedReference``: it takes the reference values
+interval by interval while the reference is solved, scores every coarse
+trajectory against them block by block and stores no field.
 """
 
 from dataclasses import dataclass, field
@@ -215,7 +213,7 @@ class _Samples:
         # the window is a suffix of the ascending times
         self._skip = times.size - self._ts.size
         self._norm = _spatial_norm_fn(spec, traj.space or space)
-        self._coarse = getattr(traj, field)
+        self._field, self._coarse = field, getattr(traj, field)
         self._p = NORMS[spec.norm][1]
         self._w = traj.mesh.tau_values(spec.alpha)[traj.mesh.interval_of(self._ts) - 1]
         self._q = np.empty(self._ts.size)
@@ -223,6 +221,10 @@ class _Samples:
 
     def feed(self, first, values):
         """Take the reference ``values`` of the samples ``first, first + 1, ...``."""
+        width = self._coarse.values.shape[1]
+        if values.shape[1] != width:
+            raise ValueError(f"the reference {self._field} has {values.shape[1]} coefficients, "
+                             f"the trajectory stores {width}")
         lo, hi = max(first - self._skip, 0), first + len(values) - self._skip
         if lo < hi:
             d = self._at(self._coarse, self._ts[lo:hi])
@@ -242,26 +244,34 @@ class StreamedReference:
     """A reference scored while it is solved, storing no field.
 
     Pass ``observe`` as the observer of the reference solve on ``mesh``: it
-    keeps one block of ``_NODE_BLOCK`` intervals of each field the norms read
-    and hands every full block, and the last one, to the samples of each
-    coarse trajectory of ``runs`` and spec of ``error_specs``, keyed by the
-    trajectory itself.  The trajectories must store those fields;
-    ``pressure_error`` and ``velocity_error`` then compose their samples.
+    keeps one block of ``_NODE_BLOCK`` intervals of each field the norms read,
+    as wide as that field of the first interval, and hands every full block,
+    and the last one, to the samples of each coarse trajectory of ``runs`` and
+    spec of ``error_specs``, keyed by the trajectory itself.  The trajectories
+    must store those fields; ``pressure_error`` and ``velocity_error`` then
+    compose their samples by ``error``.
     """
 
     def __init__(self, mesh, space, runs, error_specs):
+        fields = fields_read(error_specs)
+        # the midpoint rule weights every pressure sample with one reference step
+        if "pressure" in fields and mesh.rho > 1.0 + UNIFORM_RHO_TOL:
+            raise ValueError("reference mesh must be uniform")
         self.mesh = mesh
         self._samples = {(traj, es): _Samples(traj, es, mesh, space)
                          for traj in runs for es in error_specs}
-        rows = min(_NODE_BLOCK, mesh.num_intervals)
-        dims = {"velocity": space.num_velocity, "pressure": space.num_pressure}
-        self._block = {f: np.empty((rows, dims[f])) for f in fields_read(error_specs)}
+        self._block = dict.fromkeys(fields)  # allocated on the first interval
         self._done = 0  # intervals observed
 
     def observe(self, u, p):
         row = self._done % _NODE_BLOCK
         for field, value in (("velocity", u), ("pressure", p)):
             if field in self._block:
+                if value is None:
+                    raise ValueError(f"the reference gave no {field}")
+                if not self._done:
+                    rows = min(_NODE_BLOCK, self.mesh.num_intervals)
+                    self._block[field] = np.empty((rows, np.size(value)))
                 self._block[field][row] = value
         self._done += 1
         if row + 1 == _NODE_BLOCK or self._done == self.mesh.num_intervals:
@@ -272,55 +282,37 @@ class StreamedReference:
                 field = NORMS[es.norm][0]
                 samples.feed(n - (field == "pressure"), self._block[field][:row + 1])
 
-    def samples(self, traj, spec):
-        """The samples of ``traj`` and ``spec``."""
+    def error(self, traj, spec, field, k=None):
+        """The ``field`` norm of ``spec`` of ``traj``, which this reference
+        scored; ``k`` is the step of the temporal L2 sum."""
+        if NORMS[spec.norm][0] != field:
+            raise ValueError(f"{spec.norm} is not a {field} norm")
         try:
-            return self._samples[traj, spec]
+            samples = self._samples[traj, spec]
         except KeyError:
             raise ValueError("the reference did not score this trajectory and norm") from None
-
-
-def _sampled_error(traj, ref, spec, field, k=None):
-    """The ``field`` norm of ``spec`` of ``traj`` against ``ref``: a
-    ``StreamedReference`` that scored it, or a trajectory that stores the
-    field, fed to the samples block by block; ``k`` is the step of the
-    temporal L2 sum."""
-    if NORMS[spec.norm][0] != field:
-        raise ValueError(f"{spec.norm} is not a {field} norm")
-    if isinstance(ref, StreamedReference):
-        return ref.samples(traj, spec).error(k)
-    if getattr(ref, field) is None:
-        raise ValueError(f"the reference did not store the {field}")
-    samples = _Samples(traj, spec, ref.mesh, ref.space)
-    values = getattr(ref, field).values
-    if values.shape[1:] != getattr(traj, field).values.shape[1:]:
-        raise ValueError("coefficient dimensions do not match")
-    for b in range(0, len(values), _NODE_BLOCK):
-        samples.feed(b, values[b:b + _NODE_BLOCK])
-    return samples.error(k)
+        return samples.error(k)
 
 
 def pressure_error(traj, ref, spec):
-    """Midpoint-rule pressure error of ``traj`` against the reference.
+    """Midpoint-rule pressure error of ``traj`` against the
+    ``StreamedReference`` ``ref`` that scored it in ``spec``.
 
     Both pressures are read as midpoint samples (see
     ``midpoint_reconstruction``) and compared at the reference midpoints
     inside the window, where the reference reconstruction is exactly its
-    stored values; the smoothing weight of the coarse interval containing
-    each midpoint multiplies the spatial norm of the difference.
+    values; the smoothing weight of the coarse interval containing each
+    midpoint multiplies the spatial norm of the difference.
     """
-    fine = ref.mesh
-    # the midpoint rule weights every sample with one step
-    if fine.rho > 1.0 + UNIFORM_RHO_TOL:
-        raise ValueError("reference mesh must be uniform")
-    return _sampled_error(traj, ref, spec, "pressure", fine.steps[0])
+    return ref.error(traj, spec, "pressure", ref.mesh.steps[0])
 
 
 def velocity_error(traj, ref, spec):
-    """Velocity error of ``traj`` against the reference.
+    """Velocity error of ``traj`` against the ``StreamedReference`` ``ref``
+    that scored it in ``spec``.
 
     ``velocity_LinfV1`` takes the maximum over reference nodes (inside
     the window) of the stiffness-weighted seminorm of the difference of
     the piecewise-linear evaluations.
     """
-    return _sampled_error(traj, ref, spec, "velocity")
+    return ref.error(traj, spec, "velocity")

@@ -204,12 +204,17 @@ def _trial_forcing(phi, b):
     return (phi[:, :1] * b[0] + phi[:, 1:2] * b[1]) + phi[:, 2:] * b[2]
 
 
-def _norms(traj, avg, dt, s, alpha, window):
+def _vs_row_norms(eigenvalues, s):
+    """The row-wise V^{s-1}, V^s and V^{s+1} norms (see ``vs_row_norm``)."""
+    return tuple(vs_row_norm(eigenvalues, order) for order in (s - 1, s, s + 1))
+
+
+def _norms(traj, avg, dt, vs, alpha, window):
     """(Linf V^s of the states, L2 V^{s+1} of their average, L2 V^{s-1} of their derivative)."""
-    lam = traj.eigenvalues
-    linf = weighted_temporal_norm(traj.states, alpha, np.inf, vs_row_norm(lam, s), window)
-    l2_avg = weighted_temporal_norm(avg, alpha, 2, vs_row_norm(lam, s + 1), window)
-    l2_dt = weighted_temporal_norm(dt, alpha, 2, vs_row_norm(lam, s - 1), window)
+    lower, same, upper = vs  # see _vs_row_norms
+    linf = weighted_temporal_norm(traj.states, alpha, np.inf, same, window)
+    l2_avg = weighted_temporal_norm(avg, alpha, 2, upper, window)
+    l2_dt = weighted_temporal_norm(dt, alpha, 2, lower, window)
     return linf, l2_avg, l2_dt
 
 
@@ -235,19 +240,21 @@ def _stability_ratios(s, ell, n0, mesh, trial_count, rng_seed, eigenvalues):
     kmax = mesh.k_max
     a_ell, a_lower = 0.5 * ell, 0.5 * (ell - 1)
     phi = _time_factors(mesh)  # once per mesh, not per trial
+    vs = _vs_row_norms(lam, s)  # once per call, not per trial
+    lower, same, _ = vs
     ratios = []
     for t in range(trial_count):
         rng = np.random.default_rng([rng_seed, t])
         c0, b = _random_trial(rng, lam, s)
         traj = evolve_cn(mesh, lam, c0, _trial_forcing(phi, b), start=n0)
         avg, dt = average(traj.states), time_derivative(traj.states)
-        linf, l2_avg, l2_dt = _norms(traj, avg, dt, s, a_ell, window)
-        rhs = (kmax ** a_ell * vs_row_norm(lam, s)(c0)
-               + weighted_temporal_norm(traj.forcing, a_ell, 2, vs_row_norm(lam, s - 1), window))
+        linf, l2_avg, l2_dt = _norms(traj, avg, dt, vs, a_ell, window)
+        rhs = (kmax ** a_ell * same(c0)
+               + weighted_temporal_norm(traj.forcing, a_ell, 2, lower, window))
         if ell >= 1:  # summed left to right, so the rounding matches one four-term sum
             rhs = (rhs
-                   + weighted_temporal_norm(avg, a_lower, 2, vs_row_norm(lam, s), window)
-                   + kmax * weighted_temporal_norm(dt, a_lower, 2, vs_row_norm(lam, s), window))
+                   + weighted_temporal_norm(avg, a_lower, 2, same, window)
+                   + kmax * weighted_temporal_norm(dt, a_lower, 2, same, window))
         ratios.append((linf + l2_avg + l2_dt) / rhs)
     return np.asarray(ratios)
 

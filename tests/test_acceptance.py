@@ -1,4 +1,5 @@
-"""Acceptance suite: one test per criterion, one pass/fail line each.
+"""Acceptance suite: one test per criterion, one pass/fail line each, and one
+check that the flow references keep no field.
 
 The flow experiments run at desk scale (16 x 16 Taylor-Hood space on the
 square) against shared uniform-mesh references; convergence orders, not
@@ -7,7 +8,8 @@ uses a step-size ladder one/two halvings below the harness default so
 that every fitted pair sits inside the regime where the startup layer is
 temporally resolved (the degraded orders are invisible while the largest
 steps straddle the layer); the weighted/averaged recovery criteria are
-insensitive to that choice.
+insensitive to that choice.  Each study solves its coarse runs first; its
+reference then scores them in the norms its criterion reads while it steps.
 """
 
 import numpy as np
@@ -22,7 +24,13 @@ from cnflow.cli import (
     stability_drift,
     temporal_operator_orders,
 )
-from cnflow.errors import ErrorSpec, fit_loglog, pressure_error, velocity_error
+from cnflow.errors import (
+    ErrorSpec,
+    StreamedReference,
+    fit_loglog,
+    pressure_error,
+    velocity_error,
+)
 from cnflow.fem2d import build_space
 from cnflow.schemes import (
     ProblemSpec,
@@ -137,6 +145,30 @@ def test_criterion_5_euler_smoothing_rates():
 # --- flow experiment fixtures ------------------------------------------------
 
 ALTERNATING = (0.8, 1.2)
+# the norms (norm, alpha, window start) that criterion 8 reads of the runs with
+# each Euler prefix n0; the reference scores these pairs alone, and reading any
+# other pair raises "did not score"
+CRITERION_8_NORMS = {
+    0: (ErrorSpec("pressure_L2l2"),),  # 8a
+    1: (ErrorSpec("pressure_L2l2", 1.5, 1), ErrorSpec("pressure_Linfl2", 0.0, 1),
+        ErrorSpec("pressure_L2l2", 0.0, 1)),  # 8b, 8d
+    2: (ErrorSpec("pressure_Linfl2", 2.0, 2), ErrorSpec("pressure_Linfl2", 0.0, 2)),  # 8c, 8d
+}
+
+
+def scored_reference(spec, n_ref, kind, groups):
+    """The reference of ``spec`` on a uniform mesh of ``n_ref`` steps, which
+    stores no field and scores each group ``(runs, error_specs)`` of
+    ``groups`` while it steps: its trajectory and one ``StreamedReference``
+    per group."""
+    fine = build_uniform_mesh(spec.T, n_ref)
+    streams = [StreamedReference(fine, spec.space, runs, specs) for runs, specs in groups]
+
+    def observe(u, p):
+        for streamed in streams:
+            streamed.observe(u, p)
+
+    return reference_solve(spec, fine, kind=kind, fields=(), observer=observe), streams
 
 
 @pytest.fixture(scope="module")
@@ -146,41 +178,64 @@ def space16():
 
 @pytest.fixture(scope="module")
 def incompatible_bundle(space16):
-    """Shared reference and coarse runs for the incompatible-data study,
-    which store the pressure alone: criterion 8 reads no velocity."""
+    """Coarse runs of the incompatible-data study, which store the pressure
+    alone (criterion 8 reads no velocity), and the reference that scored
+    them, with its ``StreamedReference`` per Euler prefix."""
     spec = ProblemSpec(space16, 0.01, ZeroForcing(), rough_stationary_initial(), 2.0)
     k_list = (0.005, 0.0025, 0.00125, 0.000625)
     refinement = 8
-    n_ref = int(round(2.0 / (min(k_list) / refinement)))
-    reference = reference_solve(spec, build_uniform_mesh(2.0, n_ref), kind="nse",
-                                fields=("pressure",))
     trajectories = {}
-    for n0 in (0, 1, 2):
+    for n0 in CRITERION_8_NORMS:
         for k in k_list:
             mesh = build_alternating_mesh(2.0, k, ALTERNATING)
             trajectories[(n0, k)] = nse_cn_solve(spec, mesh, n0=n0, fields=("pressure",))
-    return spec, k_list, reference, trajectories
+    n_ref = int(round(2.0 / (min(k_list) / refinement)))
+    reference, streams = scored_reference(
+        spec, n_ref, "nse", [([trajectories[(n0, k)] for k in k_list], specs)
+                             for n0, specs in CRITERION_8_NORMS.items()])
+    return spec, k_list, reference, dict(zip(CRITERION_8_NORMS, streams)), trajectories
 
 
 def pressure_rates(bundle, n0, alpha, norm, window_start):
-    _, k_list, reference, trajectories = bundle
-    errs = [pressure_error(trajectories[(n0, k)], reference,
+    _, k_list, _, scored, trajectories = bundle
+    errs = [pressure_error(trajectories[(n0, k)], scored[n0],
                            ErrorSpec(norm, alpha, window_start))
             for k in k_list]
     return fit_loglog(k_list, errs), errs
 
 
-# --- criterion 6: Stokes manufactured ---------------------------------------
-
-def test_criterion_6_stokes_manufactured(space16):
+@pytest.fixture(scope="module")
+def stokes_manufactured_study(space16):
+    """Criterion 6: the reference, the steps and the midpoint pressure and
+    velocity errors of the coarse Stokes runs."""
     spec = ProblemSpec(space16, 0.01, smooth_ramp_forcing(), None, 2.0)
     k_list = (0.02, 0.01, 0.005)
-    reference = reference_solve(spec, build_uniform_mesh(2.0, 3200), kind="stokes")
-    errs_p, errs_v = [], []
-    for k in k_list:
-        traj = stokes_cn_solve(spec, build_alternating_mesh(2.0, k, ALTERNATING))
-        errs_p.append(pressure_error(traj, reference, ErrorSpec("pressure_Linfl2")))
-        errs_v.append(velocity_error(traj, reference, ErrorSpec("velocity_LinfV1")))
+    runs = [stokes_cn_solve(spec, build_alternating_mesh(2.0, k, ALTERNATING)) for k in k_list]
+    norm_p, norm_v = ErrorSpec("pressure_Linfl2"), ErrorSpec("velocity_LinfV1")
+    reference, (scored,) = scored_reference(spec, 3200, "stokes", [(runs, (norm_p, norm_v))])
+    errs_p = [pressure_error(run, scored, norm_p) for run in runs]
+    errs_v = [velocity_error(run, scored, norm_v) for run in runs]
+    return reference, k_list, errs_p, errs_v
+
+
+@pytest.fixture(scope="module")
+def compatible_study(space16):
+    """Criterion 7: the reference, the steps and the pressure errors of the
+    coarse Navier-Stokes runs, which store the pressure alone, per norm."""
+    spec = ProblemSpec(space16, 0.01, smooth_ramp_forcing(), None, 2.0)
+    k_list = (0.02, 0.01, 0.005, 0.0025)
+    runs = [nse_cn_solve(spec, build_alternating_mesh(2.0, k, ALTERNATING), n0=0,
+                         fields=("pressure",)) for k in k_list]
+    norms = (ErrorSpec("pressure_L2l2"), ErrorSpec("pressure_Linfl2"))
+    reference, (scored,) = scored_reference(spec, 6400, "nse", [(runs, norms)])
+    errs = {es.norm: [pressure_error(run, scored, es) for run in runs] for es in norms}
+    return reference, k_list, errs
+
+
+# --- criterion 6: Stokes manufactured ---------------------------------------
+
+def test_criterion_6_stokes_manufactured(stokes_manufactured_study):
+    _, k_list, errs_p, errs_v = stokes_manufactured_study
     rate_p = fit_loglog(k_list, errs_p).slope
     rate_v = fit_loglog(k_list, errs_v).slope
     ok = rate_p >= 1.8 and rate_v >= 1.8
@@ -190,17 +245,8 @@ def test_criterion_6_stokes_manufactured(space16):
 
 # --- criterion 7: compatible-data flow study --------------------------------
 
-def test_criterion_7_compatible_second_order(space16):
-    spec = ProblemSpec(space16, 0.01, smooth_ramp_forcing(), None, 2.0)
-    k_list = (0.02, 0.01, 0.005, 0.0025)
-    reference = reference_solve(spec, build_uniform_mesh(2.0, 6400), kind="nse",
-                                fields=("pressure",))
-    errs = {norm: [] for norm in ("pressure_L2l2", "pressure_Linfl2")}
-    for k in k_list:
-        traj = nse_cn_solve(spec, build_alternating_mesh(2.0, k, ALTERNATING), n0=0,
-                            fields=("pressure",))
-        for norm in errs:
-            errs[norm].append(pressure_error(traj, reference, ErrorSpec(norm)))
+def test_criterion_7_compatible_second_order(compatible_study):
+    _, k_list, errs = compatible_study
     rates = {norm: fit_loglog(k_list, e).slope for norm, e in errs.items()}
     ok = all(rate >= 1.8 for rate in rates.values())
     report(7, ok, ", ".join(f"{n}: {r:.3f} >= 1.8" for n, r in rates.items()))
@@ -242,6 +288,15 @@ def test_criterion_8d_unweighted_prefix_loss(incompatible_bundle):
     report("8d", ok, f"unweighted Linf-l2 rates with Euler prefixes: "
                      f"n0=1: {fit1.slope:.3f}, n0=2: {fit2.slope:.3f} "
                      f"(both <= 1.4; unweighted L2-l2 at n0=1: {fit1_l2.slope:.3f})")
+
+
+def test_flow_references_keep_no_field(incompatible_bundle, stokes_manufactured_study,
+                                       compatible_study):
+    # each reference scored its runs while it stepped; a stored field would
+    # hold up to 59 MB (the 25,600-step pressure of criterion 8)
+    for reference in (incompatible_bundle[2], stokes_manufactured_study[0],
+                      compatible_study[0]):
+        assert reference.velocity is None and reference.pressure is None
 
 
 # --- criterion 9: oracle equivalence -----------------------------------------

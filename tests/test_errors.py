@@ -37,6 +37,24 @@ def synthetic_traj(mesh, pressures, velocities=None, space=None):
                       ["CN"] * mesh.num_intervals, space)
 
 
+def replay(ref, runs, specs):
+    """A ``StreamedReference`` on the mesh and space of the trajectory ``ref``
+    that scored ``runs`` in ``specs`` while it observed the intervals of
+    ``ref`` in order, as a reference solve hands them over."""
+    streamed = StreamedReference(ref.mesh, ref.space, runs, specs)
+    for n in range(ref.mesh.num_intervals):
+        streamed.observe(None if ref.velocity is None else ref.velocity.values[n + 1],
+                         None if ref.pressure is None else ref.pressure.values[n])
+    return streamed
+
+
+def score(traj, ref, spec):
+    """The error of ``traj`` in ``spec`` against the trajectory ``ref``,
+    replayed through a ``StreamedReference``."""
+    error = pressure_error if NORMS[spec.norm][0] == "pressure" else velocity_error
+    return error(traj, replay(ref, [traj], [spec]), spec)
+
+
 def record_fit(ks, errs, norm="pressure_L2l2"):
     """``ConvergenceRecord.fit`` over one row per ``(k, error)`` pair."""
     rec = ConvergenceRecord()
@@ -117,8 +135,8 @@ def test_identical_trajectories_zero_error():
     rng = np.random.default_rng(0)
     p = rng.standard_normal((64, 5))
     traj = synthetic_traj(fine, p)
-    assert pressure_error(traj, traj, ErrorSpec("pressure_L2l2", spatial="nodal")) == 0.0
-    assert pressure_error(traj, traj, ErrorSpec("pressure_Linfl2", spatial="nodal")) == 0.0
+    assert score(traj, traj, ErrorSpec("pressure_L2l2", spatial="nodal")) == 0.0
+    assert score(traj, traj, ErrorSpec("pressure_Linfl2", spatial="nodal")) == 0.0
 
 
 def test_pressure_error_synthetic_offset():
@@ -129,9 +147,9 @@ def test_pressure_error_synthetic_offset():
     traj = synthetic_traj(coarse, np.full((8, 3), k))
     ref = synthetic_traj(fine, np.zeros((64, 3)))
     spec = ErrorSpec("pressure_Linfl2", spatial="nodal")
-    assert pressure_error(traj, ref, spec) == pytest.approx(np.sqrt(3) * k, rel=1e-12)
+    assert score(traj, ref, spec) == pytest.approx(np.sqrt(3) * k, rel=1e-12)
     spec2 = ErrorSpec("pressure_L2l2", spatial="nodal")
-    assert pressure_error(traj, ref, spec2) == pytest.approx(np.sqrt(3) * k, rel=1e-12)
+    assert score(traj, ref, spec2) == pytest.approx(np.sqrt(3) * k, rel=1e-12)
 
 
 def test_midpoint_reconstruction_identity_at_anchors():
@@ -175,8 +193,8 @@ def test_window_excludes_prefix():
     ref = synthetic_traj(fine, np.zeros((64, 2)))
     for norm in ("pressure_L2l2", "pressure_Linfl2"):
         spec = ErrorSpec(norm, alpha=1.5, window_start=1, spatial="nodal")
-        e1 = pressure_error(synthetic_traj(coarse, p1), ref, spec)
-        e2 = pressure_error(synthetic_traj(coarse, p2), ref, spec)
+        e1 = score(synthetic_traj(coarse, p1), ref, spec)
+        e2 = score(synthetic_traj(coarse, p2), ref, spec)
         # interpolation can leak only into samples below the second anchor,
         # which carry zero or first-interval weight; with the tau weight on
         # interval 1 equal to zero the windowed error cannot see p2[0]
@@ -198,9 +216,9 @@ def test_zero_weight_intervals_contribute_nothing():
     traj = synthetic_traj(coarse, p)
     spec = ErrorSpec("pressure_L2l2", alpha=2.0, window_start=0, spatial="nodal")
     # anchor interpolation reaches into I^2 where tau = t_1 = 0.5
-    base = pressure_error(traj, ref, spec)
+    base = score(traj, ref, spec)
     spec_w1 = ErrorSpec("pressure_L2l2", alpha=2.0, window_start=1, spatial="nodal")
-    windowed = pressure_error(traj, ref, spec_w1)
+    windowed = score(traj, ref, spec_w1)
     assert windowed <= base
 
 
@@ -215,7 +233,7 @@ def test_norm_axioms_on_random_fields():
         spec = ErrorSpec(norm, spatial="nodal")
 
         def err(vals):
-            return pressure_error(synthetic_traj(coarse, vals), ref, spec)
+            return score(synthetic_traj(coarse, vals), ref, spec)
 
         assert err(2.5 * a) == pytest.approx(2.5 * err(a), rel=1e-12)
         assert err(a + b) <= err(a) + err(b) + 1e-12 * (err(a) + err(b))
@@ -228,8 +246,8 @@ def test_pressure_error_scaling_linearity():
     base = rng.standard_normal((4, 3))
     ref = synthetic_traj(fine, np.zeros((32, 3)))
     spec = ErrorSpec("pressure_L2l2", spatial="nodal")
-    e1 = pressure_error(synthetic_traj(coarse, 1e-3 * base), ref, spec)
-    e2 = pressure_error(synthetic_traj(coarse, 1e-6 * base), ref, spec)
+    e1 = score(synthetic_traj(coarse, 1e-3 * base), ref, spec)
+    e2 = score(synthetic_traj(coarse, 1e-6 * base), ref, spec)
     assert e1 / e2 == pytest.approx(1e3, rel=1e-9)
 
 
@@ -239,18 +257,20 @@ def test_empty_window_rejected():
     ref = synthetic_traj(fine, np.zeros((8, 1)))
     traj = synthetic_traj(coarse, np.zeros((2, 1)))
     with pytest.raises(ValueError):
-        pressure_error(traj, ref, ErrorSpec("pressure_L2l2", window_start=2,
-                                            spatial="nodal"))
+        score(traj, ref, ErrorSpec("pressure_L2l2", window_start=2, spatial="nodal"))
 
 
-def test_nonuniform_reference_rejected():
-    # the midpoint rule weights every reference sample with the first step
+def test_nonuniform_reference_rejected(small_space):
+    # the midpoint rule weights every reference sample with the first step,
+    # so a pressure norm rejects the mesh before any interval is observed
     fine = build_alternating_mesh(1.0, 1.0 / 64, [0.8, 1.2])
     coarse = build_uniform_mesh(1.0, 8)
-    ref = synthetic_traj(fine, np.zeros((fine.num_intervals, 2)))
-    traj = synthetic_traj(coarse, np.ones((8, 2)))
+    traj = synthetic_traj(coarse, np.ones((8, small_space.num_pressure)),
+                          np.ones((9, small_space.num_velocity)), small_space)
     with pytest.raises(ValueError, match="uniform"):
-        pressure_error(traj, ref, ErrorSpec("pressure_L2l2", spatial="nodal"))
+        StreamedReference(fine, small_space, [traj], [ErrorSpec("pressure_L2l2")])
+    # velocity norms sample the reference nodes, on any mesh
+    StreamedReference(fine, small_space, [traj], [ErrorSpec("velocity_LinfV1")])
 
 
 def test_mismatched_spaces_rejected():
@@ -258,22 +278,22 @@ def test_mismatched_spaces_rejected():
     coarse = build_uniform_mesh(1.0, 4)
     ref = synthetic_traj(fine, np.zeros((32, 3)))
     traj = synthetic_traj(coarse, np.zeros((4, 2)))
-    with pytest.raises(ValueError):
-        pressure_error(traj, ref, ErrorSpec("pressure_L2l2", spatial="nodal"))
+    with pytest.raises(ValueError, match="reference pressure has 3 coefficients, "
+                                         "the trajectory stores 2"):
+        score(traj, ref, ErrorSpec("pressure_L2l2", spatial="nodal"))
 
 
 def test_velocity_error_requires_space():
     fine = build_uniform_mesh(1.0, 32)
     traj = synthetic_traj(fine, np.zeros((32, 2)))
     with pytest.raises(ValueError):
-        velocity_error(traj, traj, ErrorSpec("velocity_LinfV1"))
+        score(traj, traj, ErrorSpec("velocity_LinfV1"))
 
 
 @pytest.mark.parametrize("norm", ["pressure_L2l2", "velocity_LinfV1"])
 def test_missing_field_is_named(small_space, norm):
     space, field = small_space, NORMS[norm][0]
     other = "velocity" if field == "pressure" else "pressure"
-    error = pressure_error if field == "pressure" else velocity_error
 
     def zero_traj(mesh):
         return synthetic_traj(mesh, np.zeros((mesh.num_intervals, space.num_pressure)),
@@ -282,11 +302,11 @@ def test_missing_field_is_named(small_space, norm):
     traj, ref = zero_traj(build_uniform_mesh(1.0, 4)), zero_traj(build_uniform_mesh(1.0, 16))
     spec = ErrorSpec(norm)
     with pytest.raises(ValueError, match=f"the trajectory did not store the {field}"):
-        error(replace(traj, **{field: None}), ref, spec)
-    with pytest.raises(ValueError, match=f"the reference did not store the {field}"):
-        error(traj, replace(ref, **{field: None}), spec)
+        score(replace(traj, **{field: None}), ref, spec)
+    with pytest.raises(ValueError, match=f"the reference gave no {field}"):
+        score(traj, replace(ref, **{field: None}), spec)
     # the field the norm does not read may be missing on both sides
-    assert error(replace(traj, **{other: None}), replace(ref, **{other: None}), spec) == 0.0
+    assert score(replace(traj, **{other: None}), replace(ref, **{other: None}), spec) == 0.0
 
 
 def test_velocity_errors_on_space(small_space):
@@ -304,9 +324,9 @@ def test_velocity_errors_on_space(small_space):
     ref = traj_on(fine, 1.0)
     same = traj_on(coarse, 1.0)
     spec = ErrorSpec("velocity_LinfV1")
-    assert velocity_error(same, ref, spec) == pytest.approx(0.0, abs=1e-12)
-    e1 = velocity_error(traj_on(coarse, 1.0 + 1e-3), ref, spec)
-    e2 = velocity_error(traj_on(coarse, 1.0 + 1e-6), ref, spec)
+    assert score(same, ref, spec) == pytest.approx(0.0, abs=1e-12)
+    e1 = score(traj_on(coarse, 1.0 + 1e-3), ref, spec)
+    e2 = score(traj_on(coarse, 1.0 + 1e-6), ref, spec)
     assert e1 / e2 == pytest.approx(1e3, rel=1e-6)
 
 
@@ -327,7 +347,7 @@ def test_velocity_linf_is_the_node_by_node_formula_bitwise(small_space):
         d = [traj.velocity.evaluate(t) - r for t, r in zip(ts, ref.velocity.values[mask])]
         q = np.sqrt([x @ (S @ x) for x in d])
         w = coarse.tau_values(alpha)[coarse.interval_of(ts) - 1]
-        got = velocity_error(traj, ref, ErrorSpec("velocity_LinfV1", alpha, window_start))
+        got = score(traj, ref, ErrorSpec("velocity_LinfV1", alpha, window_start))
         assert np.float64(got).tobytes() == np.max(w * q).tobytes()
 
 
@@ -351,7 +371,7 @@ def test_pressure_norms_are_the_sample_by_sample_formula_bitwise(small_space):
                            ("nodal", np.sqrt([np.dot(x, x) for x in d]))):
             for norm, want in (("pressure_L2l2", np.sqrt(np.sum(k0 * (w * q) ** 2))),
                                ("pressure_Linfl2", np.max(w * q))):
-                got = pressure_error(traj, ref, ErrorSpec(norm, alpha, window_start, spatial))
+                got = score(traj, ref, ErrorSpec(norm, alpha, window_start, spatial))
                 assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
@@ -375,10 +395,11 @@ def test_streamed_reference_gives_the_stored_reference_bits(small_space):
     bare = reference_solve(spec, fine, "stokes", fields=(), observer=streamed.observe)
     stored = reference_solve(spec, fine, "stokes")
     assert bare.velocity is None and bare.pressure is None
+    replayed = replay(stored, runs, specs)
     for run in runs:
         for es in specs:
             error = pressure_error if NORMS[es.norm][0] == "pressure" else velocity_error
-            got, want = error(run, streamed, es), error(run, stored, es)
+            got, want = error(run, streamed, es), error(run, replayed, es)
             assert got > 0.0
             assert np.float64(got).tobytes() == np.float64(want).tobytes(), es
     with pytest.raises(ValueError, match="did not score"):
@@ -396,7 +417,9 @@ def test_streamed_reference_keeps_its_runs_alive(small_space):
     del run
     gc.collect()
     assert alive() is not None
-    assert streamed.samples(alive(), ErrorSpec("pressure_L2l2")) is not None
+    # found, though not yet observed
+    with pytest.raises(ValueError, match="ended before the window"):
+        pressure_error(alive(), streamed, ErrorSpec("pressure_L2l2"))
 
 
 def test_rate_fit_csv_row():

@@ -559,14 +559,16 @@ def test_reference_step_count_arithmetic():
 def test_reference_halving_audit(medium_space):
     # compatible data: halving the reference step moves the measured
     # errors by well under 2 percent
-    from cnflow.errors import ErrorSpec, pressure_error
+    from cnflow.errors import ErrorSpec, StreamedReference, pressure_error
 
     spec = ProblemSpec(medium_space, 0.01, ramp_forcing(), None, 0.5)
     coarse = stokes_cn_solve(spec, build_alternating_mesh(0.5, 0.05, [0.8, 1.2]))
     es = ErrorSpec("pressure_L2l2")
     errs = []
     for refine in (8, 16):
-        ref = reference_solve(spec, build_uniform_mesh(0.5, 10 * refine), "stokes")
+        fine = build_uniform_mesh(0.5, 10 * refine)
+        ref = StreamedReference(fine, medium_space, [coarse], [es])
+        reference_solve(spec, fine, "stokes", fields=(), observer=ref.observe)
         errs.append(pressure_error(coarse, ref, es))
     assert abs(errs[0] - errs[1]) <= 0.02 * errs[1]
 
@@ -574,8 +576,8 @@ def test_reference_halving_audit(medium_space):
 def test_pressure_only_reference_keeps_no_velocity_history(small_space):
     # a 2,000-interval reference that stores the pressure alone peaks below
     # the bytes of the velocity history it no longer keeps (numpy reports
-    # its arrays to tracemalloc), and its errors keep every bit
-    from cnflow.errors import ErrorSpec, pressure_error
+    # its arrays to tracemalloc), and the errors it scores keep every bit
+    from cnflow.errors import ErrorSpec, StreamedReference, pressure_error
 
     space = small_space
     spec = ProblemSpec(space, 0.01, ramp_forcing(), None, 2.0)
@@ -583,18 +585,22 @@ def test_pressure_only_reference_keeps_no_velocity_history(small_space):
     _ = (space.mass, space.stiffness, space.divergence, space.mean_vector,
          spec.forcing.spatial_load(space))
     fine = build_uniform_mesh(2.0, 2000)
+    coarse = stokes_cn_solve(spec, build_alternating_mesh(2.0, 0.02, [0.8, 1.2]))
+    specs = [ErrorSpec("pressure_L2l2"), ErrorSpec("pressure_Linfl2")]
+    streamed = StreamedReference(fine, space, [coarse], specs)
+    full = StreamedReference(fine, space, [coarse], specs)
     tracemalloc.start()
     try:
-        ref = reference_solve(spec, fine, "stokes", fields=("pressure",))
+        ref = reference_solve(spec, fine, "stokes", fields=("pressure",),
+                              observer=streamed.observe)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert ref.velocity is None
     assert peak < (fine.num_intervals + 1) * space.num_velocity * 8
-    full = reference_solve(spec, fine, "stokes")
-    coarse = stokes_cn_solve(spec, build_alternating_mesh(2.0, 0.02, [0.8, 1.2]))
-    for norm in ("pressure_L2l2", "pressure_Linfl2"):
-        got, want = (pressure_error(coarse, r, ErrorSpec(norm)) for r in (ref, full))
+    reference_solve(spec, fine, "stokes", observer=full.observe)
+    for es in specs:
+        got, want = (pressure_error(coarse, r, es) for r in (streamed, full))
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 

@@ -209,10 +209,10 @@ def test_discrete_stability_pure_decay_trial():
     mesh = build_uniform_mesh(1.0, 8)
     traj = evolve_cn(mesh, lam, np.array([1.0]), np.zeros((8, 1)))
     # LHS assembled by hand must be finite and moderate for pure decay
-    from cnflow.spectral_stokes import _norms
+    from cnflow.spectral_stokes import _norms, _vs_row_norms
     from cnflow.temporal_ops import average, time_derivative
-    linf, l2a, l2d = _norms(traj, average(traj.states), time_derivative(traj.states), 0, 0.0,
-                            None)
+    linf, l2a, l2d = _norms(traj, average(traj.states), time_derivative(traj.states),
+                            _vs_row_norms(lam, 0), 0.0, None)
     rhs = 1.0
     assert (linf + l2a + l2d) / rhs < 4.0
 
@@ -260,12 +260,12 @@ def test_smoothing_single_mode_ratio_finite():
     lam = np.array([1.0])
     mesh = build_uniform_mesh(1.0, 16)
     traj = evolve_cn(mesh, lam, np.array([1.0]), np.zeros((16, 1)))
-    from cnflow.spectral_stokes import _norms
+    from cnflow.spectral_stokes import _norms, _vs_row_norms
     from cnflow.temporal_ops import average, time_derivative, weighted_temporal_norm
 
     ell, s = 1, 1
     avg, dt = average(traj.states), time_derivative(traj.states)
-    linf, l2a, l2d = _norms(traj, avg, dt, s, 0.5 * ell, None)
+    linf, l2a, l2d = _norms(traj, avg, dt, _vs_row_norms(lam, s), 0.5 * ell, None)
     lhs = linf + l2a + l2d
     a_lower = 0.5 * (ell - 1)
     nrm = vs_row_norm(lam, s)
@@ -279,7 +279,13 @@ def test_smoothing_single_mode_ratio_finite():
 def test_smoothing_coarse_ratio_bounds_finer_forced_trials():
     # with zero initial data and random forcing, the coarse-mesh constant
     # bounds the finer-mesh trials up to modest slack
-    from cnflow.spectral_stokes import _norms, _random_trial, _time_factors, _trial_forcing
+    from cnflow.spectral_stokes import (
+        _norms,
+        _random_trial,
+        _time_factors,
+        _trial_forcing,
+        _vs_row_norms,
+    )
     from cnflow.temporal_ops import weighted_temporal_norm, time_derivative
     from cnflow.time_mesh import build_uniform_mesh as bum
 
@@ -289,14 +295,15 @@ def test_smoothing_coarse_ratio_bounds_finer_forced_trials():
     mesh = bum(1.0, 128)
     phi = _time_factors(mesh)
     ell, s = 1, 1
+    vs = _vs_row_norms(lam, s)
+    nrm_sm1, nrm_s, _ = vs
     worst = 0.0
     for t in range(20):
         rng = np.random.default_rng([5, t])
         _, b = _random_trial(rng, lam, s)
         traj = evolve_cn(mesh, lam, np.zeros(lam.size), _trial_forcing(phi, b))
         avg, dt = average(traj.states), time_derivative(traj.states)
-        linf, l2a, l2d = _norms(traj, avg, dt, s, 0.5 * ell, None)
-        nrm_sm1, nrm_s = vs_row_norm(lam, s - 1), vs_row_norm(lam, s)
+        linf, l2a, l2d = _norms(traj, avg, dt, vs, 0.5 * ell, None)
         rhs = (weighted_temporal_norm(traj.forcing, 0.5 * ell, 2, nrm_sm1)
                + weighted_temporal_norm(avg, 0.0, 2, nrm_s)
                + mesh.k_max * weighted_temporal_norm(dt, 0.0, 2, nrm_s))
@@ -343,6 +350,21 @@ def test_stability_ratios_average_the_forcing_once(monkeypatch):
     monkeypatch.setattr(spectral_stokes, "average", spy)
     verify_smoothing_stability(1, 1, 2, build_uniform_mesh(1.0, 32), trial_count=6)
     assert len(averaged) == 1
+
+
+def test_stability_ratios_build_their_norms_once(monkeypatch):
+    # the V^{s-1}, V^s and V^{s+1} row norms, once per verification
+    from cnflow import spectral_stokes
+
+    built = []
+
+    def spy(eigenvalues, s):
+        built.append(s)
+        return vs_row_norm(eigenvalues, s)
+
+    monkeypatch.setattr(spectral_stokes, "vs_row_norm", spy)
+    verify_smoothing_stability(1, 1, 2, build_uniform_mesh(1.0, 32), trial_count=6)
+    assert sorted(built) == [0, 1, 2]
 
 
 def test_sharp_field_norms():
