@@ -25,7 +25,6 @@ from cnflow.temporal_ops import (
     GridFunctionCG1,
     GridFunctionDG0,
     average,
-    time_derivative,
     weighted_temporal_norm,
 )
 
@@ -36,6 +35,15 @@ def default_spectrum(num_modes=DEFAULT_MODES):
     """Laplacian-like surrogate spectrum ``lambda_j = j^2``."""
     j = np.arange(1, num_modes + 1, dtype=float)
     return j * j
+
+
+def _checked_spectrum(eigenvalues):
+    """The eigenvalues as a float vector, if finite, positive and strictly ascending."""
+    lam = np.asarray(eigenvalues, dtype=float)
+    if lam.ndim != 1 or not (lam.size and np.all(np.isfinite(lam)) and lam[0] > 0.0
+                             and np.all(np.diff(lam) > 0.0)):
+        raise ValueError("eigenvalues must be a finite, positive, strictly ascending vector")
+    return lam
 
 
 @dataclass(frozen=True)
@@ -50,9 +58,7 @@ class SpectralField:
         c = np.asarray(self.coefficients, dtype=float)
         if lam.shape != c.shape or lam.ndim != 1:
             raise ValueError("eigenvalues and coefficients must be equal-length vectors")
-        if lam[0] <= 0.0 or np.any(np.diff(lam) <= 0.0):
-            raise ValueError("eigenvalues must be positive and ascending")
-        object.__setattr__(self, "eigenvalues", lam)
+        object.__setattr__(self, "eigenvalues", _checked_spectrum(lam))
         object.__setattr__(self, "coefficients", c)
 
     def with_coefficients(self, c):
@@ -61,9 +67,10 @@ class SpectralField:
 
 def vs_row_norm(eigenvalues, s):
     """The V^s norm as a row-wise spatial norm: maps a block of coefficient
-    rows to ``sqrt(sum_j lambda_j^s c_j^2)`` per row."""
+    rows to ``sqrt(sum_j lambda_j^s c_j^2)`` per row, in one ``einsum`` pass
+    whose bits per row depend on neither the number of rows nor the BLAS."""
     lam_s = eigenvalues ** s
-    return lambda c: np.sqrt(np.sum(lam_s * c * c, axis=-1))
+    return lambda c: np.sqrt(np.einsum("...j,...j,j->...", c, c, lam_s))
 
 
 def vs_norm(f, s):
@@ -97,50 +104,64 @@ def ie_step_spectral(state, k_n, f_int):
 
 @dataclass
 class SpectralTrajectory:
-    """Nodal states (piecewise linear in time) plus applied forcing averages."""
+    """Nodal states of a Crank-Nicolson evolution (piecewise linear in time)."""
 
-    mesh: object
-    eigenvalues: np.ndarray
     states: GridFunctionCG1
-    forcing: GridFunctionDG0
 
 
-def evolve_cn(mesh, eigenvalues, c0, forcing_values, start=0):
+def evolve_cn(mesh, eigenvalues, c0, forcing, start=0, observer=None):
     """Crank-Nicolson evolution over intervals ``start+1 .. N`` of the mesh.
 
-    ``forcing_values`` holds one coefficient vector per mesh interval
-    (entries before ``start`` are ignored).  Nodes before ``start`` are
-    filled with the initial value so the result is a full grid function.
-    The step factors are formed once per distinct step size and the
-    products ``k f`` for all intervals at once; each step is then three
-    in-place operations, rounding exactly as ``cn_step_spectral``.
+    ``c0`` is one coefficient vector or a ``(trials, modes)`` block stepped
+    together.  The interval averages of the forcing, shaped like ``c0``, come
+    as an ``(N,) + c0.shape`` array or from a callable of the 0-based
+    interval index.  Each step rounds exactly as ``cn_step_spectral``.
+    Without an ``observer`` the result is the ``SpectralTrajectory`` (nodes
+    before ``start`` hold ``c0``); with one, nothing is stored and each
+    interval ``n`` is handed to ``observer(n, prev, new, f)`` in order, in
+    arrays that later steps overwrite.
     """
     N = mesh.num_intervals
     lam = np.asarray(eigenvalues, dtype=float)
-    forcing_values = np.asarray(forcing_values, dtype=float)
+    c0 = np.asarray(c0, dtype=float)
     if not 0 <= start < N:
         raise ValueError(f"start index {start} outside 0..{N - 1}")
-    if np.shape(c0) != lam.shape:
-        raise ValueError(f"initial value of shape {np.shape(c0)}, need {lam.shape}")
-    if forcing_values.shape != (N, lam.size):
-        raise ValueError(f"forcing of shape {forcing_values.shape}, need {(N, lam.size)}")
-    k = mesh.steps[start:]
-    # per step size, not per interval: (N - start, modes) factor blocks
-    # cost page faults on every call, and the meshes repeat few step sizes
-    step_sizes, which = np.unique(k, return_inverse=True)
+    if c0.shape[-1:] != lam.shape or c0.ndim > 2:
+        raise ValueError(f"initial value of shape {c0.shape}, need {lam.shape} "
+                         f"or (trials, {lam.size})")
+    if callable(forcing):
+        load = forcing
+    else:
+        forcing = np.asarray(forcing, dtype=float)
+        if forcing.shape != (N,) + c0.shape:
+            raise ValueError(f"forcing of shape {forcing.shape}, need {(N,) + c0.shape}")
+        load = forcing.__getitem__
+    vals = None
+    if observer is None:
+        vals = np.empty((N + 1,) + c0.shape)
+        vals[: start + 1] = c0
+
+        def observer(n, prev, new, f):
+            vals[n + 1] = new
+
+    k = mesh.steps
+    # per step size, not per interval: the meshes repeat few step sizes
+    step_sizes, which = np.unique(k[start:], return_inverse=True)
     half = 0.5 * lam * step_sizes[:, None]
     factors = list(zip(1.0 - half, 1.0 + half))
-    vals = np.empty((N + 1, lam.size))
-    vals[: start + 1] = c0
-    np.multiply(k[:, None], forcing_values[start:], out=vals[start + 1:])
-    decayed = np.empty(lam.size)
-    for new, prev, n in zip(vals[start + 1:], vals[start:], which):
-        decay, growth = factors[n]
+    prev, new, decayed = c0.copy(), np.empty_like(c0), np.empty_like(c0)
+    for n, m in zip(range(start, N), which):
+        decay, growth = factors[m]
+        f = load(n)
+        np.multiply(k[n], f, out=new)
         np.multiply(decay, prev, out=decayed)
         new += decayed  # k f + decay c, equal bit for bit to decay c + k f
         new /= growth
-    return SpectralTrajectory(mesh, lam, GridFunctionCG1(mesh, vals),
-                              GridFunctionDG0(mesh, forcing_values))
+        observer(n, prev, new, f)
+        prev, new = new, prev
+    if vals is None:
+        return None
+    return SpectralTrajectory(GridFunctionCG1(mesh, vals))
 
 
 @dataclass
@@ -199,23 +220,10 @@ def _time_factors(mesh):
 def _trial_forcing(phi, b):
     """Interval averages of the forcing of coefficients ``b`` (see
     ``_random_trial``) from the averaged time factors ``phi``: the forcing is
-    separable in time, so this is the same Gauss rule regrouped.  An explicit
-    three-term sum, so the bits do not depend on the BLAS build."""
-    return (phi[:, :1] * b[0] + phi[:, 1:2] * b[1]) + phi[:, 2:] * b[2]
-
-
-def _vs_row_norms(eigenvalues, s):
-    """The row-wise V^{s-1}, V^s and V^{s+1} norms (see ``vs_row_norm``)."""
-    return tuple(vs_row_norm(eigenvalues, order) for order in (s - 1, s, s + 1))
-
-
-def _norms(traj, avg, dt, vs, alpha, window):
-    """(Linf V^s of the states, L2 V^{s+1} of their average, L2 V^{s-1} of their derivative)."""
-    lower, same, upper = vs  # see _vs_row_norms
-    linf = weighted_temporal_norm(traj.states, alpha, np.inf, same, window)
-    l2_avg = weighted_temporal_norm(avg, alpha, 2, upper, window)
-    l2_dt = weighted_temporal_norm(dt, alpha, 2, lower, window)
-    return linf, l2_avg, l2_dt
+    separable in time, so this is the same Gauss rule regrouped.  ``phi`` is
+    the ``(N, 3)`` block or one row of it.  An explicit three-term sum, so
+    the bits do not depend on the BLAS build."""
+    return (phi[..., :1] * b[0] + phi[..., 1:2] * b[1]) + phi[..., 2:] * b[2]
 
 
 def _stability_ratios(s, ell, n0, mesh, trial_count, rng_seed, eigenvalues):
@@ -234,29 +242,49 @@ def _stability_ratios(s, ell, n0, mesh, trial_count, rng_seed, eigenvalues):
     derivative).  Level 0 from ``n0 = 0`` is the unweighted discrete
     stability estimate.  Trials are seeded from ``(rng_seed, trial)`` so
     they are independent of execution order.
+
+    The trials are stepped as one block and no trajectory is stored: the
+    spatial norms of each interval are taken as it is stepped, then
+    composed per trial by ``weighted_temporal_norm``.
     """
-    lam = default_spectrum() if eigenvalues is None else np.asarray(eigenvalues, dtype=float)
-    window = (n0, mesh.num_intervals)
+    lam = default_spectrum() if eigenvalues is None else _checked_spectrum(eigenvalues)
+    if trial_count < 1:
+        raise ValueError(f"trial_count must be at least 1, got {trial_count}")
+    N = mesh.num_intervals
+    window = (n0, N)
     kmax = mesh.k_max
     a_ell, a_lower = 0.5 * ell, 0.5 * (ell - 1)
     phi = _time_factors(mesh)  # once per mesh, not per trial
-    vs = _vs_row_norms(lam, s)  # once per call, not per trial
-    lower, same, _ = vs
-    ratios = []
-    for t in range(trial_count):
-        rng = np.random.default_rng([rng_seed, t])
-        c0, b = _random_trial(rng, lam, s)
-        traj = evolve_cn(mesh, lam, c0, _trial_forcing(phi, b), start=n0)
-        avg, dt = average(traj.states), time_derivative(traj.states)
-        linf, l2_avg, l2_dt = _norms(traj, avg, dt, vs, a_ell, window)
-        rhs = (kmax ** a_ell * same(c0)
-               + weighted_temporal_norm(traj.forcing, a_ell, 2, lower, window))
-        if ell >= 1:  # summed left to right, so the rounding matches one four-term sum
-            rhs = (rhs
-                   + weighted_temporal_norm(avg, a_lower, 2, same, window)
-                   + kmax * weighted_temporal_norm(dt, a_lower, 2, same, window))
-        ratios.append((linf + l2_avg + l2_dt) / rhs)
-    return np.asarray(ratios)
+    lower, same, upper = (vs_row_norm(lam, order) for order in (s - 1, s, s + 1))
+    c0, b = zip(*(_random_trial(np.random.default_rng([rng_seed, t]), lam, s)
+                  for t in range(trial_count)))
+    c0, b = np.array(c0), np.stack(b, axis=1)  # (trials, modes), (3, trials, modes)
+    # per-trial spatial norms, one row per node or interval
+    node = np.empty((N + 1, trial_count))
+    node[: n0 + 1] = same(c0)
+    avg_upper, dt_lower, f_lower, avg_same, dt_same = np.zeros((5, N, trial_count))
+
+    def observe(n, prev, new, f):
+        avg, dt = 0.5 * (prev + new), (new - prev) / mesh.steps[n]
+        node[n + 1] = same(new)
+        avg_upper[n], dt_lower[n], f_lower[n] = upper(avg), lower(dt), lower(f)
+        if ell >= 1:
+            avg_same[n], dt_same[n] = same(avg), same(dt)
+
+    evolve_cn(mesh, lam, c0, lambda n: _trial_forcing(phi[n], b), n0, observe)
+
+    def composed(grid, rows, alpha, p=2):
+        return np.array([weighted_temporal_norm(grid(mesh, r), alpha, p, np.abs, window)
+                         for r in rows.T])
+
+    lhs = (composed(GridFunctionCG1, node, a_ell, np.inf)
+           + composed(GridFunctionDG0, avg_upper, a_ell)
+           + composed(GridFunctionDG0, dt_lower, a_ell))
+    rhs = kmax ** a_ell * node[n0] + composed(GridFunctionDG0, f_lower, a_ell)
+    if ell >= 1:  # summed left to right, so the rounding matches one four-term sum
+        rhs = (rhs + composed(GridFunctionDG0, avg_same, a_lower)
+               + kmax * composed(GridFunctionDG0, dt_same, a_lower))
+    return lhs / rhs
 
 
 def verify_discrete_stability(s, mesh, trial_count=50, rng_seed=0, eigenvalues=None):
@@ -283,8 +311,6 @@ def verify_smoothing_stability(s, ell, n0, mesh, trial_count=50, rng_seed=0,
     if ell <= 0:
         raise ValueError("smoothing level must be positive "
                          "(use verify_discrete_stability for the unweighted estimate)")
-    if not 0 <= n0 < mesh.num_intervals:
-        raise ValueError("start index outside the mesh")
     ratios = _stability_ratios(s, ell, n0, mesh, trial_count, rng_seed, eigenvalues)
     return StabilityReport("smoothing-stability", s, ell, n0, mesh.num_intervals,
                            trial_count, rng_seed, float(ratios.max()), ratios)

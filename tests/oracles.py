@@ -1,9 +1,15 @@
-"""Independent oracles for the assembly and rate-fitting tests.
+"""Independent oracles for the assembly, rate-fitting and spectral
+stability tests.
 
 The quadrature oracle integrates over each triangle with a tensor-product
 Gauss rule mapped through the Duffy transform (degree 10 in each
 direction), sharing no code with the production assembly path.  Basis
 functions are evaluated from their monomial definitions.
+
+The stability oracle steps one trial at a time with ``cn_step_spectral``,
+stores the whole trajectory and its forcing, and composes the norms of the
+smoothing estimate on full coefficient rows: the stored-trajectory form of
+``spectral_stokes._stability_ratios``, which streams a block of trials.
 """
 
 import numpy as np
@@ -130,3 +136,54 @@ def assemble_oracle(space, w=None):
         out["gradient"] = np.block([[gblocks[0, 0], gblocks[0, 1]],
                                     [gblocks[1, 0], gblocks[1, 1]]])
     return out
+
+
+def smoothing_ratio(states, forcing, c0, eigenvalues, s, ell, window=None):
+    """Two-sided ratio of the smoothing estimate of level ``ell`` for one
+    stored trajectory: ``states`` and ``forcing`` are the nodal states and
+    the interval forcing averages as grid functions, ``c0`` the initial
+    value (see ``spectral_stokes._stability_ratios``)."""
+    from cnflow.spectral_stokes import vs_row_norm
+    from cnflow.temporal_ops import average, time_derivative, weighted_temporal_norm
+
+    def norm(f, alpha, p, order):
+        return weighted_temporal_norm(f, alpha, p, vs_row_norm(eigenvalues, order), window)
+
+    kmax = states.mesh.k_max
+    a_ell, a_lower = 0.5 * ell, 0.5 * (ell - 1)
+    avg, dt = average(states), time_derivative(states)
+    lhs = norm(states, a_ell, np.inf, s) + norm(avg, a_ell, 2, s + 1) + norm(dt, a_ell, 2, s - 1)
+    rhs = kmax ** a_ell * vs_row_norm(eigenvalues, s)(c0) + norm(forcing, a_ell, 2, s - 1)
+    if ell >= 1:
+        rhs = rhs + norm(avg, a_lower, 2, s) + kmax * norm(dt, a_lower, 2, s)
+    return lhs / rhs
+
+
+def stored_trial(mesh, eigenvalues, c0, forcing_values, n0=0):
+    """The Crank-Nicolson states of one trial by a ``cn_step_spectral`` loop
+    from node ``n0``, as a grid function; earlier nodes hold ``c0``."""
+    from cnflow.spectral_stokes import SpectralField, cn_step_spectral
+    from cnflow.temporal_ops import GridFunctionCG1
+
+    states = [SpectralField(eigenvalues, c0)] * (n0 + 1)
+    for n in range(n0, mesh.num_intervals):
+        states.append(cn_step_spectral(states[-1], mesh.steps[n], forcing_values[n]))
+    return GridFunctionCG1(mesh, [f.coefficients for f in states])
+
+
+def stability_ratios_oracle(s, ell, n0, mesh, trial_count, rng_seed, eigenvalues):
+    """``spectral_stokes._stability_ratios`` trial by trial, each trajectory
+    stored in full."""
+    from cnflow.spectral_stokes import _random_trial, _time_factors, _trial_forcing
+    from cnflow.temporal_ops import GridFunctionDG0
+
+    lam = np.asarray(eigenvalues, dtype=float)
+    phi = _time_factors(mesh)
+    ratios = []
+    for t in range(trial_count):
+        c0, b = _random_trial(np.random.default_rng([rng_seed, t]), lam, s)
+        forcing = GridFunctionDG0(mesh, _trial_forcing(phi, b))
+        states = stored_trial(mesh, lam, c0, forcing.values, n0)
+        ratios.append(smoothing_ratio(states, forcing, c0, lam, s, ell,
+                                      (n0, mesh.num_intervals)))
+    return np.array(ratios)

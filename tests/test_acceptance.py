@@ -146,8 +146,8 @@ def test_criterion_5_euler_smoothing_rates():
 
 ALTERNATING = (0.8, 1.2)
 # the norms (norm, alpha, window start) that criterion 8 reads of the runs with
-# each Euler prefix n0; the reference scores these pairs alone, and reading any
-# other pair raises "did not score"
+# each Euler prefix n0; the reference scores these pairs alone, and the bundle
+# keeps their errors alone
 CRITERION_8_NORMS = {
     0: (ErrorSpec("pressure_L2l2"),),  # 8a
     1: (ErrorSpec("pressure_L2l2", 1.5, 1), ErrorSpec("pressure_Linfl2", 0.0, 1),
@@ -178,29 +178,29 @@ def space16():
 
 @pytest.fixture(scope="module")
 def incompatible_bundle(space16):
-    """Coarse runs of the incompatible-data study, which store the pressure
-    alone (criterion 8 reads no velocity), and the reference that scored
-    them, with its ``StreamedReference`` per Euler prefix."""
+    """The steps of the incompatible-data study, the reference that scored
+    its coarse runs, and the errors criteria 8a-8d read: one list over the
+    steps per ``(n0, ErrorSpec)``.  The coarse runs store the pressure alone
+    (criterion 8 reads no velocity), and they and their samples are freed
+    once scored."""
     spec = ProblemSpec(space16, 0.01, ZeroForcing(), rough_stationary_initial(), 2.0)
     k_list = (0.005, 0.0025, 0.00125, 0.000625)
     refinement = 8
-    trajectories = {}
-    for n0 in CRITERION_8_NORMS:
-        for k in k_list:
-            mesh = build_alternating_mesh(2.0, k, ALTERNATING)
-            trajectories[(n0, k)] = nse_cn_solve(spec, mesh, n0=n0, fields=("pressure",))
+    runs = {n0: [nse_cn_solve(spec, build_alternating_mesh(2.0, k, ALTERNATING), n0=n0,
+                              fields=("pressure",)) for k in k_list]
+            for n0 in CRITERION_8_NORMS}
     n_ref = int(round(2.0 / (min(k_list) / refinement)))
     reference, streams = scored_reference(
-        spec, n_ref, "nse", [([trajectories[(n0, k)] for k in k_list], specs)
-                             for n0, specs in CRITERION_8_NORMS.items()])
-    return spec, k_list, reference, dict(zip(CRITERION_8_NORMS, streams)), trajectories
+        spec, n_ref, "nse", [(runs[n0], specs) for n0, specs in CRITERION_8_NORMS.items()])
+    errors = {(n0, es): [pressure_error(run, scored, es) for run in runs[n0]]
+              for (n0, specs), scored in zip(CRITERION_8_NORMS.items(), streams)
+              for es in specs}
+    return k_list, reference, errors
 
 
 def pressure_rates(bundle, n0, alpha, norm, window_start):
-    _, k_list, _, scored, trajectories = bundle
-    errs = [pressure_error(trajectories[(n0, k)], scored[n0],
-                           ErrorSpec(norm, alpha, window_start))
-            for k in k_list]
+    k_list, _, errors = bundle
+    errs = errors[(n0, ErrorSpec(norm, alpha, window_start))]
     return fit_loglog(k_list, errs), errs
 
 
@@ -258,7 +258,7 @@ def test_criterion_8a_unweighted_degradation(incompatible_bundle):
     fit_all, errs = pressure_rates(incompatible_bundle, 0, 0.0, "pressure_L2l2", 0)
     # fit over the three smallest steps: the largest one straddles the
     # startup layer, where the loss is not yet visible
-    k_list = incompatible_bundle[1]
+    k_list = incompatible_bundle[0]
     fit = fit_loglog(k_list[1:], errs[1:])
     ok = fit.slope <= 1.4
     report("8a", ok, f"unweighted L2-l2 rate {fit.slope:.3f} <= 1.4 "
@@ -294,7 +294,7 @@ def test_flow_references_keep_no_field(incompatible_bundle, stokes_manufactured_
                                        compatible_study):
     # each reference scored its runs while it stepped; a stored field would
     # hold up to 59 MB (the 25,600-step pressure of criterion 8)
-    for reference in (incompatible_bundle[2], stokes_manufactured_study[0],
+    for reference in (incompatible_bundle[1], stokes_manufactured_study[0],
                       compatible_study[0]):
         assert reference.velocity is None and reference.pressure is None
 

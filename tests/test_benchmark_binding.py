@@ -15,7 +15,7 @@ ROOT = Path(__file__).parent.parent
 
 SCRIPT = """
 import spans
-from cnflow import errors, schemes, spectral_stokes, time_mesh
+from cnflow import errors, schemes, spectral_stokes, temporal_ops, time_mesh
 from cnflow.fem2d import build_space
 
 tracer = spans.Tracer()
@@ -34,6 +34,9 @@ spectral_stokes.verify_discrete_stability(1, fine, trial_count=1,
 verify = [span for span in tracer.spans if span[spans.NAME] == "spectral_stokes.verify"]
 assert len(verify) == 2, len(verify)
 assert all(span[spans.PARENT] == -1 for span in verify), "nested spectral_stokes.verify span"
+# the verifications take each interval's derivative as they step, so the
+# time_derivative wrapper is exercised by a direct call
+temporal_ops.time_derivative(temporal_ops.interpolate_nodal(lambda t: t, fine))
 # a Navier-Stokes solve: each factorized Newton Jacobian is built from
 # convection(w) and convection_gradient(w), two fem2d.jacobian spans
 space = build_space((-1.0, 1.0, -1.0, 1.0), 2, 2)

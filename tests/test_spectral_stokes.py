@@ -16,8 +16,10 @@ from cnflow.spectral_stokes import (
     vs_norm,
     vs_row_norm,
 )
-from cnflow.temporal_ops import average
-from cnflow.time_mesh import TimeMesh, build_uniform_mesh
+from cnflow.temporal_ops import GridFunctionDG0, average
+from cnflow.time_mesh import TimeMesh, build_alternating_mesh, build_uniform_mesh
+
+from oracles import smoothing_ratio, stability_ratios_oracle, stored_trial
 
 
 def field(lam, c):
@@ -39,12 +41,13 @@ def test_vs_norm_sum_oracle():
 
 
 def test_vs_row_norm_is_vs_norm_per_row():
-    lam = default_spectrum(12)
-    rows = np.random.default_rng(2).standard_normal((5, 12))
-    for s in (-1, 0, 1, 2):
-        got = vs_row_norm(lam, s)(rows)
-        assert got.shape == (5,)
-        assert np.array_equal(got, [vs_norm(field(lam, c), s) for c in rows])
+    for shape in ((5, 12), (50, 256)):
+        lam = default_spectrum(shape[1])
+        rows = np.random.default_rng(2).standard_normal(shape)
+        for s in (-1, 0, 1, 2):
+            got = vs_row_norm(lam, s)(rows)
+            assert got.shape == shape[:1]
+            assert np.array_equal(got, [vs_norm(field(lam, c), s) for c in rows])
 
 
 def test_field_validation():
@@ -54,6 +57,9 @@ def test_field_validation():
         field([-1.0, 2.0], [0.0, 0.0])
     with pytest.raises(ValueError):
         field([1.0, 2.0], [0.0])
+    for lam in ([1.0, np.inf], [np.nan, 2.0], [4.0, 1.0]):
+        with pytest.raises(ValueError, match="finite, positive, strictly ascending"):
+            field(lam, [0.0, 0.0])
 
 
 def test_cn_step_zero_amplification():
@@ -152,7 +158,33 @@ def test_evolve_cn_is_the_cn_step_loop_bitwise(steps, modes, start_frac, seed):
     expected = np.array([f.coefficients for f in states])
     traj = evolve_cn(mesh, lam, c0, rk, start=start)
     assert traj.states.values.tobytes() == expected.tobytes()
-    assert traj.forcing.values.tobytes() == rk.tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(steps=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=10),
+       trials=st.integers(1, 4), modes=st.integers(1, 12),
+       start_frac=st.floats(0.0, 1.0, exclude_max=True), seed=st.integers(0, 2**32 - 1))
+def test_evolve_cn_streams_a_trial_block_bitwise(steps, trials, modes, start_frac, seed):
+    # a (trials, modes) block with forcing formed per interval, handed to an
+    # observer: each row is the cn_step_spectral loop of its trial, bit for bit
+    mesh = TimeMesh(np.concatenate([[0.0], np.cumsum(steps)]))
+    N = mesh.num_intervals
+    start = int(start_frac * N)
+    lam = default_spectrum(modes)
+    rng = np.random.default_rng(seed)
+    c0, rk = rng.standard_normal((trials, modes)), rng.standard_normal((N, trials, modes))
+    seen = []
+
+    def observer(n, prev, new, f):
+        seen.append((n, prev.copy(), new.copy(), f.copy()))
+
+    assert evolve_cn(mesh, lam, c0, lambda n: rk[n], start, observer) is None
+    assert [n for n, *_ in seen] == list(range(start, N))
+    for t in range(trials):
+        want = stored_trial(mesh, lam, c0[t], rk[:, t], start).values
+        assert np.array([new[t] for _, _, new, _ in seen]).tobytes() == want[start + 1:].tobytes()
+        assert np.array([prev[t] for _, prev, _, _ in seen]).tobytes() == want[start:-1].tobytes()
+    assert all(np.array_equal(f, rk[n]) for n, _, _, f in seen)
 
 
 def test_evolve_cn_rejects_bad_start_and_forcing():
@@ -167,7 +199,8 @@ def test_evolve_cn_rejects_bad_start_and_forcing():
     for shape in ((7, 4), (1, 4), (9, 4), (8, 3), (8,), (8, 4, 1)):
         with pytest.raises(ValueError, match="forcing of shape"):
             evolve_cn(mesh, lam, c0, np.zeros(shape))
-    for bad_c0 in (1.0, np.ones(1), np.ones(5)):  # a scalar or 1-vector would broadcast
+    # a scalar or 1-vector would broadcast
+    for bad_c0 in (1.0, np.ones(1), np.ones(5), np.ones((2, 2, 4))):
         with pytest.raises(ValueError, match="initial value"):
             evolve_cn(mesh, lam, bad_c0, np.zeros((8, 4)))
     assert evolve_cn(mesh, lam, c0, np.zeros((8, 4)), start=7).states.values.shape == (9, 4)
@@ -205,16 +238,14 @@ def test_averaged_equation_residual():
 
 
 def test_discrete_stability_pure_decay_trial():
+    # the unit initial value alone is the right side; the ratio must be
+    # finite and moderate for pure decay
     lam = np.array([1.0])
     mesh = build_uniform_mesh(1.0, 8)
     traj = evolve_cn(mesh, lam, np.array([1.0]), np.zeros((8, 1)))
-    # LHS assembled by hand must be finite and moderate for pure decay
-    from cnflow.spectral_stokes import _norms, _vs_row_norms
-    from cnflow.temporal_ops import average, time_derivative
-    linf, l2a, l2d = _norms(traj, average(traj.states), time_derivative(traj.states),
-                            _vs_row_norms(lam, 0), 0.0, None)
-    rhs = 1.0
-    assert (linf + l2a + l2d) / rhs < 4.0
+    ratio = smoothing_ratio(traj.states, GridFunctionDG0(mesh, np.zeros((8, 1))),
+                            np.array([1.0]), lam, 0, 0)
+    assert np.isfinite(ratio) and ratio < 4.0
 
 
 def test_discrete_stability_report():
@@ -260,54 +291,30 @@ def test_smoothing_single_mode_ratio_finite():
     lam = np.array([1.0])
     mesh = build_uniform_mesh(1.0, 16)
     traj = evolve_cn(mesh, lam, np.array([1.0]), np.zeros((16, 1)))
-    from cnflow.spectral_stokes import _norms, _vs_row_norms
-    from cnflow.temporal_ops import average, time_derivative, weighted_temporal_norm
-
-    ell, s = 1, 1
-    avg, dt = average(traj.states), time_derivative(traj.states)
-    linf, l2a, l2d = _norms(traj, avg, dt, _vs_row_norms(lam, s), 0.5 * ell, None)
-    lhs = linf + l2a + l2d
-    a_lower = 0.5 * (ell - 1)
-    nrm = vs_row_norm(lam, s)
-    rhs = (mesh.k_max ** (0.5 * ell) * 1.0
-           + weighted_temporal_norm(avg, a_lower, 2, nrm)
-           + mesh.k_max * weighted_temporal_norm(dt, a_lower, 2, nrm))
-    assert np.isfinite(lhs / rhs)
-    assert lhs / rhs < 4.0
+    ratio = smoothing_ratio(traj.states, GridFunctionDG0(mesh, np.zeros((16, 1))),
+                            np.array([1.0]), lam, 1, 1)
+    assert np.isfinite(ratio)
+    assert ratio < 4.0
 
 
 def test_smoothing_coarse_ratio_bounds_finer_forced_trials():
     # with zero initial data and random forcing, the coarse-mesh constant
     # bounds the finer-mesh trials up to modest slack
-    from cnflow.spectral_stokes import (
-        _norms,
-        _random_trial,
-        _time_factors,
-        _trial_forcing,
-        _vs_row_norms,
-    )
-    from cnflow.temporal_ops import weighted_temporal_norm, time_derivative
-    from cnflow.time_mesh import build_uniform_mesh as bum
+    from cnflow.spectral_stokes import _random_trial, _time_factors, _trial_forcing
 
     lam = default_spectrum(96)
-    coarse = verify_smoothing_stability(1, 1, 0, bum(1.0, 64), trial_count=20,
+    coarse = verify_smoothing_stability(1, 1, 0, build_uniform_mesh(1.0, 64), trial_count=20,
                                         rng_seed=5, eigenvalues=lam)
-    mesh = bum(1.0, 128)
+    mesh = build_uniform_mesh(1.0, 128)
     phi = _time_factors(mesh)
-    ell, s = 1, 1
-    vs = _vs_row_norms(lam, s)
-    nrm_sm1, nrm_s, _ = vs
+    zero = np.zeros(lam.size)
     worst = 0.0
     for t in range(20):
-        rng = np.random.default_rng([5, t])
-        _, b = _random_trial(rng, lam, s)
-        traj = evolve_cn(mesh, lam, np.zeros(lam.size), _trial_forcing(phi, b))
-        avg, dt = average(traj.states), time_derivative(traj.states)
-        linf, l2a, l2d = _norms(traj, avg, dt, vs, 0.5 * ell, None)
-        rhs = (weighted_temporal_norm(traj.forcing, 0.5 * ell, 2, nrm_sm1)
-               + weighted_temporal_norm(avg, 0.0, 2, nrm_s)
-               + mesh.k_max * weighted_temporal_norm(dt, 0.0, 2, nrm_s))
-        worst = max(worst, (linf + l2a + l2d) / rhs)
+        _, b = _random_trial(np.random.default_rng([5, t]), lam, 1)
+        forcing = _trial_forcing(phi, b)
+        states = stored_trial(mesh, lam, zero, forcing)
+        worst = max(worst, smoothing_ratio(states, GridFunctionDG0(mesh, forcing), zero,
+                                           lam, 1, 1))
     assert worst <= 1.15 * coarse.max_ratio
 
 
@@ -365,6 +372,71 @@ def test_stability_ratios_build_their_norms_once(monkeypatch):
     monkeypatch.setattr(spectral_stokes, "vs_row_norm", spy)
     verify_smoothing_stability(1, 1, 2, build_uniform_mesh(1.0, 32), trial_count=6)
     assert sorted(built) == [0, 1, 2]
+
+
+def test_stability_ratios_step_their_trials_once(monkeypatch):
+    # the trials of one verification are one block: one evolution, so the
+    # step sizes and their factor rows are formed once, not once per trial
+    from cnflow import spectral_stokes
+
+    blocks = []
+
+    def spy(mesh, eigenvalues, c0, *args, **kwargs):
+        blocks.append(np.shape(c0))
+        return evolve_cn(mesh, eigenvalues, c0, *args, **kwargs)
+
+    monkeypatch.setattr(spectral_stokes, "evolve_cn", spy)
+    verify_smoothing_stability(1, 1, 2, build_alternating_mesh(1.0, 1.0 / 32, (0.5, 1.5)),
+                               trial_count=6)
+    verify_discrete_stability(0, build_uniform_mesh(1.0, 16), trial_count=4)
+    assert blocks == [(6, 256), (4, 256)]
+
+
+@pytest.mark.parametrize("n0", [0, 3])
+@pytest.mark.parametrize("ell", [0, 1, 2])
+@pytest.mark.parametrize("s", [0, 1, 2])
+def test_streamed_ratios_match_the_stored_oracle(s, ell, n0):
+    from cnflow.spectral_stokes import _stability_ratios
+
+    mesh = build_alternating_mesh(1.0, 1.0 / 24, (0.5, 1.5))
+    lam = default_spectrum(40)
+    got = _stability_ratios(s, ell, n0, mesh, 5, 11, lam)
+    want = stability_ratios_oracle(s, ell, n0, mesh, 5, 11, lam)
+    assert got.shape == (5,)
+    assert np.allclose(got, want, rtol=1e-15, atol=0.0)
+
+
+def test_stability_ratios_hold_no_trajectory():
+    # one (N + 1, trials, modes) block here would be 25.7 MiB
+    import tracemalloc
+
+    from cnflow.spectral_stokes import _stability_ratios
+
+    mesh = build_uniform_mesh(1.0, 256)
+    _stability_ratios(1, 1, 0, mesh, 2, 0, None)  # warm the lazy imports and caches
+    tracemalloc.start()
+    try:
+        _stability_ratios(1, 1, 0, mesh, 50, 0, None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
+
+
+@pytest.mark.parametrize("bad", [{"trial_count": 0}, {"trial_count": -3},
+                                 {"eigenvalues": [4.0, 1.0]}, {"eigenvalues": [1.0, 1.0]},
+                                 {"eigenvalues": [0.0, 1.0]}, {"eigenvalues": [1.0, np.inf]},
+                                 {"eigenvalues": [np.nan, 1.0]}, {"eigenvalues": []},
+                                 {"eigenvalues": [[1.0, 4.0]]}])
+def test_stability_checks_reject_bad_inputs(bad):
+    # trial_count=0 used to fail inside numpy's max, and a descending
+    # spectrum returned a ratio
+    mesh = build_uniform_mesh(1.0, 8)
+    name = next(iter(bad))
+    with pytest.raises(ValueError, match=name):
+        verify_discrete_stability(0, mesh, **bad)
+    with pytest.raises(ValueError, match=name):
+        verify_smoothing_stability(1, 1, 0, mesh, **bad)
 
 
 def test_sharp_field_norms():
