@@ -8,10 +8,9 @@ In each tree, with that tree's ``src`` first on ``PYTHONPATH``, it runs
   with an implicit-Euler prefix (``n0=2 k_list=0.02,0.01,0.005
   refinement=4``), the one study that runs the Stokes Euler steps;
 - ``cnflow convergence`` on ``configs/stokes_manufactured.cfg`` with
-  ``k_list=0.02,0.01,0.005 refinement=4`` three times more: all three norms
-  weighted (``n0=1 alpha=2``), both pressure norms with
-  ``spatial_norm=nodal``, and ``velocity_LinfV1`` alone, the one study whose
-  trajectories store the velocity without the pressure;
+  ``k_list=0.02,0.01,0.005 refinement=4`` twice more: all three norms
+  weighted (``n0=1 alpha=2``), and ``velocity_LinfV1`` alone, the one study
+  whose trajectories store the velocity without the pressure;
 - ``cnflow convergence`` on ``configs/stokes_manufactured.cfg`` with
   ``--threads 2 k_list=0.02,0.01,0.005 refinement=4``, whose coarse runs
   share the pool before the reference scores them;
@@ -47,9 +46,6 @@ CONVERGENCE = {
     "stokes_weighted_norms": ["--config", "configs/stokes_manufactured.cfg", "--set",
                               "norms=pressure_L2l2,pressure_Linfl2,velocity_LinfV1",
                               "--set", "n0=1", "--set", "alpha=2", *REDUCED],
-    "stokes_nodal": ["--config", "configs/stokes_manufactured.cfg", "--set",
-                     "norms=pressure_L2l2,pressure_Linfl2", "--set", "spatial_norm=nodal",
-                     *REDUCED],
     "stokes_velocity_only": ["--config", "configs/stokes_manufactured.cfg", "--set",
                              "norms=velocity_LinfV1", *REDUCED],
     "stokes_threads2": ["--config", "configs/stokes_manufactured.cfg", "--threads", "2",

@@ -134,7 +134,6 @@ class RunConfig:
     domain: tuple[float, ...] = (-1.0, 1.0, -1.0, 1.0)
     refinement: int = 8
     norms: tuple[str, ...] = ("pressure_L2l2", "pressure_Linfl2")
-    spatial_norm: str = "mass"
     out: str = "results"
     threads: int = 1
 
@@ -197,8 +196,7 @@ class RunConfig:
                               "of the coarsest mesh")
 
     def error_specs(self):
-        return [ErrorSpec(norm, self.alpha, self.window_start, self.spatial_norm)
-                for norm in self.norms]
+        return [ErrorSpec(norm, self.alpha, self.window_start) for norm in self.norms]
 
     def items(self):
         def fmt(v):
@@ -209,7 +207,7 @@ class RunConfig:
 
 
 def parse_config_text(text):
-    mapping = {}
+    mapping, first = {}, {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -217,7 +215,9 @@ def parse_config_text(text):
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        mapping[key] = value
+        if key in mapping:
+            raise ConfigError(f"key {key!r} set twice, on lines {first[key]} and {lineno}")
+        mapping[key], first[key] = value, lineno
     return mapping
 
 

@@ -2,11 +2,12 @@
 
 Pressure errors follow the midpoint-rule protocol: both piecewise
 constant pressures are evaluated at the midpoints of the (uniform, finer)
-reference mesh, a spatial norm is applied to the difference, and the
-values are composed in time either by the midpoint-rule L2 sum or by a
-maximum.  Weighted variants multiply each sample by the smoothing weight
-of the coarse-mesh interval containing it, and a window ``(t_n0, T]``
-restricts the samples.  Velocity errors sample the reference nodes alike.
+reference mesh, the pressure-mass-weighted spatial norm is applied to the
+difference, and the values are composed in time either by the midpoint-rule
+L2 sum or by a maximum.  Weighted variants multiply each sample by the
+smoothing weight of the coarse-mesh interval containing it, and a window
+``(t_n0, T]`` restricts the samples.  Velocity errors sample the reference
+nodes alike, in the stiffness-weighted seminorm.
 
 The reference is a ``StreamedReference``: it takes the reference values
 interval by interval while the reference is solved, scores every coarse
@@ -44,16 +45,12 @@ class ErrorSpec:
 
     ``window_start`` is the number of leading coarse intervals excluded
     from the evaluation window ``(t_{n0}, T]``; weighted norms use it to
-    skip the Euler prefix.  ``spatial`` picks the spatial composition:
-    ``"mass"`` (operator weighted, mesh-size independent: the pressure mass
-    matrix, or the stiffness matrix of ``velocity_LinfV1``) or ``"nodal"``
-    (plain Euclidean norm of coefficient differences, pressure norms only).
+    skip the Euler prefix.
     """
 
     norm: str
     alpha: float = 0.0
     window_start: int = 0
-    spatial: str = "mass"
 
     def __post_init__(self):
         if self.norm not in NORMS:
@@ -62,10 +59,6 @@ class ErrorSpec:
             raise ValueError("weight exponent must be nonnegative and finite")
         if self.window_start < 0:
             raise ValueError("window start must be nonnegative")
-        if self.spatial not in ("mass", "nodal"):
-            raise ValueError(f"unknown spatial norm flavor {self.spatial!r}")
-        if self.spatial == "nodal" and NORMS[self.norm][0] == "velocity":
-            raise ValueError(f"{self.norm} is stiffness-weighted and has no nodal variant")
 
 
 @dataclass
@@ -124,7 +117,6 @@ class RateFit:
     k_values: np.ndarray
     errors: np.ndarray
     slope: float
-    intercept: float
     pairwise: np.ndarray
 
     def csv_row(self):
@@ -144,21 +136,9 @@ def fit_loglog(k_values, errors):
     order = np.argsort(-k)
     k, e = k[order], e[order]
     A = np.vstack([np.log(k), np.ones_like(k)]).T
-    slope, intercept = np.linalg.lstsq(A, np.log(e), rcond=None)[0]
+    slope = np.linalg.lstsq(A, np.log(e), rcond=None)[0][0]
     pairwise = np.log(e[:-1] / e[1:]) / np.log(k[:-1] / k[1:])
-    return RateFit(k, e, float(slope), float(intercept), pairwise)
-
-
-def _spatial_norm_fn(spec, space):
-    """Row-wise spatial norm of ``spec``: one dot product per row of a block,
-    ``x . x`` if nodal, else ``x . (S x)`` with the pressure mass matrix, or
-    the stiffness matrix for ``velocity_LinfV1``, as ``S``."""
-    if spec.spatial == "nodal":
-        return lambda d: np.sqrt([np.dot(x, x) for x in d])
-    if space is None:
-        raise ValueError("weighted norms need a trajectory with a spatial space")
-    S = space.pressure_mass if NORMS[spec.norm][0] == "pressure" else space.stiffness
-    return lambda d: np.sqrt([x @ (S @ x) for x in d])
+    return RateFit(k, e, float(slope), pairwise)
 
 
 def midpoint_reconstruction(pressure, ts):
@@ -212,7 +192,12 @@ class _Samples:
             raise ValueError("window contains no evaluation times")
         # the window is a suffix of the ascending times
         self._skip = times.size - self._ts.size
-        self._norm = _spatial_norm_fn(spec, traj.space or space)
+        space = traj.space or space
+        if space is None:
+            raise ValueError("weighted norms need a trajectory with a spatial space")
+        # one dot product x . (S x) per row of a block
+        S = space.pressure_mass if field == "pressure" else space.stiffness
+        self._norm = lambda d: np.sqrt([x @ (S @ x) for x in d])
         self._field, self._coarse = field, getattr(traj, field)
         self._p = NORMS[spec.norm][1]
         self._w = traj.mesh.tau_values(spec.alpha)[traj.mesh.interval_of(self._ts) - 1]

@@ -102,24 +102,15 @@ def ie_step_spectral(state, k_n, f_int):
     return state.with_coefficients(c)
 
 
-@dataclass
-class SpectralTrajectory:
-    """Nodal states of a Crank-Nicolson evolution (piecewise linear in time)."""
-
-    states: GridFunctionCG1
-
-
-def evolve_cn(mesh, eigenvalues, c0, forcing, start=0, observer=None):
+def evolve_cn(mesh, eigenvalues, c0, forcing, start, observer):
     """Crank-Nicolson evolution over intervals ``start+1 .. N`` of the mesh.
 
     ``c0`` is one coefficient vector or a ``(trials, modes)`` block stepped
-    together.  The interval averages of the forcing, shaped like ``c0``, come
-    as an ``(N,) + c0.shape`` array or from a callable of the 0-based
-    interval index.  Each step rounds exactly as ``cn_step_spectral``.
-    Without an ``observer`` the result is the ``SpectralTrajectory`` (nodes
-    before ``start`` hold ``c0``); with one, nothing is stored and each
-    interval ``n`` is handed to ``observer(n, prev, new, f)`` in order, in
-    arrays that later steps overwrite.
+    together; ``forcing(n)`` gives the interval average of the forcing on the
+    0-based interval ``n``, shaped like ``c0``.  Each step rounds exactly as
+    ``cn_step_spectral``.  Nothing is stored: each interval ``n`` is handed
+    to ``observer(n, prev, new, f)`` in order, in arrays that later steps
+    overwrite.
     """
     N = mesh.num_intervals
     lam = np.asarray(eigenvalues, dtype=float)
@@ -129,21 +120,6 @@ def evolve_cn(mesh, eigenvalues, c0, forcing, start=0, observer=None):
     if c0.shape[-1:] != lam.shape or c0.ndim > 2:
         raise ValueError(f"initial value of shape {c0.shape}, need {lam.shape} "
                          f"or (trials, {lam.size})")
-    if callable(forcing):
-        load = forcing
-    else:
-        forcing = np.asarray(forcing, dtype=float)
-        if forcing.shape != (N,) + c0.shape:
-            raise ValueError(f"forcing of shape {forcing.shape}, need {(N,) + c0.shape}")
-        load = forcing.__getitem__
-    vals = None
-    if observer is None:
-        vals = np.empty((N + 1,) + c0.shape)
-        vals[: start + 1] = c0
-
-        def observer(n, prev, new, f):
-            vals[n + 1] = new
-
     k = mesh.steps
     # per step size, not per interval: the meshes repeat few step sizes
     step_sizes, which = np.unique(k[start:], return_inverse=True)
@@ -152,16 +128,13 @@ def evolve_cn(mesh, eigenvalues, c0, forcing, start=0, observer=None):
     prev, new, decayed = c0.copy(), np.empty_like(c0), np.empty_like(c0)
     for n, m in zip(range(start, N), which):
         decay, growth = factors[m]
-        f = load(n)
+        f = forcing(n)
         np.multiply(k[n], f, out=new)
         np.multiply(decay, prev, out=decayed)
         new += decayed  # k f + decay c, equal bit for bit to decay c + k f
         new /= growth
         observer(n, prev, new, f)
         prev, new = new, prev
-    if vals is None:
-        return None
-    return SpectralTrajectory(GridFunctionCG1(mesh, vals))
 
 
 @dataclass

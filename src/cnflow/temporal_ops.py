@@ -3,8 +3,8 @@
 Grid functions live over an abstract coefficient space: values are numpy
 arrays of any fixed shape (scalars included).  ``GridFunctionCG1`` is
 continuous piecewise linear with one value per node; ``GridFunctionDG0``
-is piecewise constant with one value per interval, evaluated with the
-right-closed interval convention ``I^n = (t_{n-1}, t_n]``.
+is piecewise constant with one value per right-closed interval
+``I^n = (t_{n-1}, t_n]`` (see ``TimeMesh.interval_of``).
 
 The three projection operators are nodal interpolation onto the
 piecewise-linear space, interval averaging (the L2-projection onto the
@@ -43,9 +43,6 @@ class GridFunctionDG0:
             raise ValueError("need one value per mesh interval")
         self.mesh = mesh
         self.values = values
-
-    def evaluate(self, t):
-        return self.values[self.mesh.interval_of(t) - 1]
 
 
 _GAUSS_CACHE = {}
@@ -92,8 +89,6 @@ def average(u, mesh=None, quadrature_order=3):
     if isinstance(u, GridFunctionCG1):
         m = u.mesh
         return GridFunctionDG0(m, 0.5 * (u.values[:-1] + u.values[1:]))
-    if isinstance(u, GridFunctionDG0):
-        return GridFunctionDG0(u.mesh, u.values.copy())
     if mesh is None:
         raise ValueError("mesh required when averaging a time callable")
     if quadrature_order < 3:

@@ -47,10 +47,6 @@ class TimeMesh:
         for a in (self.nodes, self.steps, self.midpoints):
             a.flags.writeable = False
 
-    def __repr__(self):
-        return (f"TimeMesh(T={self.T}, N={self.num_intervals}, "
-                f"k={self.k_max:.6g}, kappa={self.kappa:.4g})")
-
     def interval_of(self, t):
         """1-based index of the interval ``(t_{n-1}, t_n]`` containing ``t``.
 

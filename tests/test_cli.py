@@ -41,6 +41,23 @@ def test_parse_config_text():
         parse_config_text("just a line without equals")
 
 
+def test_repeated_config_key_is_rejected(tmp_path, monkeypatch, capsys):
+    # the second value used to win silently
+    with pytest.raises(ConfigError, match="'k_list' set twice, on lines 1 and 2"):
+        parse_config_text("k_list = 0.02,0.01\nk_list = 0.5,0.25")
+    path = tmp_path / "twice.cfg"
+    path.write_text("nx = 4\n# comment\nk_list = 0.02,0.01\nk_list = 0.5,0.25\n")
+    assert main(["convergence", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert "'k_list' set twice, on lines 3 and 4" in capsys.readouterr().err
+    # --set still overrides a value of the file
+    ran = []
+    monkeypatch.setattr(cli, "run_convergence", lambda config: (ran.append(config), [], ()))
+    path.write_text("nx = 4\nk_list = 0.02,0.01\n")
+    assert main(["convergence", "--config", str(path), "--out", str(tmp_path / "run"),
+                 "--set", "k_list=0.5,0.25"]) == 0
+    assert [config.k_list for config in ran] == [(0.5, 0.25)]
+
+
 def test_build_run_config_validation():
     config = build_run_config({"experiment": "case_ii", "k_list": "0.1, 0.05",
                                "norms": "pressure_L2l2, velocity_LinfV1", "nx": "4",
@@ -301,9 +318,6 @@ def test_main_exit_codes(tmp_path, capsys):
                                       "forcing=zero", "initial=stationary", "seed=1",
                                       "k_list=0.1,0.1", "k_list=0.02,0.02,0.01",
                                       "norms=velocity_L2V2avg",
-                                      # the stiffness-weighted velocity norm
-                                      # has no nodal variant
-                                      "norms=velocity_LinfV1 spatial_norm=nodal",
                                       # a repeated norm gives rows of equal k,
                                       # whose pairwise rate is nan
                                       "nx=4 ny=4 T=0.4 k_list=0.1,0.05 refinement=4 "

@@ -1,11 +1,14 @@
 import gc
 import weakref
 from dataclasses import replace
+from functools import cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from cnflow.errors import (
     _NODE_BLOCK,
@@ -29,7 +32,21 @@ from cnflow.temporal_ops import GridFunctionCG1, GridFunctionDG0
 from cnflow.time_mesh import TimeMesh, build_alternating_mesh, build_uniform_mesh
 
 
+@cache
+def euclidean_space(n):
+    """A space of ``n`` coefficients whose weighted norms are Euclidean: its
+    pressure mass and stiffness are the identity, and ``x @ (I @ x)`` equals
+    ``np.dot(x, x)`` bit for bit.  One object per ``n``, so trajectories of
+    one width share it."""
+    identity = sparse.identity(n, format="csr")
+    return SimpleNamespace(pressure_mass=identity, stiffness=identity)
+
+
 def synthetic_traj(mesh, pressures, velocities=None, space=None):
+    """A trajectory on ``space``, by default the Euclidean space as wide as
+    the pressure."""
+    if space is None:
+        space = euclidean_space(pressures.shape[1])
     if velocities is None:
         velocities = np.zeros((mesh.num_intervals + 1, pressures.shape[1]))
     return Trajectory(mesh, GridFunctionCG1(mesh, velocities),
@@ -124,10 +141,6 @@ def test_error_spec_validation():
     for alpha in (-1.0, np.nan, np.inf):  # a NaN or infinite weight makes nan or 0.0
         with pytest.raises(ValueError):
             ErrorSpec("pressure_L2l2", alpha=alpha)
-    with pytest.raises(ValueError):
-        ErrorSpec("pressure_L2l2", spatial="fancy")
-    with pytest.raises(ValueError):  # the velocity norm is stiffness-weighted only
-        ErrorSpec("velocity_LinfV1", spatial="nodal")
 
 
 def test_identical_trajectories_zero_error():
@@ -135,8 +148,8 @@ def test_identical_trajectories_zero_error():
     rng = np.random.default_rng(0)
     p = rng.standard_normal((64, 5))
     traj = synthetic_traj(fine, p)
-    assert score(traj, traj, ErrorSpec("pressure_L2l2", spatial="nodal")) == 0.0
-    assert score(traj, traj, ErrorSpec("pressure_Linfl2", spatial="nodal")) == 0.0
+    assert score(traj, traj, ErrorSpec("pressure_L2l2")) == 0.0
+    assert score(traj, traj, ErrorSpec("pressure_Linfl2")) == 0.0
 
 
 def test_pressure_error_synthetic_offset():
@@ -146,9 +159,9 @@ def test_pressure_error_synthetic_offset():
     k = coarse.k_max
     traj = synthetic_traj(coarse, np.full((8, 3), k))
     ref = synthetic_traj(fine, np.zeros((64, 3)))
-    spec = ErrorSpec("pressure_Linfl2", spatial="nodal")
+    spec = ErrorSpec("pressure_Linfl2")
     assert score(traj, ref, spec) == pytest.approx(np.sqrt(3) * k, rel=1e-12)
-    spec2 = ErrorSpec("pressure_L2l2", spatial="nodal")
+    spec2 = ErrorSpec("pressure_L2l2")
     assert score(traj, ref, spec2) == pytest.approx(np.sqrt(3) * k, rel=1e-12)
 
 
@@ -192,7 +205,7 @@ def test_window_excludes_prefix():
     p2[0] = 77.0
     ref = synthetic_traj(fine, np.zeros((64, 2)))
     for norm in ("pressure_L2l2", "pressure_Linfl2"):
-        spec = ErrorSpec(norm, alpha=1.5, window_start=1, spatial="nodal")
+        spec = ErrorSpec(norm, alpha=1.5, window_start=1)
         e1 = score(synthetic_traj(coarse, p1), ref, spec)
         e2 = score(synthetic_traj(coarse, p2), ref, spec)
         # interpolation can leak only into samples below the second anchor,
@@ -214,10 +227,10 @@ def test_zero_weight_intervals_contribute_nothing():
     p[0] = 5.0  # tau on I^1 is zero
     ref = synthetic_traj(fine, np.zeros((32, 1)))
     traj = synthetic_traj(coarse, p)
-    spec = ErrorSpec("pressure_L2l2", alpha=2.0, window_start=0, spatial="nodal")
+    spec = ErrorSpec("pressure_L2l2", alpha=2.0, window_start=0)
     # anchor interpolation reaches into I^2 where tau = t_1 = 0.5
     base = score(traj, ref, spec)
-    spec_w1 = ErrorSpec("pressure_L2l2", alpha=2.0, window_start=1, spatial="nodal")
+    spec_w1 = ErrorSpec("pressure_L2l2", alpha=2.0, window_start=1)
     windowed = score(traj, ref, spec_w1)
     assert windowed <= base
 
@@ -230,7 +243,7 @@ def test_norm_axioms_on_random_fields():
     a = rng.standard_normal((6, 4))
     b = rng.standard_normal((6, 4))
     for norm in ("pressure_L2l2", "pressure_Linfl2"):
-        spec = ErrorSpec(norm, spatial="nodal")
+        spec = ErrorSpec(norm)
 
         def err(vals):
             return score(synthetic_traj(coarse, vals), ref, spec)
@@ -245,7 +258,7 @@ def test_pressure_error_scaling_linearity():
     rng = np.random.default_rng(12)
     base = rng.standard_normal((4, 3))
     ref = synthetic_traj(fine, np.zeros((32, 3)))
-    spec = ErrorSpec("pressure_L2l2", spatial="nodal")
+    spec = ErrorSpec("pressure_L2l2")
     e1 = score(synthetic_traj(coarse, 1e-3 * base), ref, spec)
     e2 = score(synthetic_traj(coarse, 1e-6 * base), ref, spec)
     assert e1 / e2 == pytest.approx(1e3, rel=1e-9)
@@ -257,7 +270,7 @@ def test_empty_window_rejected():
     ref = synthetic_traj(fine, np.zeros((8, 1)))
     traj = synthetic_traj(coarse, np.zeros((2, 1)))
     with pytest.raises(ValueError):
-        score(traj, ref, ErrorSpec("pressure_L2l2", window_start=2, spatial="nodal"))
+        score(traj, ref, ErrorSpec("pressure_L2l2", window_start=2))
 
 
 def test_nonuniform_reference_rejected(small_space):
@@ -280,13 +293,13 @@ def test_mismatched_spaces_rejected():
     traj = synthetic_traj(coarse, np.zeros((4, 2)))
     with pytest.raises(ValueError, match="reference pressure has 3 coefficients, "
                                          "the trajectory stores 2"):
-        score(traj, ref, ErrorSpec("pressure_L2l2", spatial="nodal"))
+        score(traj, replace(ref, space=None), ErrorSpec("pressure_L2l2"))
 
 
 def test_velocity_error_requires_space():
     fine = build_uniform_mesh(1.0, 32)
-    traj = synthetic_traj(fine, np.zeros((32, 2)))
-    with pytest.raises(ValueError):
+    traj = replace(synthetic_traj(fine, np.zeros((32, 2))), space=None)
+    with pytest.raises(ValueError, match="need a trajectory with a spatial space"):
         score(traj, traj, ErrorSpec("velocity_LinfV1"))
 
 
@@ -353,7 +366,8 @@ def test_velocity_linf_is_the_node_by_node_formula_bitwise(small_space):
 
 def test_pressure_norms_are_the_sample_by_sample_formula_bitwise(small_space):
     # more reference midpoints than one evaluation block, with and without a
-    # window and weight, for each pressure norm in mass and nodal form
+    # window and weight, for each pressure norm on the Taylor-Hood space and
+    # on the Euclidean space of as many coefficients
     space = small_space
     fine, coarse = build_uniform_mesh(1.0, 600), build_alternating_mesh(1.0, 0.1, (0.8, 1.2))
     rng = np.random.default_rng(31)
@@ -367,11 +381,12 @@ def test_pressure_norms_are_the_sample_by_sample_formula_bitwise(small_space):
         d = [midpoint_reconstruction(traj.pressure, [t])[0] - r
              for t, r in zip(ts, ref.pressure.values[mask])]
         w = coarse.tau_values(alpha)[coarse.interval_of(ts) - 1]
-        for spatial, q in (("mass", np.sqrt([x @ (Mp @ x) for x in d])),
-                           ("nodal", np.sqrt([np.dot(x, x) for x in d]))):
+        for on, q in ((space, np.sqrt([x @ (Mp @ x) for x in d])),
+                      (euclidean_space(space.num_pressure), np.sqrt([np.dot(x, x) for x in d]))):
             for norm, want in (("pressure_L2l2", np.sqrt(np.sum(k0 * (w * q) ** 2))),
                                ("pressure_Linfl2", np.max(w * q))):
-                got = score(traj, ref, ErrorSpec(norm, alpha, window_start, spatial))
+                got = score(replace(traj, space=on), replace(ref, space=on),
+                            ErrorSpec(norm, alpha, window_start))
                 assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
@@ -385,10 +400,8 @@ def test_streamed_reference_gives_the_stored_reference_bits(small_space):
             for k in (0.02, 0.01)]
     assert fine.num_intervals > 2 * _NODE_BLOCK
     assert 0 < np.searchsorted(fine.midpoints, runs[0].mesh.nodes[1]) < _NODE_BLOCK
-    specs = [ErrorSpec(norm, alpha, window_start, spatial)
-             for norm in NORMS for alpha, window_start in ((0.0, 0), (2.0, 1))
-             for spatial in ("mass", "nodal")
-             if not (spatial == "nodal" and NORMS[norm][0] == "velocity")]
+    specs = [ErrorSpec(norm, alpha, window_start)
+             for norm in NORMS for alpha, window_start in ((0.0, 0), (2.0, 1))]
     streamed = StreamedReference(fine, small_space, runs, specs)
     with pytest.raises(ValueError, match="ended before the window"):
         pressure_error(runs[0], streamed, specs[0])

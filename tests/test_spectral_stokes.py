@@ -16,7 +16,7 @@ from cnflow.spectral_stokes import (
     vs_norm,
     vs_row_norm,
 )
-from cnflow.temporal_ops import GridFunctionDG0, average
+from cnflow.temporal_ops import GridFunctionCG1, GridFunctionDG0, average
 from cnflow.time_mesh import TimeMesh, build_alternating_mesh, build_uniform_mesh
 
 from oracles import smoothing_ratio, stability_ratios_oracle, stored_trial
@@ -24,6 +24,15 @@ from oracles import smoothing_ratio, stability_ratios_oracle, stored_trial
 
 def field(lam, c):
     return SpectralField(np.asarray(lam, dtype=float), np.asarray(c, dtype=float))
+
+
+def evolved(mesh, lam, c0, rk):
+    """The nodal states of ``evolve_cn`` from ``c0`` with forcing rows ``rk``,
+    copied by an observer into a grid function."""
+    states = [np.asarray(c0, dtype=float)]
+    evolve_cn(mesh, lam, c0, lambda n: rk[n], 0,
+              lambda n, prev, new, f: states.append(new.copy()))
+    return GridFunctionCG1(mesh, states)
 
 
 def test_vs_norm_single_modes():
@@ -135,9 +144,9 @@ def test_unforced_decay_monotone_in_every_order():
     rng = np.random.default_rng(9)
     c = rng.standard_normal(64)
     mesh = build_uniform_mesh(1.0, 12)
-    traj = evolve_cn(mesh, lam, c, np.zeros((12, 64)))
+    states = evolved(mesh, lam, c, np.zeros((12, 64)))
     for s in range(-2, 5):
-        norms = [vs_norm(field(lam, v), s) for v in traj.states.values]
+        norms = [vs_norm(field(lam, v), s) for v in states.values]
         assert np.all(np.diff(norms) <= 1e-13)
 
 
@@ -146,6 +155,8 @@ def test_unforced_decay_monotone_in_every_order():
        modes=st.integers(1, 20), start_frac=st.floats(0.0, 1.0, exclude_max=True),
        seed=st.integers(0, 2**32 - 1))
 def test_evolve_cn_is_the_cn_step_loop_bitwise(steps, modes, start_frac, seed):
+    # one coefficient vector: the states handed to the observer are the
+    # cn_step_spectral loop, bit for bit
     mesh = TimeMesh(np.concatenate([[0.0], np.cumsum(steps)]))
     N = mesh.num_intervals
     start = int(start_frac * N)
@@ -156,8 +167,11 @@ def test_evolve_cn_is_the_cn_step_loop_bitwise(steps, modes, start_frac, seed):
     for n in range(start, N):
         states.append(cn_step_spectral(states[-1], mesh.steps[n], rk[n]))
     expected = np.array([f.coefficients for f in states])
-    traj = evolve_cn(mesh, lam, c0, rk, start=start)
-    assert traj.states.values.tobytes() == expected.tobytes()
+    seen = []
+    evolve_cn(mesh, lam, c0, lambda n: rk[n], start,
+              lambda n, prev, new, f: seen.append((prev.copy(), new.copy())))
+    assert np.array([new for _, new in seen]).tobytes() == expected[start + 1:].tobytes()
+    assert np.array([prev for prev, _ in seen]).tobytes() == expected[start:-1].tobytes()
 
 
 @settings(max_examples=25, deadline=None)
@@ -188,22 +202,32 @@ def test_evolve_cn_streams_a_trial_block_bitwise(steps, trials, modes, start_fra
 
 
 def test_evolve_cn_rejects_bad_start_and_forcing():
-    # start = -1 used to read an uninitialised row instead of c0, and a
-    # forcing with too few rows raised IndexError
+    # start = -1 used to read an uninitialised row instead of c0
     lam = default_spectrum(4)
     mesh = build_uniform_mesh(1.0, 8)
     c0 = np.ones(4)
+    seen = []
+
+    def observer(n, prev, new, f):
+        seen.append(n)
+
+    def zero(n):
+        return np.zeros(4)
+
     for start in (-1, 8, 9):
         with pytest.raises(ValueError, match="start index"):
-            evolve_cn(mesh, lam, c0, np.zeros((8, 4)), start=start)
-    for shape in ((7, 4), (1, 4), (9, 4), (8, 3), (8,), (8, 4, 1)):
-        with pytest.raises(ValueError, match="forcing of shape"):
-            evolve_cn(mesh, lam, c0, np.zeros(shape))
+            evolve_cn(mesh, lam, c0, zero, start, observer)
+    # a forcing row narrower or wider than the state cannot be stepped
+    for width in (3, 5):
+        with pytest.raises(ValueError):
+            evolve_cn(mesh, lam, c0, lambda n: np.zeros(width), 0, observer)
     # a scalar or 1-vector would broadcast
     for bad_c0 in (1.0, np.ones(1), np.ones(5), np.ones((2, 2, 4))):
         with pytest.raises(ValueError, match="initial value"):
-            evolve_cn(mesh, lam, bad_c0, np.zeros((8, 4)))
-    assert evolve_cn(mesh, lam, c0, np.zeros((8, 4)), start=7).states.values.shape == (9, 4)
+            evolve_cn(mesh, lam, bad_c0, zero, 0, observer)
+    seen.clear()
+    evolve_cn(mesh, lam, c0, zero, 7, observer)
+    assert seen == [7]
 
 
 def test_ie_monotone_decay():
@@ -228,8 +252,7 @@ def test_averaged_equation_residual():
     mesh = build_uniform_mesh(1.0, 9)
     rng = np.random.default_rng(21)
     rk = rng.standard_normal((9, 48))
-    traj = evolve_cn(mesh, lam, rng.standard_normal(48), rk)
-    v = traj.states.values
+    v = evolved(mesh, lam, rng.standard_normal(48), rk).values
     for n in range(9):
         k = mesh.steps[n]
         resid = (v[n + 1] - v[n]) / k + lam * 0.5 * (v[n + 1] + v[n]) - rk[n]
@@ -242,8 +265,8 @@ def test_discrete_stability_pure_decay_trial():
     # finite and moderate for pure decay
     lam = np.array([1.0])
     mesh = build_uniform_mesh(1.0, 8)
-    traj = evolve_cn(mesh, lam, np.array([1.0]), np.zeros((8, 1)))
-    ratio = smoothing_ratio(traj.states, GridFunctionDG0(mesh, np.zeros((8, 1))),
+    states = evolved(mesh, lam, np.array([1.0]), np.zeros((8, 1)))
+    ratio = smoothing_ratio(states, GridFunctionDG0(mesh, np.zeros((8, 1))),
                             np.array([1.0]), lam, 0, 0)
     assert np.isfinite(ratio) and ratio < 4.0
 
@@ -290,8 +313,8 @@ def test_smoothing_single_mode_ratio_finite():
     # one decaying mode, no forcing: the two-sided ratio is finite and modest
     lam = np.array([1.0])
     mesh = build_uniform_mesh(1.0, 16)
-    traj = evolve_cn(mesh, lam, np.array([1.0]), np.zeros((16, 1)))
-    ratio = smoothing_ratio(traj.states, GridFunctionDG0(mesh, np.zeros((16, 1))),
+    states = evolved(mesh, lam, np.array([1.0]), np.zeros((16, 1)))
+    ratio = smoothing_ratio(states, GridFunctionDG0(mesh, np.zeros((16, 1))),
                             np.array([1.0]), lam, 1, 1)
     assert np.isfinite(ratio)
     assert ratio < 4.0

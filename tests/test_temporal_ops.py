@@ -76,13 +76,6 @@ def test_average_requires_enough_points():
         average(scalar(np.sin), mesh, quadrature_order=2)
 
 
-def test_average_idempotent():
-    mesh = build_uniform_mesh(1.5, 5)
-    au = average(scalar(np.exp), mesh)
-    again = average(au)
-    assert np.array_equal(au.values, again.values)
-
-
 def test_midpoint_sample_values():
     mesh = build_uniform_mesh(1.0, 2)
     mu = midpoint_sample(scalar(lambda t: t), mesh)
@@ -174,14 +167,6 @@ def test_mean_derivative_of_interpolation_error_vanishes():
     mean_du = average(du, mesh, quadrature_order=6).values
     mean_dik = time_derivative(iu).values
     assert np.max(np.abs(mean_du - mean_dik)) < 1e-12
-
-
-def test_dg0_right_continuous_evaluation():
-    mesh = build_uniform_mesh(1.0, 4)
-    f = GridFunctionDG0(mesh, np.arange(4.0).reshape(-1, 1))
-    assert f.evaluate(0.25)[0] == 0.0   # t_1 belongs to I^1
-    assert f.evaluate(0.2500001)[0] == 1.0
-    assert f.evaluate(1.0)[0] == 3.0
 
 
 def euclid(v):

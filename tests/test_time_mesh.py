@@ -146,6 +146,17 @@ def test_tau_out_of_range():
         mesh.interval_of(2.5)
 
 
+def test_interval_of_is_right_closed():
+    # I^n = (t_{n-1}, t_n]: a node belongs to the interval it ends, so a
+    # piecewise-constant value at a time is values[interval_of(t) - 1]
+    mesh = build_uniform_mesh(1.0, 4)
+    assert mesh.interval_of(0.25) == 1
+    assert mesh.interval_of(0.2500001) == 2
+    assert mesh.interval_of(1.0) == 4
+    assert mesh.interval_of(0.0) == 1
+    assert mesh.interval_of(np.array([0.25, 0.5, 0.75])).tolist() == [1, 2, 3]
+
+
 def test_tau_monotonicity():
     mesh = build_alternating_mesh(2.0, 0.05, [0.8, 1.2])
     for alpha in (0.5, 1.0, 2.0):
