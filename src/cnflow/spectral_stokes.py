@@ -107,13 +107,13 @@ def evolve_cn(mesh, eigenvalues, c0, forcing, start, observer):
 
     ``c0`` is one coefficient vector or a ``(trials, modes)`` block stepped
     together; ``forcing(n)`` gives the interval average of the forcing on the
-    0-based interval ``n``, shaped like ``c0``.  Each step rounds exactly as
-    ``cn_step_spectral``.  Nothing is stored: each interval ``n`` is handed
-    to ``observer(n, prev, new, f)`` in order, in arrays that later steps
-    overwrite.
+    0-based interval ``n``, shaped like ``c0`` (checked, as is the spectrum).
+    Each step rounds exactly as ``cn_step_spectral``.  Nothing is stored:
+    each interval ``n`` is handed to ``observer(n, prev, new, f)`` in order,
+    in arrays that later steps overwrite.
     """
     N = mesh.num_intervals
-    lam = np.asarray(eigenvalues, dtype=float)
+    lam = _checked_spectrum(eigenvalues)
     c0 = np.asarray(c0, dtype=float)
     if not 0 <= start < N:
         raise ValueError(f"start index {start} outside 0..{N - 1}")
@@ -129,6 +129,8 @@ def evolve_cn(mesh, eigenvalues, c0, forcing, start, observer):
     for n, m in zip(range(start, N), which):
         decay, growth = factors[m]
         f = forcing(n)
+        if np.shape(f) != c0.shape:  # a row that broadcasts would force every mode
+            raise ValueError(f"forcing on interval {n} has shape {np.shape(f)}, not {c0.shape}")
         np.multiply(k[n], f, out=new)
         np.multiply(decay, prev, out=decayed)
         new += decayed  # k f + decay c, equal bit for bit to decay c + k f
@@ -171,11 +173,35 @@ def _random_trial(rng, lam, s):
     that their V^s and L2(V^{s-1}) sizes depend on neither ``s`` nor the time
     mesh: refinement studies rediscretize the same underlying data.
     """
-    M = lam.size
-    j = np.arange(1, M + 1, dtype=float)
-    c0 = rng.standard_normal(M) * lam ** (-s / 2.0) * j ** _TRIAL_DECAY
-    b = rng.standard_normal((3, M)) * (lam ** ((1.0 - s) / 2.0) * j ** _TRIAL_DECAY)
+    return _scaled_trial(rng.standard_normal(lam.size), rng.standard_normal((3, lam.size)),
+                         lam, s)
+
+
+def _scaled_trial(z0, zb, lam, s):
+    """``_random_trial`` from its normals ``z0`` ``(..., M)`` and ``zb`` ``(3, ..., M)``,
+    elementwise: a block of trials gets the bits of each trial scaled alone."""
+    j = np.arange(1, lam.size + 1, dtype=float)
+    c0 = z0 * lam ** (-s / 2.0) * j ** _TRIAL_DECAY
+    b = zb * (lam ** ((1.0 - s) / 2.0) * j ** _TRIAL_DECAY)
     return c0, b
+
+
+# the normals of the last seed; the rows of one N ladder of ``cnflow verify``
+_NORMALS, _ROWS, _ROWS_HELD = {}, {}, 3
+
+
+def _trial_normals(rng_seed, trial_count, M):
+    """The normals ``_random_trial`` draws from ``default_rng([rng_seed, t])`` for every
+    trial ``t``, as a ``(trials, M)`` and a ``(3, trials, M)`` block."""
+    key = (rng_seed, trial_count, M)
+    if key not in _NORMALS:
+        _NORMALS.clear()
+        z0, zb = np.empty((trial_count, M)), np.empty((3, trial_count, M))
+        for t in range(trial_count):
+            rng = np.random.default_rng([rng_seed, t])
+            z0[t], zb[:, t] = rng.standard_normal(M), rng.standard_normal((3, M))
+        _NORMALS[key] = z0, zb
+    return _NORMALS[key]
 
 
 def _time_factors(mesh):
@@ -199,6 +225,38 @@ def _trial_forcing(phi, b):
     return (phi[..., :1] * b[0] + phi[..., 1:2] * b[1]) + phi[..., 2:] * b[2]
 
 
+def _trial_rows(s, lower_level, n0, mesh, trial_count, rng_seed, lam):
+    """Per-trial norm rows of one evolution: V^s per node, then per interval V^{s+1}
+    of the average, V^{s-1} of d/dt and of the forcing and, if ``lower_level``, V^s
+    of the average and of d/dt.  The trials step as one block, storing no trajectory.
+    Read-only and memoized on every input that determines them, so the levels
+    ``ell >= 1`` share one evolution; the oldest of ``_ROWS_HELD`` goes first."""
+    key = (s, lower_level, n0, mesh.nodes.tobytes(), trial_count, rng_seed, lam.tobytes())
+    if key in _ROWS:
+        return _ROWS[key]
+    if len(_ROWS) >= _ROWS_HELD:
+        del _ROWS[next(iter(_ROWS))]
+    N = mesh.num_intervals
+    phi = _time_factors(mesh)  # once per mesh, not per trial
+    lower, same, upper = (vs_row_norm(lam, order) for order in (s - 1, s, s + 1))
+    c0, b = _scaled_trial(*_trial_normals(rng_seed, trial_count, lam.size), lam, s)
+    node = np.empty((N + 1, trial_count))
+    node[: n0 + 1] = same(c0)
+    rows = np.zeros((5 if lower_level else 3, N, trial_count))
+
+    def observe(n, prev, new, f):
+        avg, dt = 0.5 * (prev + new), (new - prev) / mesh.steps[n]
+        node[n + 1] = same(new)
+        rows[0, n], rows[1, n], rows[2, n] = upper(avg), lower(dt), lower(f)
+        if lower_level:
+            rows[3, n], rows[4, n] = same(avg), same(dt)
+
+    evolve_cn(mesh, lam, c0, lambda n: _trial_forcing(phi[n], b), n0, observe)
+    node.flags.writeable = rows.flags.writeable = False
+    _ROWS[key] = (node, *rows)
+    return _ROWS[key]
+
+
 def _stability_ratios(s, ell, n0, mesh, trial_count, rng_seed, eigenvalues):
     """Two-sided ratios of the smoothing estimate of level ``ell``, one per trial.
 
@@ -213,38 +271,18 @@ def _stability_ratios(s, ell, n0, mesh, trial_count, rng_seed, eigenvalues):
     lower-level norms of the evolved solution (weight ``tau^((ell-1)/2)``,
     order ``s`` for both the average and, with a factor ``k``, the
     derivative).  Level 0 from ``n0 = 0`` is the unweighted discrete
-    stability estimate.  Trials are seeded from ``(rng_seed, trial)`` so
-    they are independent of execution order.
-
-    The trials are stepped as one block and no trajectory is stored: the
-    spatial norms of each interval are taken as it is stepped, then
-    composed per trial by ``weighted_temporal_norm``.
+    stability estimate.  Trials are seeded from ``(rng_seed, trial)`` (their
+    normals drawn once per seed), so they are independent of execution order.
+    Each level composes the memoized ``_trial_rows`` per trial by ``weighted_temporal_norm``.
     """
     lam = default_spectrum() if eigenvalues is None else _checked_spectrum(eigenvalues)
     if trial_count < 1:
         raise ValueError(f"trial_count must be at least 1, got {trial_count}")
-    N = mesh.num_intervals
-    window = (n0, N)
+    window = (n0, mesh.num_intervals)
     kmax = mesh.k_max
     a_ell, a_lower = 0.5 * ell, 0.5 * (ell - 1)
-    phi = _time_factors(mesh)  # once per mesh, not per trial
-    lower, same, upper = (vs_row_norm(lam, order) for order in (s - 1, s, s + 1))
-    c0, b = zip(*(_random_trial(np.random.default_rng([rng_seed, t]), lam, s)
-                  for t in range(trial_count)))
-    c0, b = np.array(c0), np.stack(b, axis=1)  # (trials, modes), (3, trials, modes)
-    # per-trial spatial norms, one row per node or interval
-    node = np.empty((N + 1, trial_count))
-    node[: n0 + 1] = same(c0)
-    avg_upper, dt_lower, f_lower, avg_same, dt_same = np.zeros((5, N, trial_count))
-
-    def observe(n, prev, new, f):
-        avg, dt = 0.5 * (prev + new), (new - prev) / mesh.steps[n]
-        node[n + 1] = same(new)
-        avg_upper[n], dt_lower[n], f_lower[n] = upper(avg), lower(dt), lower(f)
-        if ell >= 1:
-            avg_same[n], dt_same[n] = same(avg), same(dt)
-
-    evolve_cn(mesh, lam, c0, lambda n: _trial_forcing(phi[n], b), n0, observe)
+    node, avg_upper, dt_lower, f_lower, *same_rows = _trial_rows(
+        s, ell >= 1, n0, mesh, trial_count, rng_seed, lam)
 
     def composed(grid, rows, alpha, p=2):
         return np.array([weighted_temporal_norm(grid(mesh, r), alpha, p, np.abs, window)
@@ -255,6 +293,7 @@ def _stability_ratios(s, ell, n0, mesh, trial_count, rng_seed, eigenvalues):
            + composed(GridFunctionDG0, dt_lower, a_ell))
     rhs = kmax ** a_ell * node[n0] + composed(GridFunctionDG0, f_lower, a_ell)
     if ell >= 1:  # summed left to right, so the rounding matches one four-term sum
+        avg_same, dt_same = same_rows
         rhs = (rhs + composed(GridFunctionDG0, avg_same, a_lower)
                + kmax * composed(GridFunctionDG0, dt_same, a_lower))
     return lhs / rhs

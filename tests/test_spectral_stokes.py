@@ -230,6 +230,29 @@ def test_evolve_cn_rejects_bad_start_and_forcing():
     assert seen == [7]
 
 
+def test_evolve_cn_rejects_a_forcing_row_that_broadcasts():
+    # a (1,) row on 4 modes, a scalar, or one row for a whole trial block was
+    # applied to every mode and trial without error
+    lam = default_spectrum(4)
+    mesh = build_uniform_mesh(1.0, 4)
+    for c0, row in ((np.ones(4), np.ones(1)), (np.ones(4), 0.0),
+                    (np.ones((3, 4)), np.ones(4)), (np.ones((3, 4)), np.ones((1, 4)))):
+        with pytest.raises(ValueError, match="forcing on interval 2"):
+            evolve_cn(mesh, lam, c0, lambda n: row if n == 2 else np.zeros_like(c0), 0,
+                      lambda *seen: None)
+
+
+@pytest.mark.parametrize("lam", [[1.0, np.nan, 9.0, 16.0], [3.0, 2.0, 1.0, -5.0],
+                                 [0.0, 1.0, 4.0, 9.0], [1.0, 4.0, 4.0, 9.0],
+                                 [1.0, 4.0, 9.0, np.inf]])
+def test_evolve_cn_rejects_a_bad_spectrum(lam):
+    # a NaN eigenvalue ran to a NaN state, and [3, 2, 1, -5] grew a unit mode
+    # to 352.6 in 4 steps
+    with pytest.raises(ValueError, match="eigenvalues"):
+        evolve_cn(build_uniform_mesh(1.0, 4), lam, np.ones(4), lambda n: np.zeros(4), 0,
+                  lambda *seen: None)
+
+
 def test_ie_monotone_decay():
     lam = default_spectrum(32)
     rng = np.random.default_rng(2)
@@ -413,6 +436,129 @@ def test_stability_ratios_step_their_trials_once(monkeypatch):
                                trial_count=6)
     verify_discrete_stability(0, build_uniform_mesh(1.0, 16), trial_count=4)
     assert blocks == [(6, 256), (4, 256)]
+
+
+def spy_steps(monkeypatch):
+    """Patch ``evolve_cn`` in ``spectral_stokes``; the returned list gets, per
+    evolution, the number of memoized row entries held when it starts."""
+    from cnflow import spectral_stokes
+
+    held = []
+
+    def spy(*args, **kwargs):
+        held.append(len(spectral_stokes._ROWS))
+        return evolve_cn(*args, **kwargs)
+
+    monkeypatch.setattr(spectral_stokes, "evolve_cn", spy)
+    return held
+
+
+def clear_memo():
+    from cnflow import spectral_stokes
+
+    spectral_stokes._ROWS.clear()
+    spectral_stokes._NORMALS.clear()
+
+
+def test_smoothing_levels_share_one_evolution(monkeypatch):
+    # the (1,1) and (1,2) pairs of `cnflow verify spectral-smoothing` build
+    # their meshes separately; both levels compose the rows of one evolution
+    held = spy_steps(monkeypatch)
+    shared = [verify_smoothing_stability(1, ell, 0, build_uniform_mesh(1.0, 32), trial_count=6)
+              for ell in (1, 2)]
+    assert len(held) == 1
+    for ell, report in zip((1, 2), shared):
+        clear_memo()
+        fresh = verify_smoothing_stability(1, ell, 0, build_uniform_mesh(1.0, 32), trial_count=6)
+        assert report.ratios.tobytes() == fresh.ratios.tobytes()
+    assert len(held) == 3
+
+
+KEY_BASE = dict(s=1, ell=1, n0=0, mesh=build_uniform_mesh(1.0, 16), trial_count=3,
+                rng_seed=0, eigenvalues=default_spectrum(8))
+
+
+@pytest.mark.parametrize("change, steps", [
+    ({"ell": 2}, 1),  # a level >= 1 is not a key input: the rows are the same
+    ({"s": 2}, 2), ({"ell": 0}, 2), ({"n0": 2}, 2),
+    ({"mesh": build_uniform_mesh(2.0, 16)}, 2),
+    ({"mesh": build_alternating_mesh(1.0, 1.0 / 16, (0.5, 1.5))}, 2),
+    ({"trial_count": 4}, 2), ({"rng_seed": 1}, 2),
+    ({"eigenvalues": 2.0 * default_spectrum(8)}, 2)])
+def test_changing_any_key_input_steps_anew(monkeypatch, change, steps):
+    from cnflow.spectral_stokes import _stability_ratios
+
+    held = spy_steps(monkeypatch)
+    _stability_ratios(**KEY_BASE)
+    got = _stability_ratios(**{**KEY_BASE, **change})
+    assert len(held) == steps
+    clear_memo()
+    assert got.tobytes() == _stability_ratios(**{**KEY_BASE, **change}).tobytes()
+
+
+def test_memoized_rows_are_read_only_and_bounded(monkeypatch):
+    from cnflow.spectral_stokes import _ROWS, _ROWS_HELD, _trial_rows
+
+    mesh, lam = build_uniform_mesh(1.0, 8), default_spectrum(8)
+    rows = _trial_rows(1, True, 0, mesh, 3, 0, lam)
+    assert [r.shape for r in rows] == [(9, 3)] + [(8, 3)] * 5
+    for r in rows:
+        with pytest.raises(ValueError, match="read-only"):
+            r[0] = 0.0
+    assert len(_trial_rows(1, False, 0, mesh, 3, 0, lam)) == 4
+    held = spy_steps(monkeypatch)
+    for seed in range(1, 6):
+        _trial_rows(1, True, 0, mesh, 3, seed, lam)
+    # the oldest entry is evicted before a new one is stepped
+    assert len(_ROWS) == _ROWS_HELD and held == [2] + [_ROWS_HELD - 1] * 4
+    for seed in (3, 4, 5):
+        _trial_rows(1, True, 0, mesh, 3, seed, lam)
+    assert len(held) == 5
+    _trial_rows(1, True, 0, mesh, 3, 1, lam)
+    assert len(held) == 6
+
+
+def test_smoothing_ladders_hold_one_ladder_of_rows(monkeypatch):
+    # the (1,1) and (1,2) drift checks step N = 64, 128, 256 once, and what
+    # stays held is that one ladder of 50-trial rows
+    from cnflow import cli
+    from cnflow.spectral_stokes import _ROWS
+
+    held = spy_steps(monkeypatch)
+    assert cli.smoothing_drift(1, 1)[0] > 0.0 and cli.smoothing_drift(1, 2)[0] > 0.0
+    assert held == [0, 1, 2]
+    assert sum(r.nbytes for rows in _ROWS.values() for r in rows) <= 1.1e6
+
+
+@pytest.mark.parametrize("seed, modes", [(0, 256), (23, 40)])
+def test_trial_normals_scale_to_the_per_trial_draws_bitwise(seed, modes):
+    from cnflow.spectral_stokes import _random_trial, _scaled_trial, _trial_normals
+
+    lam = default_spectrum(modes)
+    for s in (0, 1, 2):
+        c0, b = _scaled_trial(*_trial_normals(seed, 7, modes), lam, s)
+        assert c0.shape == (7, modes) and b.shape == (3, 7, modes)
+        for t in range(7):
+            want_c0, want_b = _random_trial(np.random.default_rng([seed, t]), lam, s)
+            assert c0[t].tobytes() == want_c0.tobytes()
+            assert b[:, t].tobytes() == want_b.tobytes()
+
+
+def test_trial_normals_are_drawn_once_per_seed(monkeypatch):
+    # the three `s` of `cnflow verify spectral-stability`, here on two meshes,
+    # seed each trial's generator once
+    seeded = []
+
+    def spy(seed):
+        seeded.append(tuple(seed))
+        return default_rng(seed)
+
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", spy)
+    for s in (0, 1, 2):
+        for N in (8, 16):
+            verify_discrete_stability(s, build_uniform_mesh(1.0, N), trial_count=4, rng_seed=5)
+    assert seeded == [(5, t) for t in range(4)]
 
 
 @pytest.mark.parametrize("n0", [0, 3])
