@@ -10,7 +10,10 @@ Configuration files are flat ``key = value`` text (``#`` comments); CLI
 writes ``convergence.csv`` (schema ``k,n0,alpha,norm,error,rate_pairwise``,
 rows in descending step size) next to a ``manifest.txt`` that echoes the
 resolved configuration, records timings and failures, and suffices to
-re-run the experiment.
+re-run the experiment.  A convergence study runs ``coarse_run`` per step size
+on ``threads`` pool workers, then one ``build_reference`` on the calling thread
+that scores them as it steps; the flow acceptance criteria run through the
+same two functions.
 
 Exit codes: 0 success, 1 verification assertion failure, 2 configuration
 error, 3 solver failure.
@@ -70,25 +73,19 @@ def oscillatory_field(x, y):
     return -np.sin(4.0 * x + y) * y, np.cos(x - 4.0 * y) * x
 
 
-def smooth_ramp_forcing(amplitude=0.2):
-    """Forcing ``a t^2 exp(-t)`` times the oscillatory field.
+def smooth_ramp_forcing():
+    """Forcing ``0.2 t^2 exp(-t)`` times the oscillatory field.
 
     Vanishes to first order at t = 0, so zero initial data is compatible.
     """
     from cnflow.schemes import SeparableForcing
 
-    return SeparableForcing(lambda t: amplitude * t * t * np.exp(-t),
-                            oscillatory_field, "smooth-ramp")
+    return SeparableForcing(lambda t: 0.2 * t * t * np.exp(-t), oscillatory_field)
 
 
-def sign_modulated_field(x, y):
-    fx, fy = oscillatory_field(x, y)
-    s = np.sign(x) * np.sign(y)
-    return s * fx, s * fy
-
-
-def rough_stationary_initial(amplitude=0.2):
-    """Initial data from a stationary solve with sign-modulated forcing.
+def rough_stationary_initial():
+    """Initial data from a stationary solve forced by the oscillatory field
+    times 0.2 sign(x) sign(y).
 
     The forcing is merely square integrable, so the resulting field does
     not satisfy the compatibility conditions of the transient problem
@@ -97,10 +94,11 @@ def rough_stationary_initial(amplitude=0.2):
     from cnflow.schemes import StationaryInitialData
 
     def f0(x, y):
-        fx, fy = sign_modulated_field(x, y)
-        return amplitude * fx, amplitude * fy
+        fx, fy = oscillatory_field(x, y)
+        s = 0.2 * np.sign(x) * np.sign(y)  # +-0.2 or 0, so each product rounds once
+        return s * fx, s * fy
 
-    return StationaryInitialData(f0, "stationary-sign-forcing")
+    return StationaryInitialData(f0)
 
 
 def zero_forcing():
@@ -281,16 +279,21 @@ def coarse_run(spec, kind, k, pattern, n0, error_specs):
     return transient_solve(spec, mesh, kind, n0, fields=fields_read(error_specs))
 
 
-def build_reference(spec, kind, k_list, refinement, runs, error_specs):
-    """Uniform-mesh reference with step about min(k)/refinement, which scores
-    the coarse trajectories ``runs`` in the norms of ``error_specs`` as it
-    steps and stores no field: its trajectory and its ``StreamedReference``."""
+def build_reference(spec, kind, k_list, refinement, groups):
+    """Uniform-mesh reference with step about min(k)/refinement, which stores
+    no field and scores each group ``(runs, error_specs)`` of ``groups``, the
+    coarse trajectories ``runs`` in the norms of ``error_specs``, as it steps:
+    its trajectory and one ``StreamedReference`` per group."""
     from cnflow.schemes import reference_solve
 
     fine = build_uniform_mesh(spec.T, reference_intervals(spec.T, k_list, refinement))
-    streamed = StreamedReference(fine, spec.space, runs, error_specs)
-    trajectory = reference_solve(spec, fine, kind=kind, fields=(), observer=streamed.observe)
-    return trajectory, streamed
+    streams = [StreamedReference(fine, spec.space, runs, specs) for runs, specs in groups]
+
+    def observe(u, p):
+        for streamed in streams:
+            streamed.observe(u, p)
+
+    return reference_solve(spec, fine, kind=kind, fields=(), observer=observe), streams
 
 
 def convergence_rows(reference, k, run, error_specs):
@@ -322,22 +325,18 @@ def run_convergence(config):
         t0 = time.perf_counter()
         return fn(*args), time.perf_counter() - t0
 
-    # Every solve runs on the pool's ``threads`` workers: the coarse runs, then
-    # the reference that scores them.  With one worker all of them allocate
-    # from one thread's malloc arena: a reference solved on the main thread
-    # raised the peak RSS of the nse_incompatible perfbench study from 200 to 221 MB.
+    # the pool runs the independent coarse rows; the reference needs them all
     with ThreadPoolExecutor(max_workers=config.threads) as pool:
         futures = [(k, pool.submit(timed, coarse_run, spec, kind, k, config.pattern,
                                    config.n0, error_specs)) for k in config.k_list]
-        runs = [future.result()[0] for _, future in futures if future.exception() is None]
-        reference = streamed = None
-        timings, iterations = [], []
-        if runs:  # else nothing is left to score: skip the costliest solve
-            (reference, streamed), dt = pool.submit(timed, build_reference, spec, kind,
-                                                    config.k_list, config.refinement, runs,
-                                                    error_specs).result()
-            timings.append(("reference", dt))
-            iterations.append(("reference", reference.newton_iterations))
+    runs = [future.result()[0] for _, future in futures if future.exception() is None]
+    reference = streamed = None
+    timings, iterations = [], []
+    if runs:  # else nothing is left to score: skip the costliest solve
+        (reference, (streamed,)), dt = timed(build_reference, spec, kind, config.k_list,
+                                             config.refinement, [(runs, error_specs)])
+        timings.append(("reference", dt))
+        iterations.append(("reference", reference.newton_iterations))
     for k, future in futures:
         try:
             run, dt = future.result()

@@ -199,7 +199,7 @@ class _Samples:
         S = space.pressure_mass if field == "pressure" else space.stiffness
         self._norm = lambda d: np.sqrt([x @ (S @ x) for x in d])
         self._field, self._coarse = field, getattr(traj, field)
-        self._p = NORMS[spec.norm][1]
+        self._p, self._k = NORMS[spec.norm][1], mesh.steps[0]  # the step of the L2 sum
         self._w = traj.mesh.tau_values(spec.alpha)[traj.mesh.interval_of(self._ts) - 1]
         self._q = np.empty(self._ts.size)
         self._filled = 0
@@ -217,12 +217,11 @@ class _Samples:
             self._q[lo:hi] = self._norm(d)
             self._filled = hi
 
-    def error(self, k=None):
-        """The temporal norm of the weighted samples; ``k`` is the step of
-        the L2 sum."""
+    def error(self):
+        """The temporal norm of the weighted samples."""
         if self._filled < self._q.size:
             raise ValueError("the reference ended before the window")
-        return _compose(self._p, self._w, self._q, k)
+        return _compose(self._p, self._w, self._q, self._k)
 
 
 class StreamedReference:
@@ -267,16 +266,19 @@ class StreamedReference:
                 field = NORMS[es.norm][0]
                 samples.feed(n - (field == "pressure"), self._block[field][:row + 1])
 
-    def error(self, traj, spec, field, k=None):
-        """The ``field`` norm of ``spec`` of ``traj``, which this reference
-        scored; ``k`` is the step of the temporal L2 sum."""
-        if NORMS[spec.norm][0] != field:
-            raise ValueError(f"{spec.norm} is not a {field} norm")
+    def error(self, traj, spec):
+        """The norm of ``spec`` of ``traj``, which this reference scored."""
         try:
             samples = self._samples[traj, spec]
         except KeyError:
             raise ValueError("the reference did not score this trajectory and norm") from None
-        return samples.error(k)
+        return samples.error()
+
+
+def _field_norm(spec, field):
+    if NORMS[spec.norm][0] != field:
+        raise ValueError(f"{spec.norm} is not a {field} norm")
+    return spec
 
 
 def pressure_error(traj, ref, spec):
@@ -289,7 +291,7 @@ def pressure_error(traj, ref, spec):
     values; the smoothing weight of the coarse interval containing each
     midpoint multiplies the spatial norm of the difference.
     """
-    return ref.error(traj, spec, "pressure", ref.mesh.steps[0])
+    return ref.error(traj, _field_norm(spec, "pressure"))
 
 
 def velocity_error(traj, ref, spec):
@@ -300,4 +302,4 @@ def velocity_error(traj, ref, spec):
     the window) of the stiffness-weighted seminorm of the difference of
     the piecewise-linear evaluations.
     """
-    return ref.error(traj, spec, "velocity")
+    return ref.error(traj, _field_norm(spec, "velocity"))

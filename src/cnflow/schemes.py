@@ -65,8 +65,6 @@ class NewtonConfig:
 # --- forcing terms ----------------------------------------------------
 
 class ZeroForcing:
-    label = "zero"
-
     def load_integral(self, space, a, b):
         return np.zeros(space.num_velocity)
 
@@ -74,10 +72,9 @@ class ZeroForcing:
 class SeparableForcing:
     """Forcing ``g(t) * f0(x, y)`` with a cached spatial load vector."""
 
-    def __init__(self, time_factor, spatial, label="separable"):
+    def __init__(self, time_factor, spatial):
         self.time_factor = time_factor
         self.spatial = spatial
-        self.label = label
         self._loads = weakref.WeakKeyDictionary()
 
     def spatial_load(self, space):
@@ -92,9 +89,8 @@ class SeparableForcing:
 class GeneralForcing:
     """Arbitrary ``f(x, y, t)``; one spatial load assembly per time Gauss point."""
 
-    def __init__(self, fn, label="general"):
+    def __init__(self, fn):
         self.fn = fn
-        self.label = label
 
     def load_integral(self, space, a, b):
         def load(t):
@@ -111,9 +107,8 @@ class StationaryInitialData:
     switched off.
     """
 
-    def __init__(self, f0, label="stationary"):
+    def __init__(self, f0):
         self.f0 = f0
-        self.label = label
         self._cache = weakref.WeakKeyDictionary()
 
     def resolve(self, space, nu, kind, newton=None):

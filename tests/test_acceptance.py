@@ -8,8 +8,10 @@ uses a step-size ladder one/two halvings below the harness default so
 that every fitted pair sits inside the regime where the startup layer is
 temporally resolved (the degraded orders are invisible while the largest
 steps straddle the layer); the weighted/averaged recovery criteria are
-insensitive to that choice.  Each study solves its coarse runs first; its
-reference then scores them in the norms its criterion reads while it steps.
+insensitive to that choice.  Each study runs the path of ``cnflow
+convergence``: ``cnflow.cli.coarse_run`` solves its coarse runs first, then
+one ``cnflow.cli.build_reference`` scores them in the norms its criterion
+reads while it steps.
 """
 
 import numpy as np
@@ -18,27 +20,18 @@ import pytest
 from cnflow.cli import (
     DRIFT_LIMIT,
     EULER_K_LIST,
+    build_reference,
+    coarse_run,
+    convergence_rows,
     rough_stationary_initial,
     smooth_ramp_forcing,
     smoothing_drift,
     stability_drift,
     temporal_operator_orders,
 )
-from cnflow.errors import (
-    ErrorSpec,
-    StreamedReference,
-    fit_loglog,
-    pressure_error,
-    velocity_error,
-)
+from cnflow.errors import ErrorSpec, fit_loglog
 from cnflow.fem2d import build_space
-from cnflow.schemes import (
-    ProblemSpec,
-    ZeroForcing,
-    nse_cn_solve,
-    reference_solve,
-    stokes_cn_solve,
-)
+from cnflow.schemes import ProblemSpec, ZeroForcing
 from cnflow.spectral_stokes import (
     cn_step_spectral,
     default_spectrum,
@@ -48,7 +41,7 @@ from cnflow.spectral_stokes import (
     vs_norm,
     SpectralField,
 )
-from cnflow.time_mesh import build_alternating_mesh, build_uniform_mesh
+from cnflow.time_mesh import build_uniform_mesh
 
 from oracles import assemble_oracle
 
@@ -147,6 +140,7 @@ def test_criterion_5_euler_smoothing_rates():
 # --- flow experiment fixtures ------------------------------------------------
 
 ALTERNATING = (0.8, 1.2)
+REFINEMENT = 8  # reference steps per smallest coarse step
 # the norms (norm, alpha, window start) that criterion 8 reads of the runs with
 # each Euler prefix n0; the reference scores these pairs alone, and the bundle
 # keeps their errors alone
@@ -158,19 +152,23 @@ CRITERION_8_NORMS = {
 }
 
 
-def scored_reference(spec, n_ref, kind, groups):
-    """The reference of ``spec`` on a uniform mesh of ``n_ref`` steps, which
-    stores no field and scores each group ``(runs, error_specs)`` of
-    ``groups`` while it steps: its trajectory and one ``StreamedReference``
-    per group."""
-    fine = build_uniform_mesh(spec.T, n_ref)
-    streams = [StreamedReference(fine, spec.space, runs, specs) for runs, specs in groups]
-
-    def observe(u, p):
-        for streamed in streams:
-            streamed.observe(u, p)
-
-    return reference_solve(spec, fine, kind=kind, fields=(), observer=observe), streams
+def study(spec, kind, k_list, norms):
+    """The study path of ``cnflow convergence`` on ``spec``: ``coarse_run``
+    solves every step of ``k_list`` for each Euler prefix ``n0`` of
+    ``norms``, storing the fields that ``norms[n0]`` read, and one
+    ``build_reference`` scores each prefix's runs in its norms as it steps.
+    Returns the reference and the errors, one list over the steps per
+    ``(n0, ErrorSpec)``; the runs are freed once scored."""
+    runs = {n0: [coarse_run(spec, kind, k, ALTERNATING, n0, specs) for k in k_list]
+            for n0, specs in norms.items()}
+    reference, streams = build_reference(spec, kind, k_list, REFINEMENT,
+                                         [(runs[n0], specs) for n0, specs in norms.items()])
+    errors = {}
+    for (n0, specs), scored in zip(norms.items(), streams):
+        for k, run in zip(k_list, runs[n0]):
+            for es, row in zip(specs, convergence_rows(scored, k, run, specs)):
+                errors.setdefault((n0, es), []).append(row[-1])
+    return reference, errors
 
 
 @pytest.fixture(scope="module")
@@ -183,20 +181,10 @@ def incompatible_bundle(space16):
     """The steps of the incompatible-data study, the reference that scored
     its coarse runs, and the errors criteria 8a-8d read: one list over the
     steps per ``(n0, ErrorSpec)``.  The coarse runs store the pressure alone
-    (criterion 8 reads no velocity), and they and their samples are freed
-    once scored."""
+    (criterion 8 reads no velocity)."""
     spec = ProblemSpec(space16, 0.01, ZeroForcing(), rough_stationary_initial(), 2.0)
     k_list = (0.005, 0.0025, 0.00125, 0.000625)
-    refinement = 8
-    runs = {n0: [nse_cn_solve(spec, build_alternating_mesh(2.0, k, ALTERNATING), n0=n0,
-                              fields=("pressure",)) for k in k_list]
-            for n0 in CRITERION_8_NORMS}
-    n_ref = int(round(2.0 / (min(k_list) / refinement)))
-    reference, streams = scored_reference(
-        spec, n_ref, "nse", [(runs[n0], specs) for n0, specs in CRITERION_8_NORMS.items()])
-    errors = {(n0, es): [pressure_error(run, scored, es) for run in runs[n0]]
-              for (n0, specs), scored in zip(CRITERION_8_NORMS.items(), streams)
-              for es in specs}
+    reference, errors = study(spec, "nse", k_list, CRITERION_8_NORMS)
     return k_list, reference, errors
 
 
@@ -212,12 +200,9 @@ def stokes_manufactured_study(space16):
     velocity errors of the coarse Stokes runs."""
     spec = ProblemSpec(space16, 0.01, smooth_ramp_forcing(), None, 2.0)
     k_list = (0.02, 0.01, 0.005)
-    runs = [stokes_cn_solve(spec, build_alternating_mesh(2.0, k, ALTERNATING)) for k in k_list]
     norm_p, norm_v = ErrorSpec("pressure_Linfl2"), ErrorSpec("velocity_LinfV1")
-    reference, (scored,) = scored_reference(spec, 3200, "stokes", [(runs, (norm_p, norm_v))])
-    errs_p = [pressure_error(run, scored, norm_p) for run in runs]
-    errs_v = [velocity_error(run, scored, norm_v) for run in runs]
-    return reference, k_list, errs_p, errs_v
+    reference, errors = study(spec, "stokes", k_list, {0: (norm_p, norm_v)})
+    return reference, k_list, errors[0, norm_p], errors[0, norm_v]
 
 
 @pytest.fixture(scope="module")
@@ -226,12 +211,9 @@ def compatible_study(space16):
     coarse Navier-Stokes runs, which store the pressure alone, per norm."""
     spec = ProblemSpec(space16, 0.01, smooth_ramp_forcing(), None, 2.0)
     k_list = (0.02, 0.01, 0.005, 0.0025)
-    runs = [nse_cn_solve(spec, build_alternating_mesh(2.0, k, ALTERNATING), n0=0,
-                         fields=("pressure",)) for k in k_list]
     norms = (ErrorSpec("pressure_L2l2"), ErrorSpec("pressure_Linfl2"))
-    reference, (scored,) = scored_reference(spec, 6400, "nse", [(runs, norms)])
-    errs = {es.norm: [pressure_error(run, scored, es) for run in runs] for es in norms}
-    return reference, k_list, errs
+    reference, errors = study(spec, "nse", k_list, {0: norms})
+    return reference, k_list, {es.norm: errors[0, es] for es in norms}
 
 
 # --- criterion 6: Stokes manufactured ---------------------------------------

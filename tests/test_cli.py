@@ -5,12 +5,14 @@ import re
 import subprocess
 import sys
 import textwrap
+import threading
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import cnflow.cli as cli
+import cnflow.schemes as schemes
 from cnflow.cli import (
     ConfigError,
     RunConfig,
@@ -22,8 +24,9 @@ from cnflow.cli import (
     run_verify,
     temporal_operator_orders,
 )
+from cnflow.errors import ErrorSpec
 from cnflow.fem2d import SolverError
-from cnflow.schemes import ZeroForcing
+from cnflow.schemes import SeparableForcing, ZeroForcing
 
 
 def test_parse_config_text():
@@ -89,14 +92,14 @@ def test_window_default_follows_weight():
 
 
 def test_resolve_problem_kinds(small_space):
-    expected = {"case_i": ("smooth-ramp", "zero", "nse"),
-                "case_ii": ("zero", "stationary", "nse"),
-                "stokes_manufactured": ("smooth-ramp", "zero", "stokes")}
+    expected = {"case_i": (SeparableForcing, "zero", "nse"),
+                "case_ii": (ZeroForcing, "stationary", "nse"),
+                "stokes_manufactured": (SeparableForcing, "zero", "stokes")}
     assert sorted(cli.EXPERIMENTS) == sorted(expected)
-    for experiment, (label, initial_kind, solver) in expected.items():
+    for experiment, (forcing, initial_kind, solver) in expected.items():
         config = build_run_config({"experiment": experiment})
         spec = resolve_problem(config, small_space)
-        assert spec.forcing.label == label
+        assert type(spec.forcing) is forcing
         assert spec.initial_kind == initial_kind
         assert cli.EXPERIMENTS[experiment][2] == solver
 
@@ -171,6 +174,53 @@ def test_pressure_only_study_stores_no_reference_velocity(tmp_path, monkeypatch)
     monkeypatch.setattr(cli, "build_reference", spy)
     _, fails, _ = run_convergence(build_run_config(tiny_mapping(tmp_path / "p")))
     assert not fails and seen == [(None, None)]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_reference_runs_on_the_calling_thread(tmp_path, monkeypatch, threads):
+    # the pool runs the coarse rows alone, so a profiler of the calling
+    # thread sees the reference solve
+    solve, coarse, seen = schemes.reference_solve, cli.coarse_run, []
+
+    def spy(name, fn):
+        def call(*args, **kwargs):
+            seen.append((name, threading.get_ident()))
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(schemes, "reference_solve", spy("reference", solve))
+    monkeypatch.setattr(cli, "coarse_run", spy("coarse", coarse))
+    mapping = tiny_mapping(tmp_path / "t")
+    mapping["threads"] = threads
+    _, fails, _ = run_convergence(build_run_config(mapping))
+    caller = threading.get_ident()
+    assert not fails
+    assert [name for name, _ in seen].count("coarse") == 2
+    assert seen[-1] == ("reference", caller)
+    assert all(thread != caller for name, thread in seen if name == "coarse")
+
+
+def test_reference_groups_score_as_separate_references(small_space):
+    # one reference scoring two groups gives each group's errors the bits of a
+    # reference that scores that group alone
+    config = build_run_config(tiny_mapping("unused"))
+    spec = resolve_problem(config, small_space)
+    groups = [(0, (ErrorSpec("pressure_L2l2"), ErrorSpec("velocity_LinfV1"))),
+              (1, (ErrorSpec("pressure_Linfl2", 2.0, 1),))]
+    runs = [[cli.coarse_run(spec, "stokes", k, config.pattern, n0, specs)
+             for k in config.k_list] for n0, specs in groups]
+
+    def errors(scored, group_runs, specs):
+        return [scored.error(run, es).hex() for run in group_runs for es in specs]
+
+    args = (spec, "stokes", config.k_list, config.refinement)
+    reference, streams = cli.build_reference(
+        *args, [(group_runs, specs) for group_runs, (_, specs) in zip(runs, groups)])
+    assert reference.velocity is None and reference.pressure is None
+    assert len(streams) == 2
+    for group_runs, (_, specs), scored in zip(runs, groups, streams):
+        _, (alone,) = cli.build_reference(*args, [(group_runs, specs)])
+        assert errors(scored, group_runs, specs) == errors(alone, group_runs, specs)
 
 
 def test_study_memory_does_not_grow_with_the_reference(tmp_path):

@@ -273,6 +273,19 @@ def test_empty_window_rejected():
         score(traj, ref, ErrorSpec("pressure_L2l2", window_start=2))
 
 
+def test_error_functions_reject_a_norm_of_the_other_field():
+    fine = build_uniform_mesh(1.0, 16)
+    ref = synthetic_traj(fine, np.zeros((16, 1)))
+    traj = synthetic_traj(build_uniform_mesh(1.0, 4), np.ones((4, 1)))
+    specs = [ErrorSpec("pressure_L2l2"), ErrorSpec("velocity_LinfV1")]
+    streamed = replay(ref, [traj], specs)
+    with pytest.raises(ValueError, match="velocity_LinfV1 is not a pressure norm"):
+        pressure_error(traj, streamed, specs[1])
+    with pytest.raises(ValueError, match="pressure_L2l2 is not a velocity norm"):
+        velocity_error(traj, streamed, specs[0])
+    assert pressure_error(traj, streamed, specs[0]) == streamed.error(traj, specs[0])
+
+
 def test_nonuniform_reference_rejected(small_space):
     # the midpoint rule weights every reference sample with the first step,
     # so a pressure norm rejects the mesh before any interval is observed

@@ -33,7 +33,7 @@ from cnflow.time_mesh import build_alternating_mesh, build_uniform_mesh
 
 def ramp_forcing(eps=1.0):
     return SeparableForcing(lambda t: eps * t * t * np.exp(-t),
-                            lambda x, y: (np.cos(x) * y, np.sin(y) * x), "ramp")
+                            lambda x, y: (np.cos(x) * y, np.sin(y) * x))
 
 
 def test_zero_data_zero_trajectory(medium_space):
@@ -211,7 +211,7 @@ def test_stokes_converges_to_stationary(medium_space):
     # stationary solve and the distance decreases monotonically from u0=0
     space = medium_space
     f0 = lambda x, y: (np.sin(x + y), np.cos(x) * y)
-    forcing = SeparableForcing(lambda t: 1.0, f0, "constant")
+    forcing = SeparableForcing(lambda t: 1.0, f0)
     stat = stationary_stokes_solve(space, 0.5, f0)
     spec = ProblemSpec(space, 0.5, forcing, None, 8.0)
     traj = stokes_cn_solve(spec, build_uniform_mesh(8.0, 40))
@@ -398,8 +398,7 @@ def test_stationary_nse_rough_forcing_converges(medium_space):
 
 
 def test_stationary_initial_data_cached(medium_space):
-    init = StationaryInitialData(
-        lambda x, y: (np.sin(x) * y, np.cos(y) * x), "probe")
+    init = StationaryInitialData(lambda x, y: (np.sin(x) * y, np.cos(y) * x))
     a = init.resolve(medium_space, 0.01, "nse")
     b = init.resolve(medium_space, 0.01, "nse")
     assert a is b
@@ -410,8 +409,7 @@ def test_stationary_initial_data_cached(medium_space):
 def test_stationary_initial_data_keys_on_newton_settings(small_space):
     # a loose Newton tolerance must not serve its state to a tight request
     init = StationaryInitialData(
-        lambda x, y: (0.2 * np.sign(x * y) * np.sin(4 * x + y) * y, np.cos(x - 4 * y) * x),
-        "probe")
+        lambda x, y: (0.2 * np.sign(x * y) * np.sin(4 * x + y) * y, np.cos(x - 4 * y) * x))
     loose = init.resolve(small_space, 0.01, "nse", NewtonConfig(tolerance=1e-2))
     tight = init.resolve(small_space, 0.01, "nse", NewtonConfig(tolerance=1e-12))
     exact = stationary_nse_solve(small_space, 0.01, init.f0, NewtonConfig(tolerance=1e-12))
@@ -428,8 +426,8 @@ def test_caches_never_serve_another_space():
     # a space built right after another is collected usually gets its id:
     # the caches must still compute its own load vector and initial state
     f0 = lambda x, y: (np.cos(x) * y, np.sin(y) * x)
-    forcing = SeparableForcing(lambda t: 1.0, f0, "probe")
-    init = StationaryInitialData(f0, "probe")
+    forcing = SeparableForcing(lambda t: 1.0, f0)
+    init = StationaryInitialData(f0)
     space, stale = None, 0
     for i in range(40):
         mesh = FemMesh2D((-1.0, 1.0, -1.0, 1.0) if i % 2 else (0.0, 2.0, 0.0, 1.0), 4, 4)
@@ -475,7 +473,7 @@ class LiveAtEachInterval(SeparableForcing):
 
     def __init__(self, record):
         base = ramp_forcing()
-        super().__init__(base.time_factor, base.spatial, "tracked")
+        super().__init__(base.time_factor, base.spatial)
         self.record, self.live = record, []
 
     def load_integral(self, space, a, b):
@@ -541,8 +539,7 @@ def test_reference_solve_contract(medium_space):
     ref = reference_solve(spec, build_uniform_mesh(0.5, 50), kind="stokes")
     assert ref.n0 == 0
     rough = ProblemSpec(medium_space, 0.01, ZeroForcing(),
-                        StationaryInitialData(
-                            lambda x, y: (np.sin(x) * y, np.cos(y) * x), "probe"),
+                        StationaryInitialData(lambda x, y: (np.sin(x) * y, np.cos(y) * x)),
                         0.5)
     ref2 = reference_solve(rough, build_uniform_mesh(0.5, 50), kind="nse")
     assert ref2.n0 == 2
@@ -641,8 +638,8 @@ def test_stored_fields_keep_every_bit(small_space, kind):
 def test_forcing_representations_agree(medium_space):
     g = lambda t: t * np.exp(-t)
     f0 = lambda x, y: (np.cos(x) * y, np.sin(y) * x)
-    sep = SeparableForcing(g, f0, "sep")
-    gen = GeneralForcing(lambda x, y, t: (g(t) * np.cos(x) * y, g(t) * np.sin(y) * x), "gen")
+    sep = SeparableForcing(g, f0)
+    gen = GeneralForcing(lambda x, y, t: (g(t) * np.cos(x) * y, g(t) * np.sin(y) * x))
     a, b = 0.3, 0.55
     Fa = sep.load_integral(medium_space, a, b)
     Fb = gen.load_integral(medium_space, a, b)
@@ -652,7 +649,7 @@ def test_forcing_representations_agree(medium_space):
 def test_load_integral_gauss_rule_matches_fine_quadrature(medium_space):
     # three-point Gauss in time is degree-5 exact; compare on a quartic
     g = lambda t: t ** 4 - 2 * t + 1
-    sep = SeparableForcing(g, lambda x, y: (np.ones_like(x), np.zeros_like(y)), "poly")
+    sep = SeparableForcing(g, lambda x, y: (np.ones_like(x), np.zeros_like(y)))
     F = sep.load_integral(medium_space, 0.2, 0.9)
     exact = (0.9 ** 5 / 5 - 0.9 ** 2 + 0.9) - (0.2 ** 5 / 5 - 0.2 ** 2 + 0.2)
     base = sep.spatial_load(medium_space)
