@@ -49,6 +49,7 @@ from cnflow.errors import (
 )
 from cnflow.spectral_stokes import (
     StabilityReport,
+    clear_memo,
     euler_smoothing_rate,
     verify_discrete_stability,
     verify_smoothing_stability,
@@ -475,7 +476,10 @@ def run_verify(target, out="results", seed=0):
     """
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
-    header, checks = _verify_checks(target, seed)
+    try:
+        header, checks = _verify_checks(target, seed)
+    finally:
+        clear_memo()  # the memo serves one target's checks, not the next target
     os.makedirs(out, exist_ok=True)
     lines = [f"{'PASS' if good else 'FAIL'} {line}" for good, line, _ in checks]
     with open(os.path.join(out, f"verify_{target}.txt"), "w") as fh:
@@ -510,8 +514,11 @@ def main(argv=None):
         if args.command == "convergence":
             mapping = {}
             if args.config:
-                with open(args.config) as fh:
-                    mapping.update(parse_config_text(fh.read()))
+                try:
+                    with open(args.config, encoding="utf-8") as fh:
+                        mapping.update(parse_config_text(fh.read()))
+                except UnicodeDecodeError as exc:
+                    raise ConfigError(f"{args.config} is not UTF-8 text: {exc}") from None
             for item in args.set:
                 if "=" not in item:
                     raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")

@@ -310,36 +310,19 @@ class TaylorHoodSpace:
 
         return self._assembled("quad_ops", build)
 
-    def _velocity_quadrature_operators(self):
-        """``val``, ``gx``, ``gy`` and ``test`` of ``_quadrature_operators`` as
-        block-diagonal maps of whole (component-blocked) velocity vectors.
-
-        The CSR arrays are stacked as they are: a sparse block constructor
-        would sort the unsorted indices of ``val`` and with them the order in
-        which each row is summed.
-        """
-        def doubled(a):
-            m, n = a.shape
-            return sp.csr_matrix((np.concatenate([a.data, a.data]),
-                                  np.concatenate([a.indices, a.indices + n]),
-                                  np.concatenate([a.indptr, a.indptr[1:] + a.nnz])),
-                                 shape=(2 * m, 2 * n))
-
-        return self._assembled("velocity_quad_ops",
-                               lambda: tuple(map(doubled, self._quadrature_operators())))
-
     def convection_apply(self, w, u):
         """Matrix-free evaluation of the convection term against all tests.
 
         Returns the vector with entries ``integral (w_h . grad u_h) . v_i``;
         equivalent to ``convection(w) @ u`` without building the matrix.
-        Both velocity components go through the block-diagonal velocity
-        operators at once, one single-vector product per operator.
+        Each velocity component goes through the scalar quadrature
+        operators, one single-vector product per operator.
         """
-        val, gx, gy, test = self._velocity_quadrature_operators()
-        wx, wy = np.reshape(val @ w, (2, -1))
-        conv = wx * np.reshape(gx @ u, (2, -1)) + wy * np.reshape(gy @ u, (2, -1))
-        return test @ conv.ravel()
+        val, gx, gy, test = self._quadrature_operators()
+        n = self.num_scalar
+        wx, wy = val @ w[:n], val @ w[n:]
+        return np.concatenate([test @ (wx * (gx @ c) + wy * (gy @ c))
+                               for c in (u[:n], u[n:])])
 
     def _velocity_columns(self, w):
         """The two components of a velocity vector as the columns of an (n, 2) block."""
@@ -446,16 +429,16 @@ class BorderedSaddle:
         c . P       = 0.
 
     The factorization is reused across right-hand sides, which is what
-    the time steppers rely on when the step size repeats.
+    the time steppers rely on when the step size repeats; it is all a
+    saddle keeps of the bordered system.
     """
 
     def __init__(self, space, K):
         self.space = space
         ii = space.interior_velocity
-        K_ii = K[ii][:, ii].tocsr()
         B_i, c_col = space.saddle_border()
         system = sp.bmat([
-            [K_ii, -B_i.T, None],
+            [K[ii][:, ii].tocsr(), -B_i.T, None],
             [B_i, None, c_col],
             [None, c_col.T, None],
         ], format="csc")
@@ -463,29 +446,32 @@ class BorderedSaddle:
             self.lu = splu(system)
         except RuntimeError as exc:
             raise SolverError(f"saddle-point factorization failed: {exc}") from None
-        self.system = system
-        self.n_i, self.n_p = ii.size, space.num_pressure
 
     def _block_solve(self, momentum, divergence=0.0, mean=0.0):
         """Right-hand side ``[momentum on interior nodes | divergence | mean]``,
         the bordered solution, and its velocity and pressure parts."""
-        ii, n_i = self.space.interior_velocity, self.n_i
-        rhs = np.empty(n_i + self.n_p + 1)
-        rhs[:n_i], rhs[n_i:-1], rhs[-1] = momentum[ii], divergence, mean
+        ii = self.space.interior_velocity
+        rhs = np.empty(ii.size + self.space.num_pressure + 1)
+        rhs[:ii.size], rhs[ii.size:-1], rhs[-1] = momentum[ii], divergence, mean
         x = self.lu.solve(rhs)
         U = np.zeros(self.space.num_velocity)
-        U[ii] = x[:n_i]
-        return rhs, x, U, x[n_i:-1]
+        U[ii] = x[:ii.size]
+        return rhs, x, U, x[ii.size:-1]
 
-    def solve(self, F):
-        """The state with momentum load ``F``, certified by residual and pressure mean."""
-        rhs, x, U, P = self._block_solve(np.asarray(F, dtype=float))
+    def solve(self, F, K):
+        """The state with momentum load ``F``, certified by the residual of the
+        bordered equations of the factored ``K`` and by the pressure mean."""
+        space, F = self.space, np.asarray(F, dtype=float)
+        rhs, x, U, P = self._block_solve(F)
+        c = space.mean_vector
+        resid = float(np.linalg.norm(np.concatenate([
+            (K @ U - space.divergence_transpose @ P - F)[space.interior_velocity],
+            space.divergence @ U + c * x[-1], [c @ P]])))
         scale = max(float(np.linalg.norm(rhs)), 1e-30)
-        resid = float(np.linalg.norm(self.system @ x - rhs))
         if not np.isfinite(resid) or resid > _SADDLE_RTOL * scale:
             raise SolverError(f"saddle-point solve residual {resid:.3e} above "
                               f"{_SADDLE_RTOL:.1e} * {scale:.3e}")
-        mean = abs(float(self.space.mean_vector @ P))
+        mean = abs(float(c @ P))
         if mean > 1e-10 * max(1.0, float(np.linalg.norm(P))):
             raise SolverError(f"pressure mean {mean:.3e} above tolerance")
         return MixedState(U, P)

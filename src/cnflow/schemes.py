@@ -252,9 +252,9 @@ def stokes_cn_solve(spec, mesh, n0=0, fields=FIELDS, observer=None):
                 theta = THETA[scheme]
                 K = (M + theta * k * nu * A).tocsr()
                 K_exp = M if theta == 1.0 else (M - (1.0 - theta) * k * nu * A).tocsr()
-                slot["factors"] = (BorderedSaddle(space, K), K_exp)
-            saddle, K_exp = slot["factors"]
-            state = saddle.solve(F + K_exp @ u)
+                slot["factors"] = (BorderedSaddle(space, K), K, K_exp)
+            saddle, K, K_exp = slot["factors"]
+            state = saddle.solve(F + K_exp @ u, K)
         except SolverError as exc:
             raise SolverError(f"{label}: {exc}") from None
         return state.velocity, state.pressure
@@ -375,7 +375,7 @@ def stationary_stokes_solve(space, nu, f0):
     """Stationary Stokes solve (also the Newton initial guess for the NSE)."""
     K = (nu * space.stiffness).tocsr()
     F = space.velocity_load(f0)
-    return BorderedSaddle(space, K).solve(F)
+    return BorderedSaddle(space, K).solve(F, K)
 
 
 def stationary_nse_solve(space, nu, f0, newton=None):

@@ -190,6 +190,12 @@ def _scaled_trial(z0, zb, lam, s):
 _NORMALS, _ROWS, _ROWS_HELD = {}, {}, 3
 
 
+def clear_memo():
+    """Forget the memoized trial normals and evolution rows."""
+    _NORMALS.clear()
+    _ROWS.clear()
+
+
 def _trial_normals(rng_seed, trial_count, M):
     """The normals ``_random_trial`` draws from ``default_rng([rng_seed, t])`` for every
     trial ``t``, as a ``(trials, M)`` and a ``(3, trials, M)`` block."""

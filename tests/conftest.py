@@ -13,8 +13,7 @@ from cnflow.fem2d import build_space
 def fresh_spectral_memo():
     """Each test steps its own spectral trials: no test reads the evolution
     rows or trial normals an earlier test left memoized."""
-    spectral_stokes._ROWS.clear()
-    spectral_stokes._NORMALS.clear()
+    spectral_stokes.clear_memo()
 
 
 @pytest.fixture(scope="session")

@@ -71,3 +71,58 @@ def test_incomplete_file_exits_2(tmp_path, damage):
     assert result.returncode == 2
     assert result.stdout == ""
     assert all(name in result.stderr for name in named)
+
+
+def pairs_row(bench, tmp_path, workload, metric):
+    path = tmp_path / "pairs.json"
+    path.write_text(json.dumps(bench))
+    result = bench_diff(path)
+    assert result.returncode == 0, result.stderr
+    rows = [line.split() for line in result.stdout.splitlines()[1:]]
+    return next(row for row in rows if row[:2] == [workload, metric]), rows
+
+
+def test_reads_the_pairs_of_one_file(tmp_path):
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    bench = json.loads((ROOT / "BENCH_22.json").read_text())
+    # BENCH_22 claimed spectral_verify run_s: 10 of 10 pairs, beyond the parent IQR
+    row, rows = pairs_row(bench, tmp_path, "spectral_verify", "run_s")
+    assert row[8:] == ["10/10", "resolved"]
+    assert [tuple(r[:2]) for r in rows] == [(w["name"], m["name"])
+                                            for w in benchmark["workloads"]
+                                            for m in benchmark["end_to_end"]]
+    for r in rows:
+        entry = bench["end_to_end"][r[0]]["metrics"][r[1]]
+        parent, change = entry["parent"], entry["change"]
+        assert float(r[2]) == float(f"{parent['median']:.4g}")
+        assert float(r[4]) == float(f"{change['median']:.4g}")
+        assert float(r[6]) == float(f"{parent['q3'] - parent['q1']:.4g}")
+        won = sum(c < p for p, c in zip(parent["runs"], change["runs"]))
+        assert r[8] == f"{won}/{len(parent['runs'])}"
+
+
+@pytest.mark.parametrize("change_runs, iqr, verdict", [
+    ([9.0] * 9 + [11.0], 0.8, "resolved"),
+    ([9.0] * 9 + [10.0], 0.8, "resolved"),  # a tie counts for neither side
+    ([9.0] * 8 + [11.0] * 2, 0.8, "unresolved"),  # 8 of 10 pairs
+    ([9.0] * 9 + [11.0], 1.0, "unresolved"),  # a median gap within the parent IQR
+])
+def test_gain_needs_nine_tenths_of_the_pairs_beyond_the_parent_iqr(
+        tmp_path, change_runs, iqr, verdict):
+    bench = json.loads((ROOT / "BENCH_22.json").read_text())
+    bench["end_to_end"]["nse_incompatible"]["metrics"]["run_s"] = {
+        "parent": {"median": 10.0, "q1": 10.0 - iqr / 2, "q3": 10.0 + iqr / 2,
+                   "runs": [10.0] * 10},
+        "change": {"median": 9.0, "q1": 9.0, "q3": 9.0, "runs": change_runs}}
+    row, _ = pairs_row(bench, tmp_path, "nse_incompatible", "run_s")
+    assert row[9] == verdict
+
+
+def test_one_file_without_paired_runs_exits_2(tmp_path):
+    bench = json.loads((ROOT / "BENCH_22.json").read_text())
+    del bench["end_to_end"]["stokes_manufactured"]["metrics"]["peak_rss_mb"]["change"]["runs"]
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(bench))
+    result = bench_diff(broken)
+    assert result.returncode == 2 and result.stdout == ""
+    assert "'peak_rss_mb'" in result.stderr and "'stokes_manufactured'" in result.stderr

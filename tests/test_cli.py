@@ -13,6 +13,7 @@ import pytest
 
 import cnflow.cli as cli
 import cnflow.schemes as schemes
+import cnflow.spectral_stokes as spectral_stokes
 from cnflow.cli import (
     ConfigError,
     RunConfig,
@@ -59,6 +60,15 @@ def test_repeated_config_key_is_rejected(tmp_path, monkeypatch, capsys):
     assert main(["convergence", "--config", str(path), "--out", str(tmp_path / "run"),
                  "--set", "k_list=0.5,0.25"]) == 0
     assert [config.k_list for config in ran] == [(0.5, 0.25)]
+
+
+def test_config_file_that_is_not_utf8_is_a_configuration_error(tmp_path, capsys):
+    path = tmp_path / "binary.cfg"
+    path.write_bytes(b"\xff\xfe\x00bad")
+    assert main(["convergence", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and str(path) in err
+    assert len(err.splitlines()) == 1
 
 
 def test_build_run_config_validation():
@@ -335,6 +345,8 @@ def test_run_verify_euler_rates(tmp_path):
 def test_run_verify_spectral_smoothing(tmp_path, target):
     code, lines = run_verify(target, out=str(tmp_path))
     assert code == 0
+    # the memoized normals and rows go with the target that used them
+    assert not spectral_stokes._NORMALS and not spectral_stokes._ROWS
     assert all(line.startswith("PASS") for line in lines)
     csv = (tmp_path / f"verify_{target}.csv").read_text().strip().split("\n")
     assert csv[0] == "kind,s,ell,n0,N,trials,seed,max_ratio"

@@ -3,12 +3,15 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import splu
 
+from cnflow import fem2d
 from cnflow.errors import fit_loglog
 from cnflow.fem2d import (
     AssemblyError,
     BorderedSaddle,
     FemMesh2D,
+    SolverError,
     build_space,
     triangle_rule,
 )
@@ -205,6 +208,15 @@ def test_convection_apply_is_the_column_form_bitwise(rect, seed):
     assert space.convection_apply(w, u).tobytes() == _convection_apply_columns(space, w, u).tobytes()
 
 
+def test_convection_apply_keeps_only_the_scalar_operators():
+    # both components go through the scalar quadrature operators: no
+    # velocity-block copy of them is built or kept
+    space = build_space((0.0, 1.0, 0.0, 1.0), 3, 2)
+    w, u = np.random.default_rng(4).standard_normal((2, space.num_velocity))
+    space.convection_apply(w, u)
+    assert set(space._cache) == {"quad_ops"}
+
+
 @settings(max_examples=25, deadline=None)
 @given(rect=rectangles, seed=st.integers(0, 2**32 - 1))
 def test_jacobian_is_derivative_of_convection(rect, seed):
@@ -258,7 +270,7 @@ def test_degenerate_element_reported():
 
 def test_saddle_zero_rhs(small_space):
     K = (small_space.mass + small_space.stiffness).tocsr()
-    state = BorderedSaddle(small_space, K).solve(np.zeros(small_space.num_velocity))
+    state = BorderedSaddle(small_space, K).solve(np.zeros(small_space.num_velocity), K)
     assert np.max(np.abs(state.velocity)) == 0.0
     assert np.max(np.abs(state.pressure)) == 0.0
 
@@ -271,7 +283,7 @@ def test_saddle_pressure_nullspace_filtered(small_space):
     # load of f = grad q_h: (grad q_h, v) = -(q_h, div v) for v in H^1_0
     F = -(space.divergence.T @ q)
     K = (0.01 * space.stiffness).tocsr()
-    state = BorderedSaddle(space, K).solve(F)
+    state = BorderedSaddle(space, K).solve(F, K)
     assert np.max(np.abs(state.velocity)) < 1e-8
     c = space.mean_vector
     q_shift = q - (c @ q) / c.sum()
@@ -284,7 +296,7 @@ def test_saddle_incompressibility_and_residual(medium_space):
     rng = np.random.default_rng(5)
     F = rng.standard_normal(space.num_velocity)
     K = (space.mass + 0.37 * space.stiffness).tocsr()
-    state = BorderedSaddle(space, K).solve(F)
+    state = BorderedSaddle(space, K).solve(F, K)
     U = state.velocity
     assert np.linalg.norm(space.divergence @ U) <= 1e-9 * max(np.linalg.norm(U), 1e-30)
     # momentum residual against interior tests (Galerkin orthogonality)
@@ -300,13 +312,33 @@ def test_saddle_factorization_reuse(medium_space):
     rng = np.random.default_rng(6)
     for _ in range(3):
         F = rng.standard_normal(space.num_velocity)
-        st = saddle.solve(F)
+        st = saddle.solve(F, K)
         assert np.isfinite(st.pressure).all()
 
 
-def test_saddle_system_is_the_per_factorization_construction_bitwise():
+def test_saddle_solve_certifies_against_the_factored_operator(small_space):
+    # the residual of the bordered equations is built from the K handed to
+    # solve: any K other than the factored one leaves a residual far above
+    # the bound
+    K = (small_space.mass + small_space.stiffness).tocsr()
+    saddle = BorderedSaddle(small_space, K)
+    F = np.random.default_rng(7).standard_normal(small_space.num_velocity)
+    saddle.solve(F, K)
+    with pytest.raises(SolverError, match="residual"):
+        saddle.solve(F, 2 * K)
+
+
+def test_saddle_system_is_the_per_factorization_construction_bitwise(monkeypatch):
     # the interior divergence and the border column are built once per space;
-    # the assembled system is the one built from scratch for each factorization
+    # the system handed to the factorization is the one built from scratch,
+    # and the saddle keeps none of it but the factorization
+    factored = []
+
+    def spy(system):
+        factored.append(system)
+        return splu(system)
+
+    monkeypatch.setattr(fem2d, "splu", spy)
     space = build_space((-1.0, 1.0, -1.0, 1.0), 3, 2)
     ii, n_p = space.interior_velocity, space.num_pressure
     B_i = space.divergence[:, ii].tocsr()
@@ -317,7 +349,9 @@ def test_saddle_system_is_the_per_factorization_construction_bitwise():
         old = sp.bmat([[K[ii][:, ii].tocsr(), -B_i.T, None],
                        [B_i, None, c_col],
                        [None, c_col.T, None]], format="csc")
-        new = BorderedSaddle(space, K).system
+        saddle = BorderedSaddle(space, K)
+        assert not any(sp.issparse(v) for v in vars(saddle).values())
+        new = factored.pop()
         assert new.shape == old.shape
         for attr in ("indptr", "indices", "data"):
             assert getattr(new, attr).tobytes() == getattr(old, attr).tobytes()

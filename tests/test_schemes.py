@@ -6,6 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -116,9 +117,9 @@ def explicit_stokes_solve(spec, mesh, n0):
             else:
                 half = 0.5 * k * nu
                 K, K_exp = (M + half * A).tocsr(), (M - half * A).tocsr()
-            slot["factors"] = (BorderedSaddle(space, K), K_exp)
-        saddle, K_exp = slot["factors"]
-        state = saddle.solve(F + K_exp @ u)
+            slot["factors"] = (BorderedSaddle(space, K), K, K_exp)
+        saddle, K, K_exp = slot["factors"]
+        state = saddle.solve(F + K_exp @ u, K)
         return state.velocity, state.pressure
 
     return _march(spec, mesh, n0, "stokes", None, advance)
@@ -197,11 +198,11 @@ def test_stokes_energy_decay_unforced(medium_space):
     idx = medium_space.interior_velocity
     u0[idx] = rng.standard_normal(idx.size)
     # project onto the discretely divergence-free subspace first
-    state = BorderedSaddle(medium_space, medium_space.mass).solve(medium_space.mass @ u0)
+    M = medium_space.mass
+    state = BorderedSaddle(medium_space, M).solve(M @ u0, M)
     u0 = state.velocity
     spec = ProblemSpec(medium_space, 0.01, ZeroForcing(), u0, 1.0)
     traj = stokes_cn_solve(spec, build_uniform_mesh(1.0, 10))
-    M = medium_space.mass
     energies = [v @ (M @ v) for v in traj.velocity.values]
     assert np.all(np.diff(energies) <= 1e-13)
 
@@ -366,7 +367,7 @@ def test_stationary_nse_gradient_forcing(medium_space):
     F = -(space.divergence.T @ q)
 
     for K in ((0.01 * space.stiffness).tocsr(),):
-        state = BorderedSaddle(space, K).solve(F)
+        state = BorderedSaddle(space, K).solve(F, K)
         assert np.max(np.abs(state.velocity)) < 1e-8
         c = space.mean_vector
         q_shift = q - (c @ q) / c.sum()
@@ -515,13 +516,15 @@ def test_factorizations_bounded_on_alternating_meshes(small_space, T, base_k, pa
 
 
 def test_nse_slots_hold_only_their_jacobian(small_space, monkeypatch):
-    held = set()
+    # and the factorized Jacobian keeps no copy of its bordered system
+    held, jacobians = set(), []
     march = schemes._march
 
     def spy(spec, mesh, n0, kind, newton, advance, *rest):
         def watched(*args):
             out = advance(*args)
             held.update(args[-1])  # the keys of the interval's slot
+            jacobians.extend(args[-1].values())
             return out
 
         return march(spec, mesh, n0, kind, newton, watched, *rest)
@@ -530,6 +533,7 @@ def test_nse_slots_hold_only_their_jacobian(small_space, monkeypatch):
     spec = ProblemSpec(small_space, 0.01, ramp_forcing(), None, 0.5)
     nse_cn_solve(spec, build_uniform_mesh(0.5, 10), n0=2)
     assert held == {"jacobian"}
+    assert not any(sp.issparse(v) for saddle in jacobians for v in vars(saddle).values())
 
 
 def test_reference_solve_contract(medium_space):

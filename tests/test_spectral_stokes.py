@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from cnflow.spectral_stokes import (
     SpectralField,
+    clear_memo,
     cn_step_spectral,
     default_spectrum,
     euler_smoothing_rate,
@@ -451,13 +452,6 @@ def spy_steps(monkeypatch):
 
     monkeypatch.setattr(spectral_stokes, "evolve_cn", spy)
     return held
-
-
-def clear_memo():
-    from cnflow import spectral_stokes
-
-    spectral_stokes._ROWS.clear()
-    spectral_stokes._NORMALS.clear()
 
 
 def test_smoothing_levels_share_one_evolution(monkeypatch):
