@@ -49,10 +49,8 @@ from cnflow.errors import (
 )
 from cnflow.spectral_stokes import (
     StabilityReport,
-    clear_memo,
     euler_smoothing_rate,
-    verify_discrete_stability,
-    verify_smoothing_stability,
+    stability_reports,
 )
 from cnflow.temporal_ops import average, interpolate_nodal, midpoint_sample
 from cnflow.time_mesh import (
@@ -410,31 +408,28 @@ def temporal_operator_orders(T=2.0, n_list=(16, 32, 64)):
 
 DRIFT_LIMIT = 1.10
 
-STABILITY_S = (0, 1, 2)
-SMOOTHING_PAIRS = ((1, 1), (1, 2), (2, 1))
+# each spectral target: its (s, ell, n0) checks and the interval counts of their meshes
+SPECTRAL_TARGETS = {"spectral-stability": ([(s, 0, 0) for s in (0, 1, 2)], (16, 32, 64)),
+                    "spectral-smoothing": ([(1, 1, 0), (1, 2, 0), (2, 1, 0)], (64, 128, 256))}
 EULER_CASES = ((2, 4, 2), (2, 3, 2), (0, 2, 2), (2, 2, 2))
 EULER_K_LIST = tuple(0.02 * 0.5 ** i for i in range(8))
 
 
+def _drifts(checks, n_values, T=1.0, trials=50, seed=0):
+    """``(drift, reports)`` of each ``(s, ell, n0)`` check, on its own uniform meshes."""
+    ladders = [[build_uniform_mesh(T, N) for N in n_values] for _ in checks]
+    return [(max(r.max_ratio for r in reports) / min(r.max_ratio for r in reports), reports)
+            for reports in stability_reports(checks, ladders, trials, seed)]
+
+
 def stability_drift(s, n_values=(16, 32, 64), T=1.0, trials=50, seed=0):
-    reports = [verify_discrete_stability(s, build_uniform_mesh(T, N), trials, seed)
-               for N in n_values]
-    ratios = [r.max_ratio for r in reports]
-    return max(ratios) / min(ratios), reports
+    return _drifts([(s, 0, 0)], n_values, T, trials, seed)[0]
 
 
 def smoothing_drift(s, ell, n0=0, n_values=(64, 128, 256), T=1.0, trials=50, seed=0):
-    reports = [verify_smoothing_stability(s, ell, n0, build_uniform_mesh(T, N),
-                                          trials, seed) for N in n_values]
-    ratios = [r.max_ratio for r in reports]
-    return max(ratios) / min(ratios), reports
-
-
-def _drift_check(label, drift, reports):
-    ratios = ", ".join(f"{r.max_ratio:.4f}" for r in reports)
-    return (drift < DRIFT_LIMIT,
-            f"{label}: max ratios [{ratios}] drift {drift:.4f} < {DRIFT_LIMIT}",
-            "\n".join(r.csv_row() for r in reports))
+    if ell <= 0:
+        raise ValueError("smoothing level must be positive")
+    return _drifts([(s, ell, n0)], n_values, T, trials, seed)[0]
 
 
 def _verify_checks(target, seed):
@@ -447,13 +442,15 @@ def _verify_checks(target, seed):
              f"{name}: rate {fitted.slope:.4f} expected {expected[name]} +- 0.15",
              f"{name},{fitted.csv_row()}")
             for name, fitted in temporal_operator_orders().items()]
-    if target == "spectral-stability":
-        return StabilityReport.CSV_HEADER, [
-            _drift_check(f"s={s}", *stability_drift(s, seed=seed)) for s in STABILITY_S]
-    if target == "spectral-smoothing":
-        return StabilityReport.CSV_HEADER, [
-            _drift_check(f"(s,l)=({s},{ell})", *smoothing_drift(s, ell, seed=seed))
-            for s, ell in SMOOTHING_PAIRS]
+    if target in SPECTRAL_TARGETS:
+        checks, n_values = SPECTRAL_TARGETS[target]
+        rows = []
+        for (s, ell, _), (drift, reports) in zip(checks, _drifts(checks, n_values, seed=seed)):
+            label = f"s={s}" if ell == 0 else f"(s,l)=({s},{ell})"
+            ratios = ", ".join(f"{r.max_ratio:.4f}" for r in reports)
+            rows.append((drift < DRIFT_LIMIT, f"{label}: max ratios [{ratios}] drift {drift:.4f} "
+                         f"< {DRIFT_LIMIT}", "\n".join(r.csv_row() for r in reports)))
+        return StabilityReport.CSV_HEADER, rows
     if target == "euler-rates":
         checks = []
         for r, s, s0 in EULER_CASES:
@@ -476,11 +473,8 @@ def run_verify(target, out="results", seed=0):
     """
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
-    try:
-        header, checks = _verify_checks(target, seed)
-    finally:
-        clear_memo()  # the memo serves one target's checks, not the next target
-    os.makedirs(out, exist_ok=True)
+    os.makedirs(out, exist_ok=True)  # a bad output path fails before any check runs
+    header, checks = _verify_checks(target, seed)
     lines = [f"{'PASS' if good else 'FAIL'} {line}" for good, line, _ in checks]
     with open(os.path.join(out, f"verify_{target}.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")

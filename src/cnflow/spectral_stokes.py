@@ -17,7 +17,7 @@ its smoothing-weighted refinement and the Euler smoothing rates cheap
 to verify numerically with tight tolerances.
 """
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -150,10 +150,13 @@ class StabilityReport:
     num_intervals: int
     trials: int
     seed: int
-    max_ratio: float
-    ratios: np.ndarray = dataclass_field(repr=False, default=None)
+    ratios: np.ndarray
 
     CSV_HEADER = "kind,s,ell,n0,N,trials,seed,max_ratio"
+
+    @property
+    def max_ratio(self):
+        return float(self.ratios.max())
 
     def csv_row(self):
         return (f"{self.kind},{self.s},{self.ell},{self.n0},{self.num_intervals},"
@@ -186,28 +189,14 @@ def _scaled_trial(z0, zb, lam, s):
     return c0, b
 
 
-# the normals of the last seed; the rows of one N ladder of ``cnflow verify``
-_NORMALS, _ROWS, _ROWS_HELD = {}, {}, 3
-
-
-def clear_memo():
-    """Forget the memoized trial normals and evolution rows."""
-    _NORMALS.clear()
-    _ROWS.clear()
-
-
 def _trial_normals(rng_seed, trial_count, M):
     """The normals ``_random_trial`` draws from ``default_rng([rng_seed, t])`` for every
     trial ``t``, as a ``(trials, M)`` and a ``(3, trials, M)`` block."""
-    key = (rng_seed, trial_count, M)
-    if key not in _NORMALS:
-        _NORMALS.clear()
-        z0, zb = np.empty((trial_count, M)), np.empty((3, trial_count, M))
-        for t in range(trial_count):
-            rng = np.random.default_rng([rng_seed, t])
-            z0[t], zb[:, t] = rng.standard_normal(M), rng.standard_normal((3, M))
-        _NORMALS[key] = z0, zb
-    return _NORMALS[key]
+    z0, zb = np.empty((trial_count, M)), np.empty((3, trial_count, M))
+    for t in range(trial_count):
+        rng = np.random.default_rng([rng_seed, t])
+        z0[t], zb[:, t] = rng.standard_normal(M), rng.standard_normal((3, M))
+    return z0, zb
 
 
 def _time_factors(mesh):
@@ -231,24 +220,18 @@ def _trial_forcing(phi, b):
     return (phi[..., :1] * b[0] + phi[..., 1:2] * b[1]) + phi[..., 2:] * b[2]
 
 
-def _trial_rows(s, lower_level, n0, mesh, trial_count, rng_seed, lam):
-    """Per-trial norm rows of one evolution: V^s per node, then per interval V^{s+1}
-    of the average, V^{s-1} of d/dt and of the forcing and, if ``lower_level``, V^s
-    of the average and of d/dt.  The trials step as one block, storing no trajectory.
-    Read-only and memoized on every input that determines them, so the levels
-    ``ell >= 1`` share one evolution; the oldest of ``_ROWS_HELD`` goes first."""
-    key = (s, lower_level, n0, mesh.nodes.tobytes(), trial_count, rng_seed, lam.tobytes())
-    if key in _ROWS:
-        return _ROWS[key]
-    if len(_ROWS) >= _ROWS_HELD:
-        del _ROWS[next(iter(_ROWS))]
+def _trial_rows(s, lower_level, n0, mesh, normals, lam):
+    """Per-trial norm rows of one evolution of the trial ``normals``: V^s per node, then
+    per interval V^{s+1} of the average, V^{s-1} of d/dt and of the forcing and, if
+    ``lower_level``, V^s of the average and of d/dt.  The trials step as one block,
+    storing no trajectory."""
     N = mesh.num_intervals
     phi = _time_factors(mesh)  # once per mesh, not per trial
     lower, same, upper = (vs_row_norm(lam, order) for order in (s - 1, s, s + 1))
-    c0, b = _scaled_trial(*_trial_normals(rng_seed, trial_count, lam.size), lam, s)
-    node = np.empty((N + 1, trial_count))
+    c0, b = _scaled_trial(*normals, lam, s)
+    node = np.empty((N + 1, len(c0)))
     node[: n0 + 1] = same(c0)
-    rows = np.zeros((5 if lower_level else 3, N, trial_count))
+    rows = np.zeros((5 if lower_level else 3, N, len(c0)))
 
     def observe(n, prev, new, f):
         avg, dt = 0.5 * (prev + new), (new - prev) / mesh.steps[n]
@@ -258,37 +241,15 @@ def _trial_rows(s, lower_level, n0, mesh, trial_count, rng_seed, lam):
             rows[3, n], rows[4, n] = same(avg), same(dt)
 
     evolve_cn(mesh, lam, c0, lambda n: _trial_forcing(phi[n], b), n0, observe)
-    node.flags.writeable = rows.flags.writeable = False
-    _ROWS[key] = (node, *rows)
-    return _ROWS[key]
+    return (node, *rows)
 
 
-def _stability_ratios(s, ell, n0, mesh, trial_count, rng_seed, eigenvalues):
-    """Two-sided ratios of the smoothing estimate of level ``ell``, one per trial.
-
-    The evolution starts from a random state at node ``n0`` and runs on
-    the window ``(t_n0, T]``.  The left side
-
-        Linf V^s + L2 V^{s+1} of the average + L2 V^{s-1} of d/dt
-
-    carries the weight ``tau^(ell/2)``; the right side is the
-    ``k^(ell/2)``-scaled V^s norm of the initial value plus the weighted
-    L2 V^{s-1} norm of the forcing and, for ``ell >= 1``, the two
-    lower-level norms of the evolved solution (weight ``tau^((ell-1)/2)``,
-    order ``s`` for both the average and, with a factor ``k``, the
-    derivative).  Level 0 from ``n0 = 0`` is the unweighted discrete
-    stability estimate.  Trials are seeded from ``(rng_seed, trial)`` (their
-    normals drawn once per seed), so they are independent of execution order.
-    Each level composes the memoized ``_trial_rows`` per trial by ``weighted_temporal_norm``.
-    """
-    lam = default_spectrum() if eigenvalues is None else _checked_spectrum(eigenvalues)
-    if trial_count < 1:
-        raise ValueError(f"trial_count must be at least 1, got {trial_count}")
+def _report(rows, s, ell, n0, mesh, trial_count, rng_seed):
+    """The report of level ``ell`` on ``mesh``, composed from ``_trial_rows``."""
     window = (n0, mesh.num_intervals)
     kmax = mesh.k_max
     a_ell, a_lower = 0.5 * ell, 0.5 * (ell - 1)
-    node, avg_upper, dt_lower, f_lower, *same_rows = _trial_rows(
-        s, ell >= 1, n0, mesh, trial_count, rng_seed, lam)
+    node, avg_upper, dt_lower, f_lower, *same_rows = rows
 
     def composed(grid, rows, alpha, p=2):
         return np.array([weighted_temporal_norm(grid(mesh, r), alpha, p, np.abs, window)
@@ -302,7 +263,44 @@ def _stability_ratios(s, ell, n0, mesh, trial_count, rng_seed, eigenvalues):
         avg_same, dt_same = same_rows
         rhs = (rhs + composed(GridFunctionDG0, avg_same, a_lower)
                + kmax * composed(GridFunctionDG0, dt_same, a_lower))
-    return lhs / rhs
+    return StabilityReport("smoothing-stability" if ell >= 1 else "discrete-stability", s, ell,
+                           n0, mesh.num_intervals, trial_count, rng_seed, lhs / rhs)
+
+
+def stability_reports(checks, ladders, trial_count=50, rng_seed=0, eigenvalues=None):
+    """Per ``(s, ell, n0)`` check, the reports of its two-sided ratios on its ladder.
+
+    The evolution starts from a random state at node ``n0`` and runs on
+    the window ``(t_n0, T]``.  The left side
+
+        Linf V^s + L2 V^{s+1} of the average + L2 V^{s-1} of d/dt
+
+    carries the weight ``tau^(ell/2)``; the right side is the
+    ``k^(ell/2)``-scaled V^s norm of the initial value plus the weighted
+    L2 V^{s-1} norm of the forcing and, for ``ell >= 1``, the two
+    lower-level norms of the evolved solution (weight ``tau^((ell-1)/2)``,
+    order ``s`` for both the average and, with a factor ``k``, the
+    derivative).  Level 0 from ``n0 = 0`` is the unweighted discrete
+    stability estimate.  Trials are seeded from ``(rng_seed, trial)``, their
+    normals drawn once per call.  The checks of one ``s``, ``n0`` and
+    ``ell >= 1`` share one evolution per rung, stepped on the first one's mesh:
+    all compose it before the next steps, each on its own mesh of equal nodes.
+    """
+    lam = default_spectrum() if eigenvalues is None else _checked_spectrum(eigenvalues)
+    if trial_count < 1:
+        raise ValueError(f"trial_count must be at least 1, got {trial_count}")
+    normals = _trial_normals(rng_seed, trial_count, lam.size)
+    groups, reports = {}, [[] for _ in checks]
+    for i, (s, ell, n0) in enumerate(checks):
+        groups.setdefault((s, ell >= 1, n0), []).append(i)
+    for (s, lower_level, n0), members in groups.items():
+        if len({tuple(mesh.nodes.tobytes() for mesh in ladders[i]) for i in members}) > 1:
+            raise ValueError("checks that share their trials need ladders of equal meshes")
+        for j, mesh in enumerate(ladders[members[0]]):
+            rows = _trial_rows(s, lower_level, n0, mesh, normals, lam)
+            for i in members:
+                reports[i].append(_report(rows, *checks[i], ladders[i][j], trial_count, rng_seed))
+    return reports
 
 
 def verify_discrete_stability(s, mesh, trial_count=50, rng_seed=0, eigenvalues=None):
@@ -315,23 +313,19 @@ def verify_discrete_stability(s, mesh, trial_count=50, rng_seed=0, eigenvalues=N
         / (V^s of the initial value + L2 V^{s-1} of the forcing)
 
     is recorded and the maximum reported: level 0 of the smoothing
-    estimate (see ``_stability_ratios``).
+    estimate (see ``stability_reports``).
     """
-    ratios = _stability_ratios(s, 0, 0, mesh, trial_count, rng_seed, eigenvalues)
-    return StabilityReport("discrete-stability", s, 0, 0, mesh.num_intervals,
-                           trial_count, rng_seed, float(ratios.max()), ratios)
+    return stability_reports([(s, 0, 0)], [[mesh]], trial_count, rng_seed, eigenvalues)[0][0]
 
 
 def verify_smoothing_stability(s, ell, n0, mesh, trial_count=50, rng_seed=0,
                                eigenvalues=None):
     """Two-sided check of the smoothing-weighted stability estimate of
-    level ``ell >= 1`` on the window ``(t_n0, T]`` (see ``_stability_ratios``)."""
+    level ``ell >= 1`` on the window ``(t_n0, T]`` (see ``stability_reports``)."""
     if ell <= 0:
         raise ValueError("smoothing level must be positive "
                          "(use verify_discrete_stability for the unweighted estimate)")
-    ratios = _stability_ratios(s, ell, n0, mesh, trial_count, rng_seed, eigenvalues)
-    return StabilityReport("smoothing-stability", s, ell, n0, mesh.num_intervals,
-                           trial_count, rng_seed, float(ratios.max()), ratios)
+    return stability_reports([(s, ell, n0)], [[mesh]], trial_count, rng_seed, eigenvalues)[0][0]
 
 
 def sharp_initial_field(r, eigenvalues):

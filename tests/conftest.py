@@ -5,15 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from cnflow import spectral_stokes
 from cnflow.fem2d import build_space
-
-
-@pytest.fixture(autouse=True)
-def fresh_spectral_memo():
-    """Each test steps its own spectral trials: no test reads the evolution
-    rows or trial normals an earlier test left memoized."""
-    spectral_stokes.clear_memo()
 
 
 @pytest.fixture(scope="session")

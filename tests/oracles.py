@@ -9,7 +9,7 @@ functions are evaluated from their monomial definitions.
 The stability oracle steps one trial at a time with ``cn_step_spectral``,
 stores the whole trajectory and its forcing, and composes the norms of the
 smoothing estimate on full coefficient rows: the stored-trajectory form of
-``spectral_stokes._stability_ratios``, which streams a block of trials.
+``spectral_stokes.stability_reports``, which streams a block of trials.
 """
 
 import numpy as np
@@ -142,7 +142,7 @@ def smoothing_ratio(states, forcing, c0, eigenvalues, s, ell, window=None):
     """Two-sided ratio of the smoothing estimate of level ``ell`` for one
     stored trajectory: ``states`` and ``forcing`` are the nodal states and
     the interval forcing averages as grid functions, ``c0`` the initial
-    value (see ``spectral_stokes._stability_ratios``)."""
+    value (see ``spectral_stokes.stability_reports``)."""
     from cnflow.spectral_stokes import vs_row_norm
     from cnflow.temporal_ops import average, time_derivative, weighted_temporal_norm
 
@@ -172,8 +172,8 @@ def stored_trial(mesh, eigenvalues, c0, forcing_values, n0=0):
 
 
 def stability_ratios_oracle(s, ell, n0, mesh, trial_count, rng_seed, eigenvalues):
-    """``spectral_stokes._stability_ratios`` trial by trial, each trajectory
-    stored in full."""
+    """The ratios of ``spectral_stokes.stability_reports`` for one check on one
+    mesh, trial by trial, each trajectory stored in full."""
     from cnflow.spectral_stokes import _random_trial, _time_factors, _trial_forcing
     from cnflow.temporal_ops import GridFunctionDG0
 

@@ -9,6 +9,7 @@ import threading
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cnflow.cli as cli
@@ -345,8 +346,6 @@ def test_run_verify_euler_rates(tmp_path):
 def test_run_verify_spectral_smoothing(tmp_path, target):
     code, lines = run_verify(target, out=str(tmp_path))
     assert code == 0
-    # the memoized normals and rows go with the target that used them
-    assert not spectral_stokes._NORMALS and not spectral_stokes._ROWS
     assert all(line.startswith("PASS") for line in lines)
     csv = (tmp_path / f"verify_{target}.csv").read_text().strip().split("\n")
     assert csv[0] == "kind,s,ell,n0,N,trials,seed,max_ratio"
@@ -354,6 +353,39 @@ def test_run_verify_spectral_smoothing(tmp_path, target):
     if target == "spectral-stability":
         rows = [row.split(",") for row in csv[1:]]
         assert all(row[0] == "discrete-stability" and row[2] == "0" for row in rows)
+
+
+@pytest.mark.parametrize("target, meshes", [
+    ("spectral-stability", [16, 32, 64] * 3),  # s = 0, 1, 2
+    ("spectral-smoothing", [64, 128, 256] * 2)])  # s = 1 (ell = 1, 2 share), then s = 2
+def test_run_verify_steps_each_shared_evolution_once(tmp_path, monkeypatch, target, meshes):
+    # one evolution per (s, ell >= 1, n0) and mesh, and one seeding per trial
+    stepped, seeded = [], []
+    evolve_cn, default_rng = spectral_stokes.evolve_cn, np.random.default_rng
+
+    def spy_evolve(mesh, *args):
+        stepped.append(mesh.num_intervals)
+        return evolve_cn(mesh, *args)
+
+    def spy_rng(seed):
+        seeded.append(tuple(seed))
+        return default_rng(seed)
+
+    monkeypatch.setattr(spectral_stokes, "evolve_cn", spy_evolve)
+    monkeypatch.setattr(np.random, "default_rng", spy_rng)
+    assert run_verify(target, out=str(tmp_path))[0] == 0
+    assert stepped == meshes
+    assert seeded == [(0, t) for t in range(50)]
+
+
+def test_run_verify_bad_out_fails_before_any_check(tmp_path, monkeypatch):
+    def checks(target, seed):
+        raise AssertionError(f"{target} ran its checks before its output directory existed")
+
+    monkeypatch.setattr(cli, "_verify_checks", checks)
+    (tmp_path / "file").write_text("")
+    with pytest.raises(OSError):
+        run_verify("spectral-smoothing", out=str(tmp_path / "file" / "sub"))
 
 
 def test_run_verify_unknown_target(tmp_path):

@@ -3,15 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cnflow.cli import smoothing_drift
 from cnflow.spectral_stokes import (
     SpectralField,
-    clear_memo,
     cn_step_spectral,
     default_spectrum,
     euler_smoothing_rate,
     evolve_cn,
     ie_step_spectral,
     sharp_initial_field,
+    stability_reports,
     verify_discrete_stability,
     verify_smoothing_stability,
     vs_norm,
@@ -440,88 +441,69 @@ def test_stability_ratios_step_their_trials_once(monkeypatch):
 
 
 def spy_steps(monkeypatch):
-    """Patch ``evolve_cn`` in ``spectral_stokes``; the returned list gets, per
-    evolution, the number of memoized row entries held when it starts."""
+    """Patch ``evolve_cn`` in ``spectral_stokes``; the returned list gets the
+    shape of each evolution's initial block."""
     from cnflow import spectral_stokes
 
-    held = []
+    stepped = []
 
-    def spy(*args, **kwargs):
-        held.append(len(spectral_stokes._ROWS))
-        return evolve_cn(*args, **kwargs)
+    def spy(mesh, eigenvalues, c0, *args, **kwargs):
+        stepped.append(np.shape(c0))
+        return evolve_cn(mesh, eigenvalues, c0, *args, **kwargs)
 
     monkeypatch.setattr(spectral_stokes, "evolve_cn", spy)
-    return held
+    return stepped
 
 
 def test_smoothing_levels_share_one_evolution(monkeypatch):
     # the (1,1) and (1,2) pairs of `cnflow verify spectral-smoothing` build
     # their meshes separately; both levels compose the rows of one evolution
-    held = spy_steps(monkeypatch)
-    shared = [verify_smoothing_stability(1, ell, 0, build_uniform_mesh(1.0, 32), trial_count=6)
-              for ell in (1, 2)]
-    assert len(held) == 1
-    for ell, report in zip((1, 2), shared):
-        clear_memo()
-        fresh = verify_smoothing_stability(1, ell, 0, build_uniform_mesh(1.0, 32), trial_count=6)
+    stepped = spy_steps(monkeypatch)
+    checks = [(1, 1, 0), (1, 2, 0)]
+    shared = stability_reports(checks, [[build_uniform_mesh(1.0, 32)] for _ in checks], 6)
+    assert len(stepped) == 1
+    for check, [report] in zip(checks, shared):
+        [[fresh]] = stability_reports([check], [[build_uniform_mesh(1.0, 32)]], 6)
         assert report.ratios.tobytes() == fresh.ratios.tobytes()
-    assert len(held) == 3
+        assert report.csv_row() == fresh.csv_row()
+    assert len(stepped) == 3
 
 
-KEY_BASE = dict(s=1, ell=1, n0=0, mesh=build_uniform_mesh(1.0, 16), trial_count=3,
-                rng_seed=0, eigenvalues=default_spectrum(8))
+@pytest.mark.parametrize("ladders", [
+    [[build_uniform_mesh(1.0, 16)], [build_uniform_mesh(1.0, 32)]],
+    [[build_uniform_mesh(1.0, 16)], [build_uniform_mesh(2.0, 16)]],
+    [[build_uniform_mesh(1.0, 16)], [build_uniform_mesh(1.0, 16), build_uniform_mesh(1.0, 32)]]])
+def test_checks_that_share_trials_need_equal_meshes(monkeypatch, ladders):
+    # the second level would compose an evolution stepped on another mesh
+    stepped = spy_steps(monkeypatch)
+    with pytest.raises(ValueError, match="equal meshes"):
+        stability_reports([(1, 1, 0), (1, 2, 0)], ladders, 3, 0, default_spectrum(8))
+    assert stepped == []
 
 
-@pytest.mark.parametrize("change, steps", [
-    ({"ell": 2}, 1),  # a level >= 1 is not a key input: the rows are the same
-    ({"s": 2}, 2), ({"ell": 0}, 2), ({"n0": 2}, 2),
-    ({"mesh": build_uniform_mesh(2.0, 16)}, 2),
-    ({"mesh": build_alternating_mesh(1.0, 1.0 / 16, (0.5, 1.5))}, 2),
-    ({"trial_count": 4}, 2), ({"rng_seed": 1}, 2),
-    ({"eigenvalues": 2.0 * default_spectrum(8)}, 2)])
-def test_changing_any_key_input_steps_anew(monkeypatch, change, steps):
-    from cnflow.spectral_stokes import _stability_ratios
-
-    held = spy_steps(monkeypatch)
-    _stability_ratios(**KEY_BASE)
-    got = _stability_ratios(**{**KEY_BASE, **change})
-    assert len(held) == steps
-    clear_memo()
-    assert got.tobytes() == _stability_ratios(**{**KEY_BASE, **change}).tobytes()
+def test_checks_of_another_group_step_on_their_own_meshes(monkeypatch):
+    # different s, n0 or unweighted level: each steps its own evolution
+    stepped = spy_steps(monkeypatch)
+    checks = [(1, 1, 0), (2, 1, 0), (1, 0, 0), (1, 1, 2)]
+    ladders = [[build_uniform_mesh(1.0, N)] for N in (8, 16, 24, 32)]
+    reports = stability_reports(checks, ladders, 3, 0, default_spectrum(8))
+    assert len(stepped) == 4
+    for check, [report], ladder in zip(checks, reports, ladders):
+        [[alone]] = stability_reports([check], [ladder], 3, 0, default_spectrum(8))
+        assert (report.s, report.ell, report.n0) == check
+        assert report.num_intervals == ladder[0].num_intervals
+        assert report.ratios.tobytes() == alone.ratios.tobytes()
 
 
-def test_memoized_rows_are_read_only_and_bounded(monkeypatch):
-    from cnflow.spectral_stokes import _ROWS, _ROWS_HELD, _trial_rows
-
-    mesh, lam = build_uniform_mesh(1.0, 8), default_spectrum(8)
-    rows = _trial_rows(1, True, 0, mesh, 3, 0, lam)
-    assert [r.shape for r in rows] == [(9, 3)] + [(8, 3)] * 5
-    for r in rows:
-        with pytest.raises(ValueError, match="read-only"):
-            r[0] = 0.0
-    assert len(_trial_rows(1, False, 0, mesh, 3, 0, lam)) == 4
-    held = spy_steps(monkeypatch)
-    for seed in range(1, 6):
-        _trial_rows(1, True, 0, mesh, 3, seed, lam)
-    # the oldest entry is evicted before a new one is stepped
-    assert len(_ROWS) == _ROWS_HELD and held == [2] + [_ROWS_HELD - 1] * 4
-    for seed in (3, 4, 5):
-        _trial_rows(1, True, 0, mesh, 3, seed, lam)
-    assert len(held) == 5
-    _trial_rows(1, True, 0, mesh, 3, 1, lam)
-    assert len(held) == 6
-
-
-def test_smoothing_ladders_hold_one_ladder_of_rows(monkeypatch):
-    # the (1,1) and (1,2) drift checks step N = 64, 128, 256 once, and what
-    # stays held is that one ladder of 50-trial rows
-    from cnflow import cli
-    from cnflow.spectral_stokes import _ROWS
-
-    held = spy_steps(monkeypatch)
-    assert cli.smoothing_drift(1, 1)[0] > 0.0 and cli.smoothing_drift(1, 2)[0] > 0.0
-    assert held == [0, 1, 2]
-    assert sum(r.nbytes for rows in _ROWS.values() for r in rows) <= 1.1e6
+@pytest.mark.parametrize("check", [
+    lambda: verify_smoothing_stability(1, 0, 0, build_uniform_mesh(1.0, 8), trial_count=3),
+    lambda: smoothing_drift(1, 0, trials=3)],
+    ids=["verify_smoothing_stability", "smoothing_drift"])
+def test_smoothing_checks_reject_level_zero(monkeypatch, check):
+    stepped = spy_steps(monkeypatch)
+    with pytest.raises(ValueError, match="smoothing level must be positive"):
+        check()
+    assert stepped == []
 
 
 @pytest.mark.parametrize("seed, modes", [(0, 256), (23, 40)])
@@ -539,8 +521,8 @@ def test_trial_normals_scale_to_the_per_trial_draws_bitwise(seed, modes):
 
 
 def test_trial_normals_are_drawn_once_per_seed(monkeypatch):
-    # the three `s` of `cnflow verify spectral-stability`, here on two meshes,
-    # seed each trial's generator once
+    # the three `s` of `cnflow verify spectral-stability`, here on two meshes
+    # each, seed each trial's generator once
     seeded = []
 
     def spy(seed):
@@ -549,9 +531,10 @@ def test_trial_normals_are_drawn_once_per_seed(monkeypatch):
 
     default_rng = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng", spy)
-    for s in (0, 1, 2):
-        for N in (8, 16):
-            verify_discrete_stability(s, build_uniform_mesh(1.0, N), trial_count=4, rng_seed=5)
+    checks = [(s, 0, 0) for s in (0, 1, 2)]
+    ladders = [[build_uniform_mesh(1.0, N) for N in (8, 16)] for _ in checks]
+    reports = stability_reports(checks, ladders, trial_count=4, rng_seed=5)
+    assert [len(r) for r in reports] == [2, 2, 2]
     assert seeded == [(5, t) for t in range(4)]
 
 
@@ -559,11 +542,10 @@ def test_trial_normals_are_drawn_once_per_seed(monkeypatch):
 @pytest.mark.parametrize("ell", [0, 1, 2])
 @pytest.mark.parametrize("s", [0, 1, 2])
 def test_streamed_ratios_match_the_stored_oracle(s, ell, n0):
-    from cnflow.spectral_stokes import _stability_ratios
-
     mesh = build_alternating_mesh(1.0, 1.0 / 24, (0.5, 1.5))
     lam = default_spectrum(40)
-    got = _stability_ratios(s, ell, n0, mesh, 5, 11, lam)
+    [[report]] = stability_reports([(s, ell, n0)], [[mesh]], 5, 11, lam)
+    got = report.ratios
     want = stability_ratios_oracle(s, ell, n0, mesh, 5, 11, lam)
     assert got.shape == (5,)
     assert np.allclose(got, want, rtol=1e-15, atol=0.0)
@@ -573,13 +555,11 @@ def test_stability_ratios_hold_no_trajectory():
     # one (N + 1, trials, modes) block here would be 25.7 MiB
     import tracemalloc
 
-    from cnflow.spectral_stokes import _stability_ratios
-
     mesh = build_uniform_mesh(1.0, 256)
-    _stability_ratios(1, 1, 0, mesh, 2, 0, None)  # warm the lazy imports and caches
+    stability_reports([(1, 1, 0)], [[mesh]], 2, 0)  # warm the lazy imports and caches
     tracemalloc.start()
     try:
-        _stability_ratios(1, 1, 0, mesh, 50, 0, None)
+        stability_reports([(1, 1, 0)], [[mesh]], 50, 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
