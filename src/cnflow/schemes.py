@@ -12,7 +12,7 @@ stepping.
 
 import logging
 import weakref
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,6 +29,10 @@ FIELDS = ("velocity", "pressure")
 # Both are powers of two, so a theta-scaled product rounds as the unscaled one.
 THETA = {"IE": 1.0, "CN": 0.5}
 
+# Newton certifies the assembled residual to this absolute tolerance.
+NEWTON_TOLERANCE = 1e-10
+NEWTON_MAX_ITERATIONS = 20
+
 
 class NewtonError(SolverError):
     def __init__(self, message, step=None, iterations=None, residual=None):
@@ -36,30 +40,6 @@ class NewtonError(SolverError):
         self.step = step
         self.iterations = iterations
         self.residual = residual
-
-
-@dataclass
-class NewtonConfig:
-    """Newton iteration controls (absolute residual tolerance).
-
-    With ``reuse_jacobian`` the transient steppers keep the factorized
-    Jacobian of an earlier step and refresh it only when the iteration
-    stops contracting; convergence is always certified by the freshly
-    assembled residual, so the option trades iteration counts for
-    factorizations without touching the computed solution beyond the
-    tolerance.  Set it to False for textbook Newton (quadratic tails in
-    the debug log).
-    """
-
-    tolerance: float = 1e-10
-    max_iterations: int = 20
-    reuse_jacobian: bool = True
-
-    def __post_init__(self):
-        if not 0.0 < self.tolerance < np.inf:
-            raise ValueError("tolerance must be positive and finite")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
 
 
 # --- forcing terms ----------------------------------------------------
@@ -111,15 +91,12 @@ class StationaryInitialData:
         self.f0 = f0
         self._cache = weakref.WeakKeyDictionary()
 
-    def resolve(self, space, nu, kind, newton=None):
+    def resolve(self, space, nu, kind):
         cache = self._cache.setdefault(space, {})
         key = (float(nu), kind)
-        if kind == "nse":
-            newton = newton or NewtonConfig()
-            key += astuple(newton)  # a Navier-Stokes state is the one of its Newton settings
         if key not in cache:
             if kind == "nse":
-                state = stationary_nse_solve(space, nu, self.f0, newton)
+                state = stationary_nse_solve(space, nu, self.f0)
             else:
                 state = stationary_stokes_solve(space, nu, self.f0)
             cache[key] = state
@@ -150,11 +127,11 @@ class ProblemSpec:
             return "stationary"
         return "vector"
 
-    def initial_velocity(self, kind="nse", newton=None):
+    def initial_velocity(self, kind="nse"):
         if self.initial is None:
             return np.zeros(self.space.num_velocity)
         if isinstance(self.initial, StationaryInitialData):
-            return self.initial.resolve(self.space, self.viscosity, kind, newton).velocity
+            return self.initial.resolve(self.space, self.viscosity, kind).velocity
         u0 = np.asarray(self.initial, dtype=float)
         if u0.shape != (self.space.num_velocity,):
             raise ValueError("initial velocity vector has wrong length")
@@ -180,7 +157,7 @@ class Trajectory:
     newton_iterations: np.ndarray = None
 
 
-def _march(spec, mesh, n0, kind, newton, advance, fields=FIELDS, observer=None):
+def _march(spec, mesh, n0, kind, advance, fields=FIELDS, observer=None):
     """The interval loop shared by the transient steppers.
 
     ``advance(scheme, k, F, u, P, label, slot)`` returns the velocity and
@@ -201,7 +178,7 @@ def _march(spec, mesh, n0, kind, newton, advance, fields=FIELDS, observer=None):
         raise ValueError("Euler prefix must leave at least one interval")
     if not set(fields) <= set(FIELDS):
         raise ValueError(f"fields must be a subset of {FIELDS}, got {tuple(fields)}")
-    u = spec.initial_velocity(kind, newton)
+    u = spec.initial_velocity(kind)
     vel = np.empty((N + 1, space.num_velocity)) if "velocity" in fields else None
     prs = np.empty((N, space.num_pressure)) if "pressure" in fields else None
     if vel is not None:
@@ -259,21 +236,22 @@ def stokes_cn_solve(spec, mesh, n0=0, fields=FIELDS, observer=None):
             raise SolverError(f"{label}: {exc}") from None
         return state.velocity, state.pressure
 
-    return _march(spec, mesh, n0, "stokes", None, advance, fields, observer)
+    return _march(spec, mesh, n0, "stokes", advance, fields, observer)
 
 
-def _newton(space, momentum, jacobian, U, P, newton, target, label, frozen=None):
+def _newton(space, momentum, jacobian, U, P, target, label, frozen=None):
     """Newton iteration on one bordered saddle system.
 
     ``momentum(U, P)`` returns the momentum residual and the data
     ``jacobian`` needs to assemble the velocity block of the Jacobian at
     that iterate; incompressibility and the zero pressure mean complete
     the residual here.  The iteration stops once the residual is at most
-    ``target``, or within ``newton.tolerance`` and no longer contracting.
-    With a ``frozen`` dict, the factorized Jacobian stored in it under
-    ``"jacobian"`` is tried first, and dropped for a fresh one once its
-    update fails to halve the residual.  Every linear solve counts toward
-    ``newton.max_iterations``.  Returns the state and the iteration count.
+    ``target``, or within ``NEWTON_TOLERANCE`` and no longer contracting; a
+    non-finite residual raises at once.  With a ``frozen`` dict, the
+    factorized Jacobian stored in it under ``"jacobian"`` is tried first, and
+    dropped for a fresh one once its update fails to halve the residual (a
+    non-finite one included).  Every linear solve counts toward
+    ``NEWTON_MAX_ITERATIONS``.  Returns the state and the iteration count.
     """
     B, c = space.divergence, space.mean_vector
     ii = space.interior_velocity
@@ -288,12 +266,17 @@ def _newton(space, momentum, jacobian, U, P, newton, target, label, frozen=None)
     r, rd, rm, res, lin = residual(U, P)
     prev_res = None
     it = 0
-    while it < newton.max_iterations:
+    while True:
+        if not np.isfinite(res):
+            raise NewtonError(f"{label}: residual is not finite after {it} iterations",
+                              iterations=it, residual=res)
         if res <= target:
             return MixedState(U, P), it
-        if res <= newton.tolerance and prev_res is not None and res > 0.5 * prev_res:
+        if res <= NEWTON_TOLERANCE and prev_res is not None and res > 0.5 * prev_res:
             # within contract and no longer contracting (round-off floor)
             return MixedState(U, P), it
+        if it == NEWTON_MAX_ITERATIONS:
+            break
         saddle = frozen.get("jacobian") if frozen is not None else None
         reused = saddle is not None
         try:
@@ -308,7 +291,7 @@ def _newton(space, momentum, jacobian, U, P, newton, target, label, frozen=None)
         U_try, P_try = U + dU, P + dP
         r_try, rd_try, rm_try, res_try, lin_try = residual(U_try, P_try)
         it += 1
-        if reused and res_try > max(0.5 * res, target):
+        if reused and not res_try <= max(0.5 * res, target):
             del frozen["jacobian"]  # freed as ``saddle`` is rebound, before the refresh
             continue
         if prev_res is not None and prev_res > 0.0:
@@ -316,15 +299,15 @@ def _newton(space, momentum, jacobian, U, P, newton, target, label, frozen=None)
                       label, it, res_try, res_try / max(res, 1e-300) ** 2)
         U, P, r, rd, rm, lin = U_try, P_try, r_try, rd_try, rm_try, lin_try
         prev_res, res = res, res_try
-    if res <= newton.tolerance:
-        return MixedState(U, P), newton.max_iterations
+    if res <= NEWTON_TOLERANCE:
+        return MixedState(U, P), it
     raise NewtonError(
-        f"{label}: no convergence after {newton.max_iterations} iterations "
+        f"{label}: no convergence after {NEWTON_MAX_ITERATIONS} iterations "
         f"(last residual {res:.3e})",
-        iterations=newton.max_iterations, residual=res)
+        iterations=NEWTON_MAX_ITERATIONS, residual=res)
 
 
-def nse_cn_solve(spec, mesh, n0=0, newton=None, fields=FIELDS, observer=None):
+def nse_cn_solve(spec, mesh, n0=0, fields=FIELDS, observer=None):
     """Theta-scheme Navier-Stokes stepping: ``n0`` implicit-Euler steps, then
     Crank-Nicolson.
 
@@ -333,13 +316,11 @@ def nse_cn_solve(spec, mesh, n0=0, newton=None, fields=FIELDS, observer=None):
     with ``theta = THETA[scheme]``: ``w = U`` for Euler (fully implicit
     convection) and the midpoint ``w = theta (U + u^{n-1})`` for
     Crank-Nicolson.  Its Jacobian ``M + theta k nu A + theta k (C(w) + G(w))``
-    carries both linearization terms of the convection form; with
-    ``newton.reuse_jacobian`` the ``_march`` slot of its (scheme, step size)
-    keeps the factorized Jacobian tried first, and nothing else.
-    ``fields`` are the fields the trajectory stores and ``observer`` sees
-    every interval (see ``_march``).
+    carries both linearization terms of the convection form; the ``_march``
+    slot of its (scheme, step size) keeps the factorized Jacobian tried
+    first, and nothing else.  ``fields`` are the fields the trajectory stores
+    and ``observer`` sees every interval (see ``_march``).
     """
-    newton = newton or NewtonConfig()
     space, nu = spec.space, spec.viscosity
     M, A, BT = space.mass, space.stiffness, space.divergence_transpose
     iterations = []
@@ -358,15 +339,15 @@ def nse_cn_solve(spec, mesh, n0=0, newton=None, fields=FIELDS, observer=None):
             return (M + theta * k * nu * A + theta * k * (C + G)).tocsr()
 
         # The pressure is recovered as P / k, so residual noise enters it with
-        # a 1/k amplification; drive the iteration to a k-scaled target (the
-        # configured tolerance remains the hard acceptance contract).
-        target = newton.tolerance * min(1.0, k)
-        state, its = _newton(space, momentum, jacobian, u_prev.copy(), P.copy(), newton,
-                             target, label, slot if newton.reuse_jacobian else None)
+        # a 1/k amplification; drive the iteration to a k-scaled target
+        # (NEWTON_TOLERANCE remains the hard acceptance contract).
+        target = NEWTON_TOLERANCE * min(1.0, k)
+        state, its = _newton(space, momentum, jacobian, u_prev.copy(), P.copy(),
+                             target, label, slot)
         iterations.append(its)
         return state.velocity, state.pressure
 
-    traj = _march(spec, mesh, n0, "nse", newton, advance, fields, observer)
+    traj = _march(spec, mesh, n0, "nse", advance, fields, observer)
     traj.newton_iterations = np.array(iterations, dtype=int)
     return traj
 
@@ -378,9 +359,8 @@ def stationary_stokes_solve(space, nu, f0):
     return BorderedSaddle(space, K).solve(F, K)
 
 
-def stationary_nse_solve(space, nu, f0, newton=None):
-    """Stationary Navier-Stokes solve by Newton from the Stokes solution."""
-    newton = newton or NewtonConfig()
+def stationary_nse_solve(space, nu, f0):
+    """Stationary Navier-Stokes solve by textbook Newton from the Stokes solution."""
     A, BT = space.stiffness, space.divergence_transpose
     F = space.velocity_load(f0)
     guess = stationary_stokes_solve(space, nu, f0)
@@ -395,26 +375,25 @@ def stationary_nse_solve(space, nu, f0, newton=None):
 
     try:
         state, _ = _newton(space, momentum, jacobian, guess.velocity, guess.pressure,
-                           newton, newton.tolerance, "stationary solve")
+                           NEWTON_TOLERANCE, "stationary solve")
     except NewtonError as exc:
         raise NewtonError(f"{exc}; consider continuation in viscosity",
                           iterations=exc.iterations, residual=exc.residual) from None
     return state
 
 
-def transient_solve(spec, mesh, kind="nse", n0=0, newton=None, fields=FIELDS, observer=None):
+def transient_solve(spec, mesh, kind="nse", n0=0, fields=FIELDS, observer=None):
     """Stokes (``kind="stokes"``) or Navier-Stokes (``"nse"``) stepping that
     stores the ``fields`` of its trajectory and hands every interval to
     ``observer``."""
     if kind == "stokes":
         return stokes_cn_solve(spec, mesh, n0=n0, fields=fields, observer=observer)
     if kind == "nse":
-        return nse_cn_solve(spec, mesh, n0=n0, newton=newton, fields=fields,
-                            observer=observer)
+        return nse_cn_solve(spec, mesh, n0=n0, fields=fields, observer=observer)
     raise ValueError(f"unknown solver kind {kind!r}")
 
 
-def reference_solve(spec, fine_mesh, kind="nse", newton=None, fields=FIELDS, observer=None):
+def reference_solve(spec, fine_mesh, kind="nse", fields=FIELDS, observer=None):
     """Reference trajectory on a uniform fine mesh, shared spatial space,
     that stores the ``fields`` of its trajectory and hands every interval to
     ``observer``.
@@ -425,4 +404,4 @@ def reference_solve(spec, fine_mesh, kind="nse", newton=None, fields=FIELDS, obs
     if fine_mesh.rho > 1.0 + UNIFORM_RHO_TOL:
         raise ValueError("reference mesh must be uniform")
     n0 = 2 if spec.initial_kind == "stationary" else 0
-    return transient_solve(spec, fine_mesh, kind, n0, newton, fields, observer)
+    return transient_solve(spec, fine_mesh, kind, n0, fields, observer)

@@ -14,7 +14,6 @@ from cnflow import fem2d, schemes
 from cnflow.fem2d import BorderedSaddle, FemMesh2D, SolverError, TaylorHoodSpace
 from cnflow.schemes import (
     GeneralForcing,
-    NewtonConfig,
     NewtonError,
     ProblemSpec,
     SeparableForcing,
@@ -122,10 +121,10 @@ def explicit_stokes_solve(spec, mesh, n0):
         state = saddle.solve(F + K_exp @ u, K)
         return state.velocity, state.pressure
 
-    return _march(spec, mesh, n0, "stokes", None, advance)
+    return _march(spec, mesh, n0, "stokes", advance)
 
 
-def explicit_nse_solve(spec, mesh, n0, newton):
+def explicit_nse_solve(spec, mesh, n0):
     """Navier-Stokes stepping with the implicit-Euler and Crank-Nicolson
     residuals and Jacobians written out one by one, the bitwise reference of
     the theta table; also returns the Newton iteration count of each interval."""
@@ -156,13 +155,12 @@ def explicit_nse_solve(spec, mesh, n0, newton):
             return (K_lin + coef_nl * (space.convection(w)
                                        + space.convection_gradient(w))).tocsr()
 
-        state, its = _newton(space, momentum, jacobian, u_prev.copy(), P.copy(), newton,
-                             newton.tolerance * min(1.0, k), label,
-                             slot if newton.reuse_jacobian else None)
+        state, its = _newton(space, momentum, jacobian, u_prev.copy(), P.copy(),
+                             schemes.NEWTON_TOLERANCE * min(1.0, k), label, slot)
         iterations.append(its)
         return state.velocity, state.pressure
 
-    return _march(spec, mesh, n0, "nse", newton, advance), iterations
+    return _march(spec, mesh, n0, "nse", advance), iterations
 
 
 def assert_same_bytes(a, b):
@@ -177,16 +175,14 @@ def test_theta_table_matches_explicit_stokes_steps(small_space):
     assert_same_bytes(stokes_cn_solve(spec, mesh, n0=2), explicit_stokes_solve(spec, mesh, 2))
 
 
-@pytest.mark.parametrize("reuse", [True, False])
-def test_theta_table_matches_explicit_nse_steps(small_space, reuse):
+def test_theta_table_matches_explicit_nse_steps(small_space):
     # initial velocity of size 3: the convection moves every Newton step
     u0 = stationary_stokes_solve(
         small_space, 0.01, lambda x, y: (np.sin(x) * y, np.cos(y) * x)).velocity
     spec = ProblemSpec(small_space, 0.01, ramp_forcing(), u0, 0.5)
     mesh = build_alternating_mesh(0.5, 0.1, [0.8, 1.2])
-    newton = NewtonConfig(reuse_jacobian=reuse)
-    traj = nse_cn_solve(spec, mesh, n0=2, newton=newton)
-    explicit, iterations = explicit_nse_solve(spec, mesh, 2, newton)
+    traj = nse_cn_solve(spec, mesh, n0=2)
+    explicit, iterations = explicit_nse_solve(spec, mesh, 2)
     assert_same_bytes(traj, explicit)
     assert traj.newton_iterations.tolist() == iterations
     assert traj.scheme_tags[:3] == ["IE", "IE", "CN"] and min(iterations) >= 1
@@ -234,26 +230,17 @@ def test_hybrid_with_zero_prefix_matches_plain_cn(medium_space):
 
 def test_newton_converges_immediately_for_zero_problem(medium_space):
     spec = ProblemSpec(medium_space, 0.01, ZeroForcing(), None, 0.5)
-    traj = nse_cn_solve(spec, build_uniform_mesh(0.5, 3),
-                        newton=NewtonConfig(max_iterations=1))
+    traj = nse_cn_solve(spec, build_uniform_mesh(0.5, 3))
     assert np.max(np.abs(traj.velocity.values)) == 0.0
+    assert traj.newton_iterations.tolist() == [0, 0, 0]
 
 
-@pytest.mark.parametrize("kwargs", [{"tolerance": float("nan")}, {"tolerance": np.inf},
-                                    {"tolerance": 0.0}, {"max_iterations": 0},
-                                    {"max_iterations": -3}])
-def test_newton_config_rejects_unusable_controls(kwargs):
-    # a nan tolerance can never be met, and no iteration cannot converge
-    with pytest.raises(ValueError):
-        NewtonConfig(**kwargs)
-
-
-def test_newton_failure_carries_step_info(medium_space):
+def test_newton_failure_carries_step_info(medium_space, monkeypatch):
+    monkeypatch.setattr(schemes, "NEWTON_MAX_ITERATIONS", 1)
     spec = ProblemSpec(medium_space, 0.01, ramp_forcing(), None, 0.5)
-    cfg = NewtonConfig(tolerance=1e-10, max_iterations=1, reuse_jacobian=False)
     # the ramp forcing is inactive on the first interval only
     with pytest.raises(NewtonError) as err:
-        nse_cn_solve(spec, build_uniform_mesh(0.5, 2), newton=cfg)
+        nse_cn_solve(spec, build_uniform_mesh(0.5, 2))
     assert err.value.step is not None
     assert err.value.residual is not None
 
@@ -303,15 +290,58 @@ def linear_newton_problem(space):
     return momentum, lambda _: K, zero, {"jacobian": BorderedSaddle(space, 10 * K)}
 
 
-def test_newton_iteration_cap_bounds_linear_solves(small_space):
+def test_newton_iteration_cap_bounds_linear_solves(small_space, monkeypatch):
     # a rejected reused update spends the only allowed iteration
+    monkeypatch.setattr(schemes, "NEWTON_MAX_ITERATIONS", 1)
     with counted_lu_solves() as solves:
         momentum, jacobian, (U, P), frozen = linear_newton_problem(small_space)
         with pytest.raises(NewtonError) as err:
-            _newton(small_space, momentum, jacobian, U, P,
-                    NewtonConfig(max_iterations=1), 1e-10, "capped", frozen)
+            _newton(small_space, momentum, jacobian, U, P, 1e-10, "capped", frozen)
     assert solves[0] == 1
     assert err.value.iterations == 1
+
+
+def test_newton_stops_at_the_round_off_floor(small_space):
+    # a target of zero is never met: textbook Newton exits, well before the
+    # iteration cap, once the residual is within tolerance and no longer halves
+    with tracked_saddles() as record, counted_lu_solves() as solves:
+        momentum, jacobian, (U, P), _ = linear_newton_problem(small_space)
+        built = record["built"]  # the seeded factorization is not used
+        state, its = _newton(small_space, momentum, jacobian, U, P, 0.0, "floor")
+        assert record["built"] - built == its
+    assert its == solves[0] and 2 <= its < schemes.NEWTON_MAX_ITERATIONS
+    r, _ = momentum(state.velocity, state.pressure)
+    assert np.linalg.norm(r[small_space.interior_velocity]) <= schemes.NEWTON_TOLERANCE
+    assert np.linalg.norm(small_space.divergence @ state.velocity) <= schemes.NEWTON_TOLERANCE
+
+
+def test_newton_non_finite_residual_fails_at_once(small_space):
+    # a NaN residual fails every comparison, so no linear solve may be spent on it
+    with counted_lu_solves() as solves:
+        momentum, jacobian, (U, P), frozen = linear_newton_problem(small_space)
+        with pytest.raises(NewtonError, match="not finite after 0 iterations") as err:
+            _newton(small_space, lambda U, P: (momentum(U, P)[0] * np.nan, None),
+                    jacobian, U, P, 1e-10, "nan", frozen)
+    assert solves[0] == 0
+    assert err.value.iterations == 0 and np.isnan(err.value.residual)
+
+
+class NanUpdate:
+    """A frozen Jacobian whose update is not finite."""
+
+    def correction(self, r, rd, rm):
+        return np.full(r.shape, np.nan), np.zeros_like(rd)
+
+
+def test_newton_discards_a_non_finite_reused_update(small_space):
+    # the frozen Jacobian goes with its update, and a fresh one converges
+    with counted_lu_solves() as solves:
+        momentum, jacobian, (U, P), frozen = linear_newton_problem(small_space)
+        frozen["jacobian"] = NanUpdate()
+        state, its = _newton(small_space, momentum, jacobian, U, P, 1e-10, "nan update", frozen)
+    assert its == 2 and solves[0] == 1
+    assert isinstance(frozen["jacobian"], BorderedSaddle)
+    assert np.all(np.isfinite(state.velocity))
 
 
 def test_newton_rejected_jacobian_freed_before_refresh(small_space):
@@ -323,8 +353,7 @@ def test_newton_rejected_jacobian_freed_before_refresh(small_space):
             alive_at_refresh.append(len(record["live"]))
             return exact(lin)
 
-        state, its = _newton(small_space, momentum, jacobian, U, P,
-                             NewtonConfig(), 1e-10, "refresh", frozen)
+        state, its = _newton(small_space, momentum, jacobian, U, P, 1e-10, "refresh", frozen)
         assert alive_at_refresh == [0]
         assert frozen["jacobian"] in record["live"] and record["built"] == 2
     assert its == solves[0] == 2
@@ -405,22 +434,6 @@ def test_stationary_initial_data_cached(medium_space):
     assert a is b
     c = init.resolve(medium_space, 0.01, "stokes")
     assert c is not a
-
-
-def test_stationary_initial_data_keys_on_newton_settings(small_space):
-    # a loose Newton tolerance must not serve its state to a tight request
-    init = StationaryInitialData(
-        lambda x, y: (0.2 * np.sign(x * y) * np.sin(4 * x + y) * y, np.cos(x - 4 * y) * x))
-    loose = init.resolve(small_space, 0.01, "nse", NewtonConfig(tolerance=1e-2))
-    tight = init.resolve(small_space, 0.01, "nse", NewtonConfig(tolerance=1e-12))
-    exact = stationary_nse_solve(small_space, 0.01, init.f0, NewtonConfig(tolerance=1e-12))
-    assert tight is not loose
-    assert np.array_equal(tight.velocity, exact.velocity)
-    assert not np.array_equal(loose.velocity, exact.velocity)
-    # equal settings share one solve, and no settings mean the defaults
-    assert init.resolve(small_space, 0.01, "nse", NewtonConfig(tolerance=1e-12)) is tight
-    assert init.resolve(small_space, 0.01, "nse") is init.resolve(small_space, 0.01, "nse",
-                                                                   NewtonConfig())
 
 
 def test_caches_never_serve_another_space():
@@ -520,14 +533,14 @@ def test_nse_slots_hold_only_their_jacobian(small_space, monkeypatch):
     held, jacobians = set(), []
     march = schemes._march
 
-    def spy(spec, mesh, n0, kind, newton, advance, *rest):
+    def spy(spec, mesh, n0, kind, advance, *rest):
         def watched(*args):
             out = advance(*args)
             held.update(args[-1])  # the keys of the interval's slot
             jacobians.extend(args[-1].values())
             return out
 
-        return march(spec, mesh, n0, kind, newton, watched, *rest)
+        return march(spec, mesh, n0, kind, watched, *rest)
 
     monkeypatch.setattr(schemes, "_march", spy)
     spec = ProblemSpec(small_space, 0.01, ramp_forcing(), None, 0.5)
@@ -676,11 +689,8 @@ def test_problem_spec_validation(medium_space):
 def test_newton_tail_logged_not_asserted(medium_space, caplog):
     import logging
 
-    u0 = stationary_stokes_solve(
-        medium_space, 0.01, lambda x, y: (np.sin(x) * y, np.cos(y) * x)).velocity
-    spec = ProblemSpec(medium_space, 0.01, ZeroForcing(), u0, 0.2)
+    # the stationary solve runs textbook Newton, a fresh Jacobian every iteration
     with caplog.at_level(logging.DEBUG, logger="cnflow.schemes"):
-        nse_cn_solve(spec, build_uniform_mesh(0.2, 1),
-                     newton=NewtonConfig(reuse_jacobian=False))
+        stationary_nse_solve(medium_space, 0.01, lambda x, y: (np.sin(x) * y, np.cos(y) * x))
     assert any("tail" in rec.message for rec in caplog.records)
 

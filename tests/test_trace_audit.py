@@ -2,6 +2,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SCRIPT = Path(__file__).parent.parent / "scripts" / "trace_audit.py"
@@ -45,6 +46,15 @@ if True:
         return 9
 '''
 
+KNOBS = '''\
+def f(a, b=1, c=None):
+    return a
+
+
+def g(d=3):
+    return d
+'''
+
 
 @pytest.fixture(scope="module")
 def trace_audit():
@@ -54,15 +64,15 @@ def trace_audit():
     return module
 
 
-def run_sample(tmp_path, calls):
-    """Import the sample source from ``tmp_path`` and call ``calls(module)``
-    while recording its executed lines."""
+def run_sample(tmp_path, source, calls):
+    """Import ``source`` from a file in ``tmp_path``; returns the file, the
+    module and a ``run()`` that calls ``calls(module)``."""
     path = tmp_path / "sample.py"
-    path.write_text(SOURCE)
+    path.write_text(source)
     spec = importlib.util.spec_from_file_location("sample", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return path, lambda: calls(module)
+    return path, module, lambda: calls(module)
 
 
 @pytest.mark.parametrize("calls, unrun", [
@@ -75,8 +85,8 @@ def run_sample(tmp_path, calls):
      ["never", "only_doc", "Box.method", "Box.unused"]),
 ])
 def test_unrun_defs_from_executed_lines(trace_audit, tmp_path, calls, unrun):
-    path, run = run_sample(tmp_path, calls)
-    lines = trace_audit.executed_lines(run, tmp_path)
+    path, _, run = run_sample(tmp_path, SOURCE, calls)
+    lines, _ = trace_audit.trace_run(run, tmp_path, {})
     found = trace_audit.unrun_defs(SOURCE, lines[str(path.resolve())])
     assert [name for name, _ in found] == unrun
     source_lines = SOURCE.splitlines()
@@ -85,7 +95,21 @@ def test_unrun_defs_from_executed_lines(trace_audit, tmp_path, calls, unrun):
 
 
 def test_frames_outside_the_directory_are_not_recorded(trace_audit, tmp_path):
-    path, run = run_sample(tmp_path, lambda m: m.ran())
+    path, _, run = run_sample(tmp_path, SOURCE, lambda m: m.ran())
     (tmp_path / "elsewhere").mkdir()
-    lines = trace_audit.executed_lines(run, tmp_path / "elsewhere")
+    lines, _ = trace_audit.trace_run(run, tmp_path / "elsewhere", {})
     assert not lines and sys.gettrace() is None
+
+
+@pytest.mark.parametrize("calls", [
+    lambda m: (m.f(0), m.f(0, c=2)),
+    # an equal number sets nothing, and an array is never compared by value
+    lambda m: (m.f(0, b=1.0), m.f(0, c=np.zeros(2))),
+])
+def test_defaults_no_call_sets(trace_audit, tmp_path, calls):
+    # ``g`` never runs, so its default is left to the unrun list
+    path, module, run = run_sample(tmp_path, KNOBS, calls)
+    defaults = trace_audit.signature_defaults([module])
+    assert sorted(name for _, _, name, _ in defaults.values()) == ["f", "g"]
+    _, called = trace_audit.trace_run(run, tmp_path, defaults)
+    assert trace_audit.unset_defaults(defaults, called) == [(str(path), 1, "f", "b")]
