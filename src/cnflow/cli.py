@@ -253,6 +253,19 @@ def resolve_problem(config, space):
                        config.T)
 
 
+def check_finite_data(config, spec):
+    """``ConfigError`` naming the domain unless the assembled operators and the loads of
+    the forcing and of the stationary initial data are finite, checked before any solve."""
+    space, forcing, f0 = spec.space, spec.forcing, getattr(spec.initial, "f0", None)
+    with np.errstate(over="ignore", invalid="ignore"):  # the error reports the overflow
+        arrays = [op.data for op in (space.mass, space.stiffness, space.divergence)]
+        arrays += [forcing.spatial_load(space)] if hasattr(forcing, "spatial_load") else []
+        arrays += [] if f0 is None else [space.velocity_load(f0)]
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ConfigError(f"domain {','.join(map(repr, config.domain))} on {config.nx}x"
+                          f"{config.ny} cells gives operators or loads that are not finite")
+
+
 def physical_memory():
     """Bytes of physical memory of this machine."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -314,6 +327,7 @@ def run_convergence(config):
     t_begin = time.perf_counter()
     space = build_space(config.domain, config.nx, config.ny)
     spec = resolve_problem(config, space)
+    check_finite_data(config, spec)
     kind = EXPERIMENTS[config.experiment][2]
 
     record = ConvergenceRecord()

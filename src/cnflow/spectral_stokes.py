@@ -211,37 +211,54 @@ def _time_factors(mesh):
     return average(factors, mesh).values
 
 
-def _trial_forcing(phi, b):
+def _trial_forcing(phi, b, out=None, term=None):
     """Interval averages of the forcing of coefficients ``b`` (see
     ``_random_trial``) from the averaged time factors ``phi``: the forcing is
     separable in time, so this is the same Gauss rule regrouped.  ``phi`` is
-    the ``(N, 3)`` block or one row of it.  An explicit three-term sum, so
-    the bits do not depend on the BLAS build."""
-    return (phi[..., :1] * b[0] + phi[..., 1:2] * b[1]) + phi[..., 2:] * b[2]
+    the ``(N, 3)`` block or one row of it.  An explicit three-term sum, into
+    ``out`` and ``term`` if given, so the bits do not depend on the BLAS build."""
+    term = np.multiply(phi[..., 1:2], b[1], out=term)
+    out = np.add(np.multiply(phi[..., :1], b[0], out=out), term, out=out)
+    return np.add(out, np.multiply(phi[..., 2:], b[2], out=term), out=out)
+
+
+def _order_weights(lam, s):
+    """Rows ``lam^(s-1)``, ``lam^s`` and ``lam^(s+1)``: the V^{s-1}, V^s, V^{s+1} weights."""
+    return np.stack([lam ** (s - 1), lam ** s, lam ** (s + 1)])
 
 
 def _trial_rows(s, lower_level, n0, mesh, normals, lam):
     """Per-trial norm rows of one evolution of the trial ``normals``: V^s per node, then
     per interval V^{s+1} of the average, V^{s-1} of d/dt and of the forcing and, if
     ``lower_level``, V^s of the average and of d/dt.  The trials step as one block,
-    storing no trajectory."""
-    N = mesh.num_intervals
+    storing no trajectory.  Each interval squares ``new``, ``prev + new``, ``new - prev`` and
+    the forcing once, and weighs for each order the squares it reads in one BLAS product."""
+    N, trials = mesh.num_intervals, len(normals[0])
     phi = _time_factors(mesh)  # once per mesh, not per trial
-    lower, same, upper = (vs_row_norm(lam, order) for order in (s - 1, s, s + 1))
+    lower, same, upper = _order_weights(lam, s)
     c0, b = _scaled_trial(*normals, lam, s)
-    node = np.empty((N + 1, len(c0)))
-    node[: n0 + 1] = same(c0)
-    rows = np.zeros((5 if lower_level else 3, N, len(c0)))
+    squares = np.empty((4, trials, lam.size))  # new, prev + new, new - prev, f
+    # squared, at node n + 1 (interval n): avg V^{s+1} | d/dt, f V^{s-1} | node, avg, d/dt V^s
+    norms = np.zeros((N + 1, 6 if lower_level else 4, trials))
+    norms[: n0 + 1, 3] = (c0 * c0) @ same
 
     def observe(n, prev, new, f):
-        avg, dt = 0.5 * (prev + new), (new - prev) / mesh.steps[n]
-        node[n + 1] = same(new)
-        rows[0, n], rows[1, n], rows[2, n] = upper(avg), lower(dt), lower(f)
-        if lower_level:
-            rows[3, n], rows[4, n] = same(avg), same(dt)
+        np.square(new, out=squares[0])
+        np.add(prev, new, out=squares[1])
+        np.subtract(new, prev, out=squares[2])
+        np.square(squares[1:], out=squares[1:])
+        at = norms[n + 1]
+        np.dot(squares[1], upper, out=at[0])
+        np.dot(squares[2:].reshape(-1, lam.size), lower, out=at[1:3].reshape(-1))
+        np.dot(squares[: len(at) - 3].reshape(-1, lam.size), same, out=at[3:].reshape(-1))
 
-    evolve_cn(mesh, lam, c0, lambda n: _trial_forcing(phi[n], b), n0, observe)
-    return (node, *rows)
+    # the forcing is formed in squares[3], its terms in squares[1]: spent by the step
+    evolve_cn(mesh, lam, c0, lambda n: _trial_forcing(phi[n], b, squares[3], squares[1]), n0,
+              observe)
+    np.sqrt(norms, out=norms)
+    norms[1:, 0::4] *= 0.5  # the 1/2 of the averages
+    norms[1:, 1::4] /= mesh.steps[:, None, None]  # the 1/k of d/dt
+    return (norms[:, 3], *(norms[1:, i] for i in ([0, 1, 2, 4, 5] if lower_level else [0, 1, 2])))
 
 
 def _report(rows, s, ell, n0, mesh, trial_count, rng_seed):

@@ -9,7 +9,9 @@ functions are evaluated from their monomial definitions.
 The stability oracle steps one trial at a time with ``cn_step_spectral``,
 stores the whole trajectory and its forcing, and composes the norms of the
 smoothing estimate on full coefficient rows: the stored-trajectory form of
-``spectral_stokes.stability_reports``, which streams a block of trials.
+``spectral_stokes.stability_reports``, which streams a block of trials.  Its
+per-interval rows, taken by ``vs_row_norm`` from the stored averages and
+derivatives, are the stored-trajectory form of ``spectral_stokes._trial_rows``.
 """
 
 import numpy as np
@@ -187,3 +189,30 @@ def stability_ratios_oracle(s, ell, n0, mesh, trial_count, rng_seed, eigenvalues
         ratios.append(smoothing_ratio(states, forcing, c0, lam, s, ell,
                                       (n0, mesh.num_intervals)))
     return np.array(ratios)
+
+
+def trial_rows_oracle(s, lower_level, n0, mesh, normals, eigenvalues):
+    """The rows of ``spectral_stokes._trial_rows`` for the trial ``normals``, trial by
+    trial, each trajectory stored in full: the V^s norm per node, then per interval the
+    V^{s+1} norm of the average, the V^{s-1} norms of d/dt and of the forcing and, if
+    ``lower_level``, the V^s norms of the average and of d/dt, zero on the intervals
+    before ``n0``.  Each row is ``(N + 1, trials)`` or ``(N, trials)``."""
+    from cnflow.spectral_stokes import _scaled_trial, _time_factors, _trial_forcing, vs_row_norm
+    from cnflow.temporal_ops import average, time_derivative
+
+    lam = np.asarray(eigenvalues, dtype=float)
+    phi = _time_factors(mesh)
+    trials = []
+    for z0, zb in zip(normals[0], np.swapaxes(normals[1], 0, 1)):
+        c0, b = _scaled_trial(z0, zb, lam, s)
+        forcing = _trial_forcing(phi, b)
+        states = stored_trial(mesh, lam, c0, forcing, n0)
+        avg, dt = average(states).values, time_derivative(states).values
+        fields = [(avg, s + 1), (dt, s - 1), (forcing, s - 1)]
+        if lower_level:
+            fields += [(avg, s), (dt, s)]
+        rows = [vs_row_norm(lam, order)(values) for values, order in fields]
+        for row in rows:
+            row[:n0] = 0.0
+        trials.append([vs_row_norm(lam, s)(states.values), *rows])
+    return [np.array(row).T for row in zip(*trials)]

@@ -7,6 +7,7 @@ import sys
 import textwrap
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -437,6 +438,23 @@ def test_invalid_config_value_exit_code(tmp_path, capsys, override):
         args += ["--set", item]
     assert main(args) == 2
     assert "configuration error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment", ["case_i", "case_ii", "stokes_manufactured"])
+def test_overflowing_loads_exit_code_before_any_solve(tmp_path, capsys, experiment):
+    # the cell area is finite, but the loads of the forcing (case_i, Stokes) and
+    # of the stationary initial data (case_ii) overflow to nan: the run used to
+    # warn of the overflow and exit 3 when the first residual was not finite
+    args = ["convergence", "--out", str(tmp_path)]
+    for item in (f"experiment={experiment}", "domain=-1e150,1e150,-1e150,1e150", "nx=2",
+                 "ny=2", "k_list=0.5,0.25", "T=1", "refinement=4"):
+        args += ["--set", item]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: domain -1e+150,1e+150,-1e+150,1e+150 on 2x2 cells gives "
+        "operators or loads that are not finite\n")
 
 
 def test_reference_beyond_physical_memory_exit_code(tmp_path, monkeypatch, capsys):

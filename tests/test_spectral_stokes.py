@@ -21,7 +21,7 @@ from cnflow.spectral_stokes import (
 from cnflow.temporal_ops import GridFunctionCG1, GridFunctionDG0, average
 from cnflow.time_mesh import TimeMesh, build_alternating_mesh, build_uniform_mesh
 
-from oracles import smoothing_ratio, stability_ratios_oracle, stored_trial
+from oracles import smoothing_ratio, stability_ratios_oracle, stored_trial, trial_rows_oracle
 
 
 def field(lam, c):
@@ -408,18 +408,44 @@ def test_stability_ratios_average_the_forcing_once(monkeypatch):
 
 
 def test_stability_ratios_build_their_norms_once(monkeypatch):
-    # the V^{s-1}, V^s and V^{s+1} row norms, once per verification
+    # the weights of the V^{s-1}, V^s and V^{s+1} norms, once per evolution
     from cnflow import spectral_stokes
+    from cnflow.spectral_stokes import _order_weights
 
     built = []
 
     def spy(eigenvalues, s):
         built.append(s)
-        return vs_row_norm(eigenvalues, s)
+        return _order_weights(eigenvalues, s)
 
-    monkeypatch.setattr(spectral_stokes, "vs_row_norm", spy)
+    monkeypatch.setattr(spectral_stokes, "_order_weights", spy)
+    stepped = spy_steps(monkeypatch)
     verify_smoothing_stability(1, 1, 2, build_uniform_mesh(1.0, 32), trial_count=6)
-    assert sorted(built) == [0, 1, 2]
+    # the (1,1) and (1,2) checks share one evolution per rung
+    checks = [(1, 1, 0), (1, 2, 0), (2, 0, 0)]
+    ladders = [[build_uniform_mesh(1.0, N) for N in (8, 16)] for _ in checks]
+    stability_reports(checks, ladders, 3, 0, default_spectrum(8))
+    assert built == [1, 1, 1, 2, 2]
+    assert len(stepped) == len(built)
+
+
+@pytest.mark.parametrize("n0", [0, 3])
+@pytest.mark.parametrize("lower_level", [False, True])
+@pytest.mark.parametrize("s", [0, 1, 2])
+def test_trial_rows_match_the_stored_oracle(s, lower_level, n0):
+    # each interval's squares weighed by BLAS products, against vs_row_norm on the
+    # stored trajectory of each trial
+    from cnflow.spectral_stokes import _trial_normals, _trial_rows
+
+    mesh = build_alternating_mesh(1.0, 1.0 / 24, (0.5, 1.5))
+    lam = default_spectrum()
+    normals = _trial_normals(11, 7, lam.size)
+    got = _trial_rows(s, lower_level, n0, mesh, normals, lam)
+    want = trial_rows_oracle(s, lower_level, n0, mesh, normals, lam)
+    assert [row.shape for row in got] == [row.shape for row in want]
+    assert len(got) == (6 if lower_level else 4)
+    for g, w in zip(got, want):
+        assert np.all(np.abs(g - w) <= 1e-14 * np.abs(w))
 
 
 def test_stability_ratios_step_their_trials_once(monkeypatch):
