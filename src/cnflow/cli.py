@@ -154,6 +154,10 @@ class RunConfig:
         x0, x1, y0, y1 = self.domain
         if x1 <= x0 or y1 <= y0 or self.nx < 1 or self.ny < 1:
             raise ConfigError("need a nonempty domain and nx, ny of at least 1")
+        velocity = 2 * (2 * self.nx - 1) * (2 * self.ny - 1)  # interior P2 unknowns
+        if velocity < (self.nx + 1) * (self.ny + 1) - 1:  # mean-free P1 unknowns: only 1x1
+            raise ConfigError(f"a {self.nx}x{self.ny} mesh has fewer interior velocity than "
+                              "mean-free pressure unknowns: a singular saddle-point system")
         # an area that under- or overflows, or a subnormal one whose
         # reciprocal overflows, leaves the assembly with singular operators
         area = (x1 - x0) / self.nx * ((y1 - y0) / self.ny)
@@ -295,17 +299,12 @@ def build_reference(spec, kind, k_list, refinement, groups):
     """Uniform-mesh reference with step about min(k)/refinement, which stores
     no field and scores each group ``(runs, error_specs)`` of ``groups``, the
     coarse trajectories ``runs`` in the norms of ``error_specs``, as it steps:
-    its trajectory and one ``StreamedReference`` per group."""
+    its trajectory and the one ``StreamedReference`` that scored every group."""
     from cnflow.schemes import reference_solve
 
     fine = build_uniform_mesh(spec.T, reference_intervals(spec.T, k_list, refinement))
-    streams = [StreamedReference(fine, spec.space, runs, specs) for runs, specs in groups]
-
-    def observe(u, p):
-        for streamed in streams:
-            streamed.observe(u, p)
-
-    return reference_solve(spec, fine, kind=kind, fields=(), observer=observe), streams
+    stream = StreamedReference(fine, spec.space, groups)
+    return reference_solve(spec, fine, kind=kind, fields=(), observer=stream.observe), stream
 
 
 def convergence_rows(reference, k, run, error_specs):
@@ -346,8 +345,8 @@ def run_convergence(config):
     reference = streamed = None
     timings, iterations = [], []
     if runs:  # else nothing is left to score: skip the costliest solve
-        (reference, (streamed,)), dt = timed(build_reference, spec, kind, config.k_list,
-                                             config.refinement, [(runs, error_specs)])
+        (reference, streamed), dt = timed(build_reference, spec, kind, config.k_list,
+                                          config.refinement, [(runs, error_specs)])
         timings.append(("reference", dt))
         iterations.append(("reference", reference.newton_iterations))
     for k, future in futures:

@@ -171,36 +171,34 @@ _SAMPLING = {
 
 
 class _Samples:
-    """The samples of one norm of one coarse trajectory against a reference on
+    """The samples of one field of one coarse trajectory against a reference on
     ``mesh``: the spatial norm of the coarse field less the reference value at
-    each reference sample time inside the window, filled by ``feed`` as the
-    reference values arrive in order, and the smoothing weight of the coarse
-    interval containing each time."""
+    each reference sample time inside the window ``(t_{window_start}, T]``,
+    filled by ``feed`` as the reference values arrive in order.  ``error``
+    weighs and composes them in any norm of that field and window."""
 
-    def __init__(self, traj, spec, mesh, space):
-        field = NORMS[spec.norm][0]
+    def __init__(self, traj, field, window_start, mesh, space):
         if traj.space is not None and space is not None and traj.space is not space:
             raise ValueError("trajectories live on different spatial spaces")
         if getattr(traj, field) is None:
             raise ValueError(f"the trajectory did not store the {field}")
-        if spec.window_start >= traj.mesh.num_intervals:
+        if window_start >= traj.mesh.num_intervals:
             raise ValueError("window start leaves no intervals")
         times, self._at = _SAMPLING[field]
         times = times(mesh)
-        self._ts = times[times > traj.mesh.nodes[spec.window_start]]
+        self._ts = times[times > traj.mesh.nodes[window_start]]
         if not self._ts.size:
             raise ValueError("window contains no evaluation times")
         # the window is a suffix of the ascending times
         self._skip = times.size - self._ts.size
         space = traj.space or space
         if space is None:
-            raise ValueError("weighted norms need a trajectory with a spatial space")
+            raise ValueError("error norms need a trajectory with a spatial space")
         # one dot product x . (S x) per row of a block
         S = space.pressure_mass if field == "pressure" else space.stiffness
         self._norm = lambda d: np.sqrt([x @ (S @ x) for x in d])
         self._field, self._coarse = field, getattr(traj, field)
-        self._p, self._k = NORMS[spec.norm][1], mesh.steps[0]  # the step of the L2 sum
-        self._w = traj.mesh.tau_values(spec.alpha)[traj.mesh.interval_of(self._ts) - 1]
+        self._mesh, self._k = traj.mesh, mesh.steps[0]  # the step of the L2 sum
         self._q = np.empty(self._ts.size)
         self._filled = 0
 
@@ -217,11 +215,12 @@ class _Samples:
             self._q[lo:hi] = self._norm(d)
             self._filled = hi
 
-    def error(self):
-        """The temporal norm of the weighted samples."""
+    def error(self, spec):
+        """The temporal norm of ``spec`` of the weighted samples."""
         if self._filled < self._q.size:
             raise ValueError("the reference ended before the window")
-        return _compose(self._p, self._w, self._q, self._k)
+        w = self._mesh.tau_values(spec.alpha)[self._mesh.interval_of(self._ts) - 1]
+        return _compose(NORMS[spec.norm][1], w, self._q, self._k)
 
 
 class StreamedReference:
@@ -230,20 +229,21 @@ class StreamedReference:
     Pass ``observe`` as the observer of the reference solve on ``mesh``: it
     keeps one block of ``_NODE_BLOCK`` intervals of each field the norms read,
     as wide as that field of the first interval, and hands every full block,
-    and the last one, to the samples of each coarse trajectory of ``runs`` and
-    spec of ``error_specs``, keyed by the trajectory itself.  The trajectories
-    must store those fields; ``pressure_error`` and ``velocity_error`` then
-    compose their samples by ``error``.
+    and the last one, to one sample array per distinct coarse trajectory,
+    field and window start of ``groups``, pairs ``(runs, error_specs)``.  The
+    trajectories must store those fields; ``pressure_error`` and
+    ``velocity_error`` compose any weight and order of a scored array.
     """
 
-    def __init__(self, mesh, space, runs, error_specs):
-        fields = fields_read(error_specs)
+    def __init__(self, mesh, space, groups):
+        fields = fields_read([es for _, error_specs in groups for es in error_specs])
         # the midpoint rule weights every pressure sample with one reference step
         if "pressure" in fields and mesh.rho > 1.0 + UNIFORM_RHO_TOL:
             raise ValueError("reference mesh must be uniform")
         self.mesh = mesh
-        self._samples = {(traj, es): _Samples(traj, es, mesh, space)
-                         for traj in runs for es in error_specs}
+        keys = dict.fromkeys((traj, NORMS[es.norm][0], es.window_start)
+                             for runs, error_specs in groups for traj in runs for es in error_specs)
+        self._samples = {key: _Samples(*key, mesh, space) for key in keys}
         self._block = dict.fromkeys(fields)  # allocated on the first interval
         self._done = 0  # intervals observed
 
@@ -262,17 +262,16 @@ class StreamedReference:
             # interval n ends at velocity sample n (node n) and holds pressure
             # sample n - 1 (midpoint n)
             n = self._done - row  # first interval of the block
-            for (_, es), samples in self._samples.items():
-                field = NORMS[es.norm][0]
+            for (_, field, _), samples in self._samples.items():
                 samples.feed(n - (field == "pressure"), self._block[field][:row + 1])
 
     def error(self, traj, spec):
-        """The norm of ``spec`` of ``traj``, which this reference scored."""
+        """The norm of ``spec`` of ``traj``, whose field and window were scored."""
         try:
-            samples = self._samples[traj, spec]
+            samples = self._samples[traj, NORMS[spec.norm][0], spec.window_start]
         except KeyError:
-            raise ValueError("the reference did not score this trajectory and norm") from None
-        return samples.error()
+            raise ValueError("the reference did not score this run, field and window") from None
+        return samples.error(spec)
 
 
 def _field_norm(spec, field):
@@ -283,7 +282,7 @@ def _field_norm(spec, field):
 
 def pressure_error(traj, ref, spec):
     """Midpoint-rule pressure error of ``traj`` against the
-    ``StreamedReference`` ``ref`` that scored it in ``spec``.
+    ``StreamedReference`` ``ref`` that scored its window of ``spec``.
 
     Both pressures are read as midpoint samples (see
     ``midpoint_reconstruction``) and compared at the reference midpoints
@@ -296,7 +295,7 @@ def pressure_error(traj, ref, spec):
 
 def velocity_error(traj, ref, spec):
     """Velocity error of ``traj`` against the ``StreamedReference`` ``ref``
-    that scored it in ``spec``.
+    that scored its window of ``spec``.
 
     ``velocity_LinfV1`` takes the maximum over reference nodes (inside
     the window) of the stiffness-weighted seminorm of the difference of

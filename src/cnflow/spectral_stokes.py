@@ -357,7 +357,7 @@ def sharp_initial_field(r, eigenvalues):
     return SpectralField(lam, j ** (-r - 0.6))
 
 
-def euler_smoothing_rate(r, s, s0, k_list, num_modes=DEFAULT_MODES):
+def euler_smoothing_rate(r, s, s0, k_list):
     """Fitted rate of the implicit-Euler startup error in the V^s norm.
 
     For sharp V^r data and zero forcing, ``n0 = 2 + s0 - r`` Euler steps
@@ -374,9 +374,9 @@ def euler_smoothing_rate(r, s, s0, k_list, num_modes=DEFAULT_MODES):
     if k_list.size == 0:
         raise ValueError("empty step-size list")
     n0 = 2 + s0 - r
-    lam = default_spectrum(num_modes)
+    lam = default_spectrum(DEFAULT_MODES)
     u0 = sharp_initial_field(r, lam)
-    zero = u0.with_coefficients(np.zeros(num_modes))
+    zero = u0.with_coefficients(np.zeros(DEFAULT_MODES))
     errs = []
     for k in k_list:
         state = u0

@@ -161,10 +161,10 @@ def study(spec, kind, k_list, norms):
     ``(n0, ErrorSpec)``; the runs are freed once scored."""
     runs = {n0: [coarse_run(spec, kind, k, ALTERNATING, n0, specs) for k in k_list]
             for n0, specs in norms.items()}
-    reference, streams = build_reference(spec, kind, k_list, REFINEMENT,
-                                         [(runs[n0], specs) for n0, specs in norms.items()])
+    reference, scored = build_reference(spec, kind, k_list, REFINEMENT,
+                                        [(runs[n0], specs) for n0, specs in norms.items()])
     errors = {}
-    for (n0, specs), scored in zip(norms.items(), streams):
+    for n0, specs in norms.items():
         for k, run in zip(k_list, runs[n0]):
             for es, row in zip(specs, convergence_rows(scored, k, run, specs)):
                 errors.setdefault((n0, es), []).append(row[-1])

@@ -23,7 +23,7 @@ spans.install(tracer)
 spec = schemes.ProblemSpec(build_space((-1.0, 1.0, -1.0, 1.0), 2, 2), 0.01, T=0.2)
 fine = time_mesh.build_uniform_mesh(0.2, 4)
 run, norm = schemes.stokes_cn_solve(spec, fine), errors.ErrorSpec("pressure_L2l2")
-ref = errors.StreamedReference(fine, spec.space, [run], [norm])
+ref = errors.StreamedReference(fine, spec.space, [([run], [norm])])
 schemes.reference_solve(spec, fine, "stokes", fields=(), observer=ref.observe)
 errors.pressure_error(run, ref, norm)
 spectral_stokes.verify_smoothing_stability(1, 1, 0, fine, trial_count=1,

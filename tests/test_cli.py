@@ -27,7 +27,7 @@ from cnflow.cli import (
     run_verify,
     temporal_operator_orders,
 )
-from cnflow.errors import ErrorSpec
+from cnflow.errors import ErrorSpec, StreamedReference, _Samples
 from cnflow.fem2d import SolverError
 from cnflow.schemes import SeparableForcing, ZeroForcing
 
@@ -226,13 +226,38 @@ def test_reference_groups_score_as_separate_references(small_space):
         return [scored.error(run, es).hex() for run in group_runs for es in specs]
 
     args = (spec, "stokes", config.k_list, config.refinement)
-    reference, streams = cli.build_reference(
+    reference, stream = cli.build_reference(
         *args, [(group_runs, specs) for group_runs, (_, specs) in zip(runs, groups)])
     assert reference.velocity is None and reference.pressure is None
-    assert len(streams) == 2
-    for group_runs, (_, specs), scored in zip(runs, groups, streams):
-        _, (alone,) = cli.build_reference(*args, [(group_runs, specs)])
-        assert errors(scored, group_runs, specs) == errors(alone, group_runs, specs)
+    for group_runs, (_, specs) in zip(runs, groups):
+        _, alone = cli.build_reference(*args, [(group_runs, specs)])
+        assert errors(stream, group_runs, specs) == errors(alone, group_runs, specs)
+
+
+def test_reference_keeps_one_sample_array_per_run_field_and_window(small_space, monkeypatch):
+    # criterion 8's shape: three Euler prefixes with windows 0, 1 and 2 score
+    # six norms of two runs each, and the norms of one prefix share a field
+    # and window, so one reference keeps six sample arrays, not twelve
+    config = build_run_config(tiny_mapping("unused"))
+    spec = resolve_problem(config, small_space)
+    norms = {0: (ErrorSpec("pressure_L2l2"),),
+             1: (ErrorSpec("pressure_L2l2", 1.5, 1), ErrorSpec("pressure_Linfl2", 0.0, 1),
+                 ErrorSpec("pressure_L2l2", 0.0, 1)),
+             2: (ErrorSpec("pressure_Linfl2", 2.0, 2), ErrorSpec("pressure_Linfl2", 0.0, 2))}
+    groups = [([cli.coarse_run(spec, "stokes", k, config.pattern, n0, specs)
+                for k in config.k_list], specs) for n0, specs in norms.items()]
+    made = []
+
+    def spy(*args):
+        made.append(args[:3])  # run, field, window start
+        return _Samples(*args)
+
+    monkeypatch.setattr("cnflow.errors._Samples", spy)
+    _, stream = cli.build_reference(spec, "stokes", config.k_list, config.refinement, groups)
+    assert len(made) == len(set(made)) == 6
+    assert isinstance(stream, StreamedReference)
+    for runs, specs in groups:
+        assert all(stream.error(run, es) > 0.0 for run in runs for es in specs)
 
 
 def test_study_memory_does_not_grow_with_the_reference(tmp_path):
@@ -429,7 +454,11 @@ def test_main_exit_codes(tmp_path, capsys):
                                       pytest.param("nx=1" + "0" * 400, id="nx=1e400"),
                                       # N0 = round(13.3) = 13 gives a reference
                                       # step above 0.3 / 4
-                                      "T=1 k_list=0.3 refinement=4"])
+                                      "T=1 k_list=0.3 refinement=4",
+                                      # 2 interior velocity unknowns for 3
+                                      # mean-free pressure unknowns: a singular
+                                      # saddle-point system
+                                      "nx=1 ny=1"])
 def test_invalid_config_value_exit_code(tmp_path, capsys, override):
     # an override of several keys separates them by spaces
     config = Path(__file__).parent.parent / "configs" / "stokes_manufactured.cfg"
@@ -483,13 +512,15 @@ def test_memory_guard_counts_the_stored_fields(tmp_path, monkeypatch, capsys):
     assert "of physical memory" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("override", ["T=2e6", "T=2e4", "T=2e4 nx=1 ny=1"])
+@pytest.mark.parametrize("override", ["T=2e6", "T=2e4", "T=2e4 nx=1 ny=1",
+                                      "T=2e4 nx=1 ny=2"])
 def test_oversized_run_exit_code_before_any_mesh(tmp_path, override):
     # 7e8 coarse intervals, 7e6 coarse intervals whose fields need 1.4e11
     # bytes, and a 3.2e7-interval reference mesh that no rounding of
-    # np.linspace leaves uniform to 1e-9: each is refused from the inputs.
-    # A 1 GiB address space turns an attempt to build the meshes into a
-    # MemoryError.
+    # np.linspace leaves uniform to 1e-9 (on 1x2 cells; 1x1 cells are refused
+    # before that as a singular saddle-point system): each is refused from
+    # the inputs.  A 1 GiB address space turns an attempt to build the meshes
+    # into a MemoryError.
     def cap_address_space():
         import resource
 

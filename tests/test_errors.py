@@ -58,7 +58,7 @@ def replay(ref, runs, specs):
     """A ``StreamedReference`` on the mesh and space of the trajectory ``ref``
     that scored ``runs`` in ``specs`` while it observed the intervals of
     ``ref`` in order, as a reference solve hands them over."""
-    streamed = StreamedReference(ref.mesh, ref.space, runs, specs)
+    streamed = StreamedReference(ref.mesh, ref.space, [(runs, specs)])
     for n in range(ref.mesh.num_intervals):
         streamed.observe(None if ref.velocity is None else ref.velocity.values[n + 1],
                          None if ref.pressure is None else ref.pressure.values[n])
@@ -294,9 +294,9 @@ def test_nonuniform_reference_rejected(small_space):
     traj = synthetic_traj(coarse, np.ones((8, small_space.num_pressure)),
                           np.ones((9, small_space.num_velocity)), small_space)
     with pytest.raises(ValueError, match="uniform"):
-        StreamedReference(fine, small_space, [traj], [ErrorSpec("pressure_L2l2")])
+        StreamedReference(fine, small_space, [([traj], [ErrorSpec("pressure_L2l2")])])
     # velocity norms sample the reference nodes, on any mesh
-    StreamedReference(fine, small_space, [traj], [ErrorSpec("velocity_LinfV1")])
+    StreamedReference(fine, small_space, [([traj], [ErrorSpec("velocity_LinfV1")])])
 
 
 def test_mismatched_spaces_rejected():
@@ -415,7 +415,7 @@ def test_streamed_reference_gives_the_stored_reference_bits(small_space):
     assert 0 < np.searchsorted(fine.midpoints, runs[0].mesh.nodes[1]) < _NODE_BLOCK
     specs = [ErrorSpec(norm, alpha, window_start)
              for norm in NORMS for alpha, window_start in ((0.0, 0), (2.0, 1))]
-    streamed = StreamedReference(fine, small_space, runs, specs)
+    streamed = StreamedReference(fine, small_space, [(runs, specs)])
     with pytest.raises(ValueError, match="ended before the window"):
         pressure_error(runs[0], streamed, specs[0])
     bare = reference_solve(spec, fine, "stokes", fields=(), observer=streamed.observe)
@@ -429,7 +429,35 @@ def test_streamed_reference_gives_the_stored_reference_bits(small_space):
             assert got > 0.0
             assert np.float64(got).tobytes() == np.float64(want).tobytes(), es
     with pytest.raises(ValueError, match="did not score"):
-        pressure_error(runs[0], streamed, ErrorSpec("pressure_L2l2", alpha=1.0))
+        pressure_error(runs[0], streamed, ErrorSpec("pressure_L2l2", 0.0, 2))
+
+
+def test_scored_samples_compose_every_weight_and_order(small_space):
+    # the samples depend on the run, the field and the window alone: any
+    # weight and temporal order of a scored field and window has the bits of
+    # a reference that was asked for that norm, and a window that was not
+    # scored is refused
+    space = small_space
+    fine, coarse = build_uniform_mesh(1.0, 100), build_alternating_mesh(1.0, 0.1, (0.8, 1.2))
+    rng = np.random.default_rng(37)
+    ref = synthetic_traj(fine, rng.standard_normal((100, space.num_pressure)),
+                         rng.standard_normal((101, space.num_velocity)), space)
+    run = synthetic_traj(coarse, rng.standard_normal((coarse.num_intervals, space.num_pressure)),
+                         rng.standard_normal((coarse.num_intervals + 1, space.num_velocity)),
+                         space)
+    streamed = replay(ref, [run], [ErrorSpec("pressure_L2l2", 0.0, 1),
+                                   ErrorSpec("velocity_LinfV1", 1.5, 0)])
+    for es in (ErrorSpec("pressure_L2l2", 2.0, 1), ErrorSpec("pressure_Linfl2", 0.0, 1),
+               ErrorSpec("pressure_Linfl2", 1.5, 1), ErrorSpec("velocity_LinfV1", 0.0, 0),
+               ErrorSpec("velocity_LinfV1", 3.0, 0)):
+        got, want = streamed.error(run, es), score(run, ref, es)
+        assert got > 0.0
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), es
+    for es in (ErrorSpec("pressure_L2l2"), ErrorSpec("velocity_LinfV1", 1.5, 1)):
+        with pytest.raises(ValueError, match="did not score"):
+            streamed.error(run, es)
+    with pytest.raises(ValueError, match="did not score"):
+        streamed.error(replace(run), ErrorSpec("pressure_L2l2", 0.0, 1))
 
 
 def test_streamed_reference_keeps_its_runs_alive(small_space):
@@ -438,8 +466,8 @@ def test_streamed_reference_keeps_its_runs_alive(small_space):
     coarse = build_uniform_mesh(1.0, 10)
     run = synthetic_traj(coarse, np.zeros((10, small_space.num_pressure)), space=small_space)
     alive = weakref.ref(run)
-    streamed = StreamedReference(build_uniform_mesh(1.0, 40), small_space, [run],
-                                 [ErrorSpec("pressure_L2l2")])
+    streamed = StreamedReference(build_uniform_mesh(1.0, 40), small_space,
+                                 [([run], [ErrorSpec("pressure_L2l2")])])
     del run
     gc.collect()
     assert alive() is not None

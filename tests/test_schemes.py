@@ -581,7 +581,7 @@ def test_reference_halving_audit(medium_space):
     errs = []
     for refine in (8, 16):
         fine = build_uniform_mesh(0.5, 10 * refine)
-        ref = StreamedReference(fine, medium_space, [coarse], [es])
+        ref = StreamedReference(fine, medium_space, [([coarse], [es])])
         reference_solve(spec, fine, "stokes", fields=(), observer=ref.observe)
         errs.append(pressure_error(coarse, ref, es))
     assert abs(errs[0] - errs[1]) <= 0.02 * errs[1]
@@ -601,8 +601,8 @@ def test_pressure_only_reference_keeps_no_velocity_history(small_space):
     fine = build_uniform_mesh(2.0, 2000)
     coarse = stokes_cn_solve(spec, build_alternating_mesh(2.0, 0.02, [0.8, 1.2]))
     specs = [ErrorSpec("pressure_L2l2"), ErrorSpec("pressure_Linfl2")]
-    streamed = StreamedReference(fine, space, [coarse], specs)
-    full = StreamedReference(fine, space, [coarse], specs)
+    streamed = StreamedReference(fine, space, [([coarse], specs)])
+    full = StreamedReference(fine, space, [([coarse], specs)])
     tracemalloc.start()
     try:
         ref = reference_solve(spec, fine, "stokes", fields=("pressure",),
