@@ -37,7 +37,6 @@ import numpy as np
 
 from cnflow import __version__
 from cnflow.errors import (
-    _NODE_BLOCK,
     NORMS,
     ConvergenceRecord,
     ErrorSpec,
@@ -173,19 +172,18 @@ class RunConfig:
             raise ConfigError("final time must be positive")
         # every mesh grows with T / min(k): before one is built, what the study
         # stores must fit in memory, the fields that the norms read of every
-        # coarse run and of one reference block, and the reference mesh must
+        # coarse run and of one reference interval, and the reference mesh must
         # pass reference_solve
         N0 = reference_intervals(self.T, self.k_list, self.refinement)
         coarse = [max(round(self.T / k), 1) for k in self.k_list]  # about T / k intervals
-        block = min(_NODE_BLOCK, N0)
-        rows = {"velocity": sum(coarse) + len(coarse) + block, "pressure": sum(coarse) + block}
+        rows = {"velocity": sum(coarse) + len(coarse) + 1, "pressure": sum(coarse) + 1}
         dims = {"velocity": 2 * (2 * self.nx + 1) * (2 * self.ny + 1),  # P2 nodes, two components
                 "pressure": (self.nx + 1) * (self.ny + 1)}  # P1 vertices
         need = 8 * sum(rows[f] * dims[f] for f in fields)
         have = physical_memory()
         if need > have:
             raise ConfigError(f"the {','.join(fields)} of {sum(coarse)} coarse intervals and "
-                              f"of a {block}-interval reference block need {need / 1e9:.3g} GB, "
+                              f"of one reference interval need {need / 1e9:.3g} GB, "
                               f"more than the {have / 1e9:.3g} GB of physical memory")
         if uniform_rho_bound(self.T, N0) > UNIFORM_RHO_TOL:
             raise ConfigError(f"the rounding of a uniform reference mesh of {N0} intervals "

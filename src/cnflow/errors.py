@@ -11,7 +11,7 @@ nodes alike, in the stiffness-weighted seminorm.
 
 The reference is a ``StreamedReference``: it takes the reference values
 interval by interval while the reference is solved, scores every coarse
-trajectory against them block by block and stores no field.
+trajectory against each one as it arrives and stores no field.
 """
 
 from dataclasses import dataclass, field
@@ -27,10 +27,6 @@ NORMS = {
     "pressure_Linfl2": ("pressure", np.inf),
     "velocity_LinfV1": ("velocity", np.inf),
 }
-# Reference samples evaluated together.  A block's values, coarse values and
-# their temporaries hold about four blocks of a field; the per-row spatial
-# norms, not the block size, set the time (the same from 16 to 256 rows).
-_NODE_BLOCK = 32
 
 
 def fields_read(error_specs):
@@ -141,41 +137,36 @@ def fit_loglog(k_values, errors):
     return RateFit(k, e, float(slope), pairwise)
 
 
-def midpoint_reconstruction(pressure, ts):
-    """Pressure samples read as midpoint values, interpolated in time.
+def _anchor_weights(anchors, ts):
+    """Indices ``lo``, ``hi`` and weights ``theta`` of the piecewise linear
+    interpolant through values at the ascending ``anchors``: its value at
+    ``ts[j]`` is ``(1 - theta[j]) * v[lo[j]] + theta[j] * v[hi[j]]``.
 
     The n-th piecewise-constant pressure value approximates the pressure
     at the interval midpoint (that is where it is second-order accurate),
-    so for comparison at other times the values are anchored at the
-    midpoints and interpolated piecewise linearly, with linear extension
-    beyond the outermost anchors.  Evaluating at the anchors themselves
-    returns the stored values exactly; in particular the reconstruction
-    of a trajectory at its own midpoints is the identity.
+    so for comparison at other times the pressure is anchored at the
+    midpoints; the piecewise linear velocity is anchored at the nodes.
+    Beyond the outermost anchors the interpolant extends linearly, and a
+    single anchor holds its value.  At an anchor the interpolant is the
+    stored value exactly; in particular a trajectory read at its own
+    midpoints is reconstructed bit for bit.
     """
-    anchors = pressure.mesh.midpoints
-    vals = pressure.values
-    ts = np.asarray(ts, dtype=float)
     if anchors.size == 1:
-        return np.broadcast_to(vals[0], (ts.size,) + vals.shape[1:]).copy()
-    seg = np.clip(np.searchsorted(anchors, ts), 1, anchors.size - 1)
-    theta = (ts - anchors[seg - 1]) / (anchors[seg] - anchors[seg - 1])
-    theta = theta.reshape((-1,) + (1,) * (vals.ndim - 1))
-    return (1.0 - theta) * vals[seg - 1] + theta * vals[seg]
-
-
-# field -> (its reference sample times on a mesh, the coarse field at times)
-_SAMPLING = {
-    "pressure": (lambda mesh: mesh.midpoints, midpoint_reconstruction),
-    "velocity": (lambda mesh: mesh.nodes, lambda velocity, ts: velocity.evaluate(ts)),
-}
+        zero = np.zeros(ts.size, dtype=int)
+        return zero, zero, np.zeros(ts.size)
+    hi = np.clip(np.searchsorted(anchors, ts), 1, anchors.size - 1)
+    lo = hi - 1
+    return lo, hi, (ts - anchors[lo]) / (anchors[hi] - anchors[lo])
 
 
 class _Samples:
     """The samples of one field of one coarse trajectory against a reference on
     ``mesh``: the spatial norm of the coarse field less the reference value at
     each reference sample time inside the window ``(t_{window_start}, T]``,
-    filled by ``feed`` as the reference values arrive in order.  ``error``
-    weighs and composes them in any norm of that field and window."""
+    filled by ``feed`` one reference value at a time, in order.  The
+    interpolation weights of the coarse field at those times are computed
+    once, here.  ``error`` weighs and composes the samples in any norm of
+    that field and window."""
 
     def __init__(self, traj, field, window_start, mesh, space):
         if traj.space is not None and space is not None and traj.space is not space:
@@ -184,42 +175,46 @@ class _Samples:
             raise ValueError(f"the trajectory did not store the {field}")
         if window_start >= traj.mesh.num_intervals:
             raise ValueError("window start leaves no intervals")
-        times, self._at = _SAMPLING[field]
-        times = times(mesh)
-        self._ts = times[times > traj.mesh.nodes[window_start]]
-        if not self._ts.size:
+        # the reference samples the pressure at its midpoints and the velocity
+        # at its nodes; the coarse field is anchored alike
+        times, anchors = ((mesh.midpoints, traj.mesh.midpoints) if field == "pressure"
+                          else (mesh.nodes, traj.mesh.nodes))
+        ts = times[times > traj.mesh.nodes[window_start]]
+        if not ts.size:
             raise ValueError("window contains no evaluation times")
+        self._interval = traj.mesh.interval_of(ts)  # refuses times beyond the coarse mesh
         # the window is a suffix of the ascending times
-        self._skip = times.size - self._ts.size
+        self._skip = times.size - ts.size
         space = traj.space or space
         if space is None:
             raise ValueError("error norms need a trajectory with a spatial space")
-        # one dot product x . (S x) per row of a block
-        S = space.pressure_mass if field == "pressure" else space.stiffness
-        self._norm = lambda d: np.sqrt([x @ (S @ x) for x in d])
-        self._field, self._coarse = field, getattr(traj, field)
+        self._S = space.pressure_mass if field == "pressure" else space.stiffness
+        self._field, self._c = field, getattr(traj, field).values
+        lo, hi, theta = _anchor_weights(anchors, ts)
+        self._weights = list(zip(lo.tolist(), hi.tolist(), theta.tolist()))
         self._mesh, self._k = traj.mesh, mesh.steps[0]  # the step of the L2 sum
-        self._q = np.empty(self._ts.size)
+        self._q = np.empty(ts.size)
         self._filled = 0
 
-    def feed(self, first, values):
-        """Take the reference ``values`` of the samples ``first, first + 1, ...``."""
-        width = self._coarse.values.shape[1]
-        if values.shape[1] != width:
-            raise ValueError(f"the reference {self._field} has {values.shape[1]} coefficients, "
+    def feed(self, i, value):
+        """Take the reference ``value`` of sample ``i``."""
+        width = self._c.shape[1]
+        if value.size != width:
+            raise ValueError(f"the reference {self._field} has {value.size} coefficients, "
                              f"the trajectory stores {width}")
-        lo, hi = max(first - self._skip, 0), first + len(values) - self._skip
-        if lo < hi:
-            d = self._at(self._coarse, self._ts[lo:hi])
-            d -= values[lo + self._skip - first:]
-            self._q[lo:hi] = self._norm(d)
-            self._filled = hi
+        j = i - self._skip
+        if j >= 0:
+            lo, hi, theta = self._weights[j]
+            d = (1.0 - theta) * self._c[lo] + theta * self._c[hi]
+            d -= value
+            self._q[j] = np.sqrt(d @ (self._S @ d))
+            self._filled = j + 1
 
     def error(self, spec):
         """The temporal norm of ``spec`` of the weighted samples."""
         if self._filled < self._q.size:
             raise ValueError("the reference ended before the window")
-        w = self._mesh.tau_values(spec.alpha)[self._mesh.interval_of(self._ts) - 1]
+        w = self._mesh.tau_values(spec.alpha)[self._interval - 1]
         return _compose(NORMS[spec.norm][1], w, self._q, self._k)
 
 
@@ -227,12 +222,11 @@ class StreamedReference:
     """A reference scored while it is solved, storing no field.
 
     Pass ``observe`` as the observer of the reference solve on ``mesh``: it
-    keeps one block of ``_NODE_BLOCK`` intervals of each field the norms read,
-    as wide as that field of the first interval, and hands every full block,
-    and the last one, to one sample array per distinct coarse trajectory,
-    field and window start of ``groups``, pairs ``(runs, error_specs)``.  The
-    trajectories must store those fields; ``pressure_error`` and
-    ``velocity_error`` compose any weight and order of a scored array.
+    hands each interval's value of every field the norms read to one sample
+    array per distinct coarse trajectory, field and window start of
+    ``groups``, pairs ``(runs, error_specs)``.  The trajectories must store
+    those fields; ``pressure_error`` and ``velocity_error`` compose any
+    weight and order of a scored array.
     """
 
     def __init__(self, mesh, space, groups):
@@ -240,30 +234,22 @@ class StreamedReference:
         # the midpoint rule weights every pressure sample with one reference step
         if "pressure" in fields and mesh.rho > 1.0 + UNIFORM_RHO_TOL:
             raise ValueError("reference mesh must be uniform")
-        self.mesh = mesh
         keys = dict.fromkeys((traj, NORMS[es.norm][0], es.window_start)
                              for runs, error_specs in groups for traj in runs for es in error_specs)
         self._samples = {key: _Samples(*key, mesh, space) for key in keys}
-        self._block = dict.fromkeys(fields)  # allocated on the first interval
+        self._fields = fields
         self._done = 0  # intervals observed
 
     def observe(self, u, p):
-        row = self._done % _NODE_BLOCK
-        for field, value in (("velocity", u), ("pressure", p)):
-            if field in self._block:
-                if value is None:
-                    raise ValueError(f"the reference gave no {field}")
-                if not self._done:
-                    rows = min(_NODE_BLOCK, self.mesh.num_intervals)
-                    self._block[field] = np.empty((rows, np.size(value)))
-                self._block[field][row] = value
+        values = {"velocity": u, "pressure": p}
+        for field in self._fields:
+            if values[field] is None:
+                raise ValueError(f"the reference gave no {field}")
         self._done += 1
-        if row + 1 == _NODE_BLOCK or self._done == self.mesh.num_intervals:
-            # interval n ends at velocity sample n (node n) and holds pressure
-            # sample n - 1 (midpoint n)
-            n = self._done - row  # first interval of the block
-            for (_, field, _), samples in self._samples.items():
-                samples.feed(n - (field == "pressure"), self._block[field][:row + 1])
+        # interval n ends at velocity sample n (node n) and holds pressure
+        # sample n - 1 (midpoint n)
+        for (_, field, _), samples in self._samples.items():
+            samples.feed(self._done - (field == "pressure"), values[field])
 
     def error(self, traj, spec):
         """The norm of ``spec`` of ``traj``, whose field and window were scored."""
@@ -284,10 +270,9 @@ def pressure_error(traj, ref, spec):
     """Midpoint-rule pressure error of ``traj`` against the
     ``StreamedReference`` ``ref`` that scored its window of ``spec``.
 
-    Both pressures are read as midpoint samples (see
-    ``midpoint_reconstruction``) and compared at the reference midpoints
-    inside the window, where the reference reconstruction is exactly its
-    values; the smoothing weight of the coarse interval containing each
+    Both pressures are read as midpoint samples (see ``_anchor_weights``)
+    and compared at the reference midpoints inside the window, where the
+    reference reconstruction is exactly its values; the smoothing weight of the coarse interval containing each
     midpoint multiplies the spatial norm of the difference.
     """
     return ref.error(traj, _field_norm(spec, "pressure"))

@@ -151,7 +151,6 @@ class Trajectory:
     mesh: object
     velocity: GridFunctionCG1 | None
     pressure: GridFunctionDG0 | None
-    scheme_tags: list
     space: object = None
     n0: int = 0
     newton_iterations: np.ndarray = None
@@ -206,7 +205,7 @@ def _march(spec, mesh, n0, kind, advance, fields=FIELDS, observer=None):
         if observer is not None:
             observer(u, p)
     return Trajectory(mesh, None if vel is None else GridFunctionCG1(mesh, vel),
-                      None if prs is None else GridFunctionDG0(mesh, prs), tags, space, n0)
+                      None if prs is None else GridFunctionDG0(mesh, prs), space, n0)
 
 
 def stokes_cn_solve(spec, mesh, n0=0, fields=FIELDS, observer=None):

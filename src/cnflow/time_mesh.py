@@ -1,10 +1,8 @@
 """Temporal meshes and the discrete smoothing weight.
 
 A mesh covers ``[0, T]`` with nodes ``0 = t_0 < ... < t_N = T``; interval
-``n`` (1-based) is the half-open ``(t_{n-1}, t_n]``.  Two regularity
-numbers are tracked: the adjacency ratio ``kappa`` (largest ratio of
-neighbouring steps) and the global ratio ``rho`` (largest step over
-smallest step).
+``n`` (1-based) is the half-open ``(t_{n-1}, t_n]``.  Its regularity is
+tracked by the global ratio ``rho`` (largest step over smallest step).
 
 The smoothing weight is the piecewise-constant discretization of
 ``min(t, 1)``: on interval ``n`` it takes the value ``min(t_{n-1}, 1)``,
@@ -40,10 +38,7 @@ class TimeMesh:
         self.num_intervals = steps.size
         self.T = float(nodes[-1])
         self.k_max = float(steps.max())
-        self.k_min = float(steps.min())
-        ratio = steps[1:] / steps[:-1]
-        self.kappa = float(max(ratio.max(), (1.0 / ratio).max())) if ratio.size else 1.0
-        self.rho = self.k_max / self.k_min
+        self.rho = self.k_max / float(steps.min())
         for a in (self.nodes, self.steps, self.midpoints):
             a.flags.writeable = False
 

@@ -487,25 +487,25 @@ def test_overflowing_loads_exit_code_before_any_solve(tmp_path, capsys, experime
 
 
 def test_reference_beyond_physical_memory_exit_code(tmp_path, monkeypatch, capsys):
-    # physical memory is read from the machine: one page cannot hold even
-    # the fields the tiny run stores
+    # physical memory is read from the machine: one 2,048-byte page cannot
+    # hold even the 2,600 bytes of fields the tiny run stores
     sysconf = os.sysconf
-    monkeypatch.setattr(os, "sysconf",
-                        lambda name: 1 if name == "SC_PHYS_PAGES" else sysconf(name))
+    memory = {"SC_PAGE_SIZE": 2048, "SC_PHYS_PAGES": 1}
+    monkeypatch.setattr(os, "sysconf", lambda name: memory.get(name) or sysconf(name))
     assert main(["convergence", "--out", str(tmp_path / "run")] + tiny_overrides()) == 2
     assert "of physical memory" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
 def test_memory_guard_counts_the_stored_fields(tmp_path, monkeypatch, capsys):
-    # the tiny run stores 12 x 25 coarse and 32 x 25 reference-block pressure
-    # values (8,800 bytes) or 14 x 162 coarse and 32 x 162 reference-block
-    # velocity values (59,616 bytes); the memory lies between
+    # the tiny run stores 12 x 25 coarse and 1 x 25 reference-interval
+    # pressure values (2,600 bytes) or 14 x 162 coarse and 1 x 162
+    # reference-interval velocity values (19,440 bytes); one 4,096-byte page
+    # lies between
     sysconf = os.sysconf
-    pages = 16384 // sysconf("SC_PAGE_SIZE")
-    monkeypatch.setattr(os, "sysconf",
-                        lambda name: pages if name == "SC_PHYS_PAGES" else sysconf(name))
-    assert 6400 < cli.physical_memory() < 42768
+    memory = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1}
+    monkeypatch.setattr(os, "sysconf", lambda name: memory.get(name) or sysconf(name))
+    assert cli.physical_memory() == 4096
     args = ["convergence", "--out", str(tmp_path / "run")] + tiny_overrides()
     assert main(args) == 0
     assert main(args + ["--set", "norms=velocity_LinfV1"]) == 2

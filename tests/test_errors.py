@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from cnflow.errors import (
-    _NODE_BLOCK,
     NORMS,
     ConvergenceRecord,
     ErrorSpec,
     StreamedReference,
+    _anchor_weights,
+    _Samples,
     fit_loglog,
-    midpoint_reconstruction,
     pressure_error,
     velocity_error,
 )
@@ -50,8 +50,7 @@ def synthetic_traj(mesh, pressures, velocities=None, space=None):
     if velocities is None:
         velocities = np.zeros((mesh.num_intervals + 1, pressures.shape[1]))
     return Trajectory(mesh, GridFunctionCG1(mesh, velocities),
-                      GridFunctionDG0(mesh, pressures),
-                      ["CN"] * mesh.num_intervals, space)
+                      GridFunctionDG0(mesh, pressures), space)
 
 
 def replay(ref, runs, specs):
@@ -165,35 +164,45 @@ def test_pressure_error_synthetic_offset():
     assert score(traj, ref, spec2) == pytest.approx(np.sqrt(3) * k, rel=1e-12)
 
 
-def test_midpoint_reconstruction_identity_at_anchors():
+def interpolate(anchors, vals, ts):
+    """The interpolant of ``vals`` at the ``anchors``, read at ``ts``
+    through ``_anchor_weights``."""
+    lo, hi, theta = _anchor_weights(anchors, ts)
+    theta = theta.reshape((-1,) + (1,) * (vals.ndim - 1))
+    return (1.0 - theta) * vals[lo] + theta * vals[hi]
+
+
+def test_anchor_weights_identity_at_anchors():
     mesh = build_alternating_mesh(1.0, 0.13, [0.8, 1.2])
-    rng = np.random.default_rng(4)
-    vals = rng.standard_normal((mesh.num_intervals, 2))
-    f = GridFunctionDG0(mesh, vals)
-    got = midpoint_reconstruction(f, mesh.midpoints)
-    assert np.allclose(got, vals, rtol=0, atol=1e-15)
+    vals = np.random.default_rng(4).standard_normal((mesh.num_intervals, 2))
+    assert np.array_equal(interpolate(mesh.midpoints, vals, mesh.midpoints), vals)
 
 
 @settings(max_examples=40, deadline=None)
 @given(steps=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=12),
        seed=st.integers(0, 2**32 - 1))
-def test_midpoint_reconstruction_identity_on_random_meshes(steps, seed):
+def test_anchor_weights_identity_on_random_meshes(steps, seed):
     # read at its own midpoints, a trajectory is reconstructed bit for bit
     mesh = TimeMesh(np.concatenate([[0.0], np.cumsum(steps)]))
     vals = np.random.default_rng(seed).standard_normal((mesh.num_intervals, 3))
-    got = midpoint_reconstruction(GridFunctionDG0(mesh, vals), mesh.midpoints)
-    assert np.array_equal(got, vals)
+    assert np.array_equal(interpolate(mesh.midpoints, vals, mesh.midpoints), vals)
 
 
-def test_midpoint_reconstruction_linear_exact():
+def test_anchor_weights_linear_exact():
     # anchors of a linear-in-time pressure reproduce the line everywhere,
     # including the extension zones beyond the outermost anchors
     mesh = build_uniform_mesh(1.0, 5)
-    vals = (3.0 * mesh.midpoints - 1.0).reshape(-1, 1)
-    f = GridFunctionDG0(mesh, vals)
+    vals = 3.0 * mesh.midpoints - 1.0
     ts = np.array([0.02, 0.1, 0.33, 0.77, 0.98])
-    assert np.allclose(midpoint_reconstruction(f, ts).ravel(), 3.0 * ts - 1.0,
-                       rtol=1e-13)
+    assert np.allclose(interpolate(mesh.midpoints, vals, ts), 3.0 * ts - 1.0, rtol=1e-13)
+
+
+def test_anchor_weights_single_anchor_holds_its_value():
+    vals = np.array([[2.5, -1.0]])
+    ts = np.array([0.1, 0.5, 0.9])
+    lo, hi, theta = _anchor_weights(np.array([0.5]), ts)
+    assert lo.tolist() == hi.tolist() == [0, 0, 0] and theta.tolist() == [0.0] * 3
+    assert np.array_equal(interpolate(np.array([0.5]), vals, ts), np.repeat(vals, 3, axis=0))
 
 
 def test_window_excludes_prefix():
@@ -262,6 +271,41 @@ def test_pressure_error_scaling_linearity():
     e1 = score(synthetic_traj(coarse, 1e-3 * base), ref, spec)
     e2 = score(synthetic_traj(coarse, 1e-6 * base), ref, spec)
     assert e1 / e2 == pytest.approx(1e3, rel=1e-9)
+
+
+@pytest.mark.parametrize("norm", ["pressure_L2l2", "velocity_LinfV1"])
+def test_coarse_mesh_ending_before_the_reference_rejected(norm):
+    # the reference samples past t = 0.5 lie beyond the coarse mesh: refused
+    # when the stream is built, before any interval is observed
+    traj = synthetic_traj(build_uniform_mesh(0.5, 4), np.zeros((4, 2)))
+    with pytest.raises(ValueError, match="beyond final node"):
+        StreamedReference(build_uniform_mesh(1.0, 16), traj.space, [([traj], [ErrorSpec(norm)])])
+
+
+def test_samples_take_one_reference_interval_at_a_time(monkeypatch):
+    # each sample array is fed every reference interval as it arrives, one
+    # row per call: velocity sample n and pressure sample n - 1 of interval n
+    fed = []
+    feed = _Samples.feed
+
+    def spy(self, i, value):
+        fed.append((self, i, value.shape))
+        return feed(self, i, value)
+
+    monkeypatch.setattr(_Samples, "feed", spy)
+    fine, coarse = build_uniform_mesh(1.0, 40), build_uniform_mesh(1.0, 5)
+    rng = np.random.default_rng(41)
+    ref = synthetic_traj(fine, rng.standard_normal((40, 3)), rng.standard_normal((41, 3)))
+    run = synthetic_traj(coarse, rng.standard_normal((5, 3)), rng.standard_normal((6, 3)))
+    streamed = replay(ref, [run], [ErrorSpec("pressure_L2l2"), ErrorSpec("velocity_LinfV1", 1.0, 2),
+                                   ErrorSpec("pressure_Linfl2", 0.0, 1)])
+    arrays = {(field, window): samples
+              for (_, field, window), samples in streamed._samples.items()}
+    assert len(arrays) == 3
+    for (field, _), samples in arrays.items():
+        first = 0 if field == "pressure" else 1
+        assert [(i, shape) for s, i, shape in fed if s is samples] == [
+            (i, (3,)) for i in range(first, first + 40)]
 
 
 def test_empty_window_rejected():
@@ -357,7 +401,7 @@ def test_velocity_errors_on_space(small_space):
 
 
 def test_velocity_linf_is_the_node_by_node_formula_bitwise(small_space):
-    # more reference nodes than one evaluation block, with and without a window
+    # 600 reference nodes, with and without a window
     space = small_space
     fine, coarse = build_uniform_mesh(1.0, 600), build_alternating_mesh(1.0, 0.1, (0.8, 1.2))
     rng = np.random.default_rng(29)
@@ -378,9 +422,9 @@ def test_velocity_linf_is_the_node_by_node_formula_bitwise(small_space):
 
 
 def test_pressure_norms_are_the_sample_by_sample_formula_bitwise(small_space):
-    # more reference midpoints than one evaluation block, with and without a
-    # window and weight, for each pressure norm on the Taylor-Hood space and
-    # on the Euclidean space of as many coefficients
+    # 600 reference midpoints, with and without a window and weight, for
+    # each pressure norm on the Taylor-Hood space and on the Euclidean space
+    # of as many coefficients
     space = small_space
     fine, coarse = build_uniform_mesh(1.0, 600), build_alternating_mesh(1.0, 0.1, (0.8, 1.2))
     rng = np.random.default_rng(31)
@@ -391,8 +435,14 @@ def test_pressure_norms_are_the_sample_by_sample_formula_bitwise(small_space):
     for window_start, alpha in ((0, 0.0), (3, 1.5)):
         mask = fine.midpoints > coarse.nodes[window_start]
         ts = fine.midpoints[mask]
-        d = [midpoint_reconstruction(traj.pressure, [t])[0] - r
-             for t, r in zip(ts, ref.pressure.values[mask])]
+        m, c = coarse.midpoints, traj.pressure.values
+        d = []
+        for t, r in zip(ts, ref.pressure.values[mask]):
+            # the line through the two coarse midpoints nearest t, extended
+            # beyond the first and the last
+            i = min(max(np.searchsorted(m, t), 1), m.size - 1)
+            theta = (t - m[i - 1]) / (m[i] - m[i - 1])
+            d.append((1.0 - theta) * c[i - 1] + theta * c[i] - r)
         w = coarse.tau_values(alpha)[coarse.interval_of(ts) - 1]
         for on, q in ((space, np.sqrt([x @ (Mp @ x) for x in d])),
                       (euclidean_space(space.num_pressure), np.sqrt([np.dot(x, x) for x in d]))):
@@ -404,15 +454,13 @@ def test_pressure_norms_are_the_sample_by_sample_formula_bitwise(small_space):
 
 
 def test_streamed_reference_gives_the_stored_reference_bits(small_space):
-    # a 300-interval Stokes reference spans several blocks; the weighted
-    # window of the coarse runs starts inside the first one
+    # a 300-interval Stokes reference scored as it is solved equals the
+    # stored one replayed, with and without a weighted window
     spec = ProblemSpec(small_space, 0.01, SeparableForcing(
         lambda t: t * t * np.exp(-t), lambda x, y: (np.cos(x) * y, np.sin(y) * x)), None, 0.3)
     fine = build_uniform_mesh(0.3, 300)
     runs = [stokes_cn_solve(spec, build_alternating_mesh(0.3, k, (0.8, 1.2)))
             for k in (0.02, 0.01)]
-    assert fine.num_intervals > 2 * _NODE_BLOCK
-    assert 0 < np.searchsorted(fine.midpoints, runs[0].mesh.nodes[1]) < _NODE_BLOCK
     specs = [ErrorSpec(norm, alpha, window_start)
              for norm in NORMS for alpha, window_start in ((0.0, 0), (2.0, 1))]
     streamed = StreamedReference(fine, small_space, [(runs, specs)])

@@ -11,18 +11,15 @@ from cnflow.time_mesh import (
 )
 
 
-def brute_force_ratios(nodes):
+def brute_force_rho(nodes):
     steps = np.diff(nodes)
-    kappa = 1.0
-    for a, b in zip(steps[:-1], steps[1:]):
-        kappa = max(kappa, a / b, b / a)
-    return kappa, steps.max() / steps.min()
+    return steps.max() / steps.min()
 
 
 def test_uniform_mesh_nodes():
     mesh = build_uniform_mesh(2.0, 4)
     assert np.allclose(mesh.nodes, [0.0, 0.5, 1.0, 1.5, 2.0])
-    assert mesh.kappa == 1.0 and mesh.rho == 1.0
+    assert mesh.rho == 1.0
 
 
 def test_uniform_single_interval():
@@ -65,12 +62,7 @@ def test_alternating_first_steps():
 def test_alternating_trivial_pattern_is_uniform():
     mesh = build_alternating_mesh(1.0, 0.1, [1.0])
     assert mesh.num_intervals == 10
-    assert mesh.kappa == pytest.approx(1.0, abs=1e-12)
-
-
-def test_alternating_kappa_matches_pattern_ratio():
-    mesh = build_alternating_mesh(2.0, 0.02, [0.8, 1.2])
-    assert mesh.kappa == pytest.approx(1.5, rel=1e-12)
+    assert mesh.rho == pytest.approx(1.0, abs=1e-12)
 
 
 def test_alternating_invalid_factor():
@@ -96,7 +88,7 @@ def test_alternating_nondivisible_final_step_adjusted():
     mesh = build_alternating_mesh(0.95, 0.1, [1.0])
     assert mesh.nodes[-1] == 0.95
     assert abs(mesh.steps.sum() - 0.95) <= 1e-12 * 0.95
-    assert mesh.kappa <= 1.5 + 1e-12
+    assert mesh.rho <= 1.5 + 1e-12
 
 
 def test_step_sums_and_ratio_recomputation():
@@ -104,9 +96,7 @@ def test_step_sums_and_ratio_recomputation():
                  build_alternating_mesh(2.0, 0.02, [0.8, 1.2]),
                  build_alternating_mesh(1.3, 0.07, [1.1, 0.9, 1.0])):
         assert abs(mesh.steps.sum() - mesh.T) <= 1e-12 * mesh.T
-        kappa, rho = brute_force_ratios(mesh.nodes)
-        assert mesh.kappa == pytest.approx(kappa, rel=1e-12)
-        assert mesh.rho == pytest.approx(rho, rel=1e-12)
+        assert mesh.rho == pytest.approx(brute_force_rho(mesh.nodes), rel=1e-12)
 
 
 def test_nodes_validation():
