@@ -166,23 +166,17 @@ class StabilityReport:
 _TRIAL_DECAY = -1.2  # spectral decay exponent of the random trial data
 
 
-def _random_trial(rng, lam, s):
-    """Mesh-independent random data: an initial field and the coefficients of
-    a smooth forcing.
+def _scaled_trial(z0, zb, lam, s):
+    """Mesh-independent random data, elementwise from the normals ``z0`` ``(..., M)``
+    and ``zb`` ``(3, ..., M)``: an initial field and the coefficients of a smooth forcing.
 
     The initial coefficients ``c0`` decay like ``lambda^(-s/2) j^-1.2`` and
     the forcing, ``b[0] + b[1] cos(pi t/T) + b[2] sin(2 pi t/T)`` per mode
-    with ``b`` of shape ``(3, M)``, like ``lambda^((1-s)/2) j^-1.2``, so
+    with ``b`` of shape ``(3, ..., M)``, like ``lambda^((1-s)/2) j^-1.2``, so
     that their V^s and L2(V^{s-1}) sizes depend on neither ``s`` nor the time
-    mesh: refinement studies rediscretize the same underlying data.
+    mesh: refinement studies rediscretize the same underlying data.  A block of
+    trials gets the bits of each trial scaled alone.
     """
-    return _scaled_trial(rng.standard_normal(lam.size), rng.standard_normal((3, lam.size)),
-                         lam, s)
-
-
-def _scaled_trial(z0, zb, lam, s):
-    """``_random_trial`` from its normals ``z0`` ``(..., M)`` and ``zb`` ``(3, ..., M)``,
-    elementwise: a block of trials gets the bits of each trial scaled alone."""
     j = np.arange(1, lam.size + 1, dtype=float)
     c0 = z0 * lam ** (-s / 2.0) * j ** _TRIAL_DECAY
     b = zb * (lam ** ((1.0 - s) / 2.0) * j ** _TRIAL_DECAY)
@@ -190,8 +184,8 @@ def _scaled_trial(z0, zb, lam, s):
 
 
 def _trial_normals(rng_seed, trial_count, M):
-    """The normals ``_random_trial`` draws from ``default_rng([rng_seed, t])`` for every
-    trial ``t``, as a ``(trials, M)`` and a ``(3, trials, M)`` block."""
+    """The normals of every trial ``t``, drawn from ``default_rng([rng_seed, t])``,
+    as a ``(trials, M)`` and a ``(3, trials, M)`` block."""
     z0, zb = np.empty((trial_count, M)), np.empty((3, trial_count, M))
     for t in range(trial_count):
         rng = np.random.default_rng([rng_seed, t])
@@ -213,7 +207,7 @@ def _time_factors(mesh):
 
 def _trial_forcing(phi, b, out=None, term=None):
     """Interval averages of the forcing of coefficients ``b`` (see
-    ``_random_trial``) from the averaged time factors ``phi``: the forcing is
+    ``_scaled_trial``) from the averaged time factors ``phi``: the forcing is
     separable in time, so this is the same Gauss rule regrouped.  ``phi`` is
     the ``(N, 3)`` block or one row of it.  An explicit three-term sum, into
     ``out`` and ``term`` if given, so the bits do not depend on the BLAS build."""
@@ -222,21 +216,24 @@ def _trial_forcing(phi, b, out=None, term=None):
     return np.add(out, np.multiply(phi[..., 2:], b[2], out=term), out=out)
 
 
-def _order_weights(lam, s):
-    """Rows ``lam^(s-1)``, ``lam^s`` and ``lam^(s+1)``: the V^{s-1}, V^s, V^{s+1} weights."""
-    return np.stack([lam ** (s - 1), lam ** s, lam ** (s + 1)])
+def _order_weights(lam):
+    """Rows ``lam^-1``, ``1`` and ``lam``: the V^{-1}, V^0 and V^1 weights."""
+    return np.stack([1.0 / lam, np.ones_like(lam), lam])
 
 
-def _trial_rows(s, lower_level, n0, mesh, normals, lam):
-    """Per-trial norm rows of one evolution of the trial ``normals``: V^s per node, then
-    per interval V^{s+1} of the average, V^{s-1} of d/dt and of the forcing and, if
-    ``lower_level``, V^s of the average and of d/dt.  The trials step as one block,
-    storing no trajectory.  Each interval squares ``new``, ``prev + new``, ``new - prev`` and
-    the forcing once, and weighs for each order the squares it reads in one BLAS product."""
+def _trial_rows(lower_level, n0, mesh, normals, lam):
+    """Per-trial norm rows of one evolution of the trial ``normals``, the rows of every
+    ``s``: V^s per node, then per interval V^{s+1} of the average, V^{s-1} of d/dt and
+    of the forcing and, if ``lower_level``, V^s of the average and of d/dt.  The steps
+    are diagonal and linear, so in the coordinates ``lam^(s/2) c`` the data of ``s`` is
+    the ``s = 0`` data and its V^{s+r} norms are their V^r norms: the trials evolve in
+    them as one block, storing no trajectory.  Each interval squares ``new``,
+    ``prev + new``, ``new - prev`` and the forcing once, and weighs for each order the
+    squares it reads in one BLAS product."""
     N, trials = mesh.num_intervals, len(normals[0])
     phi = _time_factors(mesh)  # once per mesh, not per trial
-    lower, same, upper = _order_weights(lam, s)
-    c0, b = _scaled_trial(*normals, lam, s)
+    lower, same, upper = _order_weights(lam)
+    c0, b = _scaled_trial(*normals, lam, 0)
     squares = np.empty((4, trials, lam.size))  # new, prev + new, new - prev, f
     # squared, at node n + 1 (interval n): avg V^{s+1} | d/dt, f V^{s-1} | node, avg, d/dt V^s
     norms = np.zeros((N + 1, 6 if lower_level else 4, trials))
@@ -299,22 +296,21 @@ def stability_reports(checks, ladders, trial_count=50, rng_seed=0, eigenvalues=N
     order ``s`` for both the average and, with a factor ``k``, the
     derivative).  Level 0 from ``n0 = 0`` is the unweighted discrete
     stability estimate.  Trials are seeded from ``(rng_seed, trial)``, their
-    normals drawn once per call.  The checks of one ``s``, ``n0`` and
-    ``ell >= 1`` share one evolution per rung, stepped on the first one's mesh:
-    all compose it before the next steps, each on its own mesh of equal nodes.
+    normals drawn once per call.  Every ``s`` composes the same rows (``_trial_rows``), so
+    the checks of one ``ell >= 1``, ``n0`` and ladder of mesh nodes share one evolution per
+    rung, stepped on the first one's mesh; each composes it on its own mesh.
     """
     lam = default_spectrum() if eigenvalues is None else _checked_spectrum(eigenvalues)
     if trial_count < 1:
         raise ValueError(f"trial_count must be at least 1, got {trial_count}")
     normals = _trial_normals(rng_seed, trial_count, lam.size)
     groups, reports = {}, [[] for _ in checks]
-    for i, (s, ell, n0) in enumerate(checks):
-        groups.setdefault((s, ell >= 1, n0), []).append(i)
-    for (s, lower_level, n0), members in groups.items():
-        if len({tuple(mesh.nodes.tobytes() for mesh in ladders[i]) for i in members}) > 1:
-            raise ValueError("checks that share their trials need ladders of equal meshes")
+    for i, (_, ell, n0) in enumerate(checks):
+        nodes = tuple(mesh.nodes.tobytes() for mesh in ladders[i])
+        groups.setdefault((ell >= 1, n0, nodes), []).append(i)
+    for (lower_level, n0, _), members in groups.items():
         for j, mesh in enumerate(ladders[members[0]]):
-            rows = _trial_rows(s, lower_level, n0, mesh, normals, lam)
+            rows = _trial_rows(lower_level, n0, mesh, normals, lam)
             for i in members:
                 reports[i].append(_report(rows, *checks[i], ladders[i][j], trial_count, rng_seed))
     return reports

@@ -117,12 +117,10 @@ _GAUSS2_THETA = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
 def _compose(p, w, q, k=None):
     """Temporal composition of weighted samples ``q`` with weights ``w``:
     ``sqrt(sum k (w q)^2)`` with steps ``k`` for ``p == 2``, ``max(w q)`` for
-    ``p == inf``."""
+    ``p == inf`` (the only other ``p`` its callers pass)."""
     if p == 2:
         return float(np.sqrt(np.sum(k * (w * q) ** 2)))
-    if np.isinf(p):
-        return float(np.max(w * q))
-    raise ValueError("p must be 2 or inf")
+    return float(np.max(w * q))
 
 
 def _row_norms(spatial_norm, rows):
@@ -159,6 +157,8 @@ def weighted_temporal_norm(f, alpha, p, spatial_norm, window=None):
     is the larger endpoint norm (the norm along an affine segment is
     convex, so the interval supremum sits at an endpoint).
     """
+    if not (p == 2 or np.isinf(p)):  # before any spatial norm runs
+        raise ValueError("p must be 2 or inf")
     mesh = f.mesh
     N = mesh.num_intervals
     if window is None:

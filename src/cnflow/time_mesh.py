@@ -41,6 +41,7 @@ class TimeMesh:
         self.rho = self.k_max / float(steps.min())
         for a in (self.nodes, self.steps, self.midpoints):
             a.flags.writeable = False
+        self._tau = {}  # alpha -> read-only weights, built on first use
 
     def interval_of(self, t):
         """1-based index of the interval ``(t_{n-1}, t_n]`` containing ``t``.
@@ -61,13 +62,16 @@ class TimeMesh:
         Uses the convention ``0**0 == 1`` so ``alpha = 0`` gives the
         unweighted (all-ones) profile including the first interval.  The
         weight at times ``t`` is ``tau_values(alpha)[interval_of(t) - 1]``.
+        The array is built once per ``alpha`` and read-only.
         """
-        if alpha < 0.0:
-            raise ValueError("weight exponent must be nonnegative")
-        base = np.minimum(self.nodes[:-1], 1.0)
-        if alpha == 0.0:
-            return np.ones_like(base)
-        return base ** alpha
+        if not 0.0 <= alpha < np.inf:
+            raise ValueError(f"weight exponent must be nonnegative and finite, got {alpha}")
+        if alpha not in self._tau:
+            base = np.minimum(self.nodes[:-1], 1.0)
+            w = np.ones_like(base) if alpha == 0.0 else base ** alpha
+            w.flags.writeable = False
+            self._tau[alpha] = w
+        return self._tau[alpha]
 
 
 UNIFORM_RHO_TOL = 1e-9  # largest rho - 1 of a mesh that counts as uniform

@@ -173,10 +173,20 @@ def stored_trial(mesh, eigenvalues, c0, forcing_values, n0=0):
     return GridFunctionCG1(mesh, [f.coefficients for f in states])
 
 
+def _random_trial(rng, lam, s):
+    """One trial's data for ``s``, drawn from ``rng`` as ``spectral_stokes._trial_normals``
+    draws it and scaled by ``spectral_stokes._scaled_trial``: ``(c0, b)``."""
+    from cnflow.spectral_stokes import _scaled_trial
+
+    return _scaled_trial(rng.standard_normal(lam.size), rng.standard_normal((3, lam.size)),
+                         lam, s)
+
+
 def stability_ratios_oracle(s, ell, n0, mesh, trial_count, rng_seed, eigenvalues):
     """The ratios of ``spectral_stokes.stability_reports`` for one check on one
-    mesh, trial by trial, each trajectory stored in full."""
-    from cnflow.spectral_stokes import _random_trial, _time_factors, _trial_forcing
+    mesh, trial by trial, each trajectory stored in full: each ``s`` scales its own
+    data and evolves it alone."""
+    from cnflow.spectral_stokes import _time_factors, _trial_forcing
     from cnflow.temporal_ops import GridFunctionDG0
 
     lam = np.asarray(eigenvalues, dtype=float)
@@ -193,10 +203,10 @@ def stability_ratios_oracle(s, ell, n0, mesh, trial_count, rng_seed, eigenvalues
 
 def trial_rows_oracle(s, lower_level, n0, mesh, normals, eigenvalues):
     """The rows of ``spectral_stokes._trial_rows`` for the trial ``normals``, trial by
-    trial, each trajectory stored in full: the V^s norm per node, then per interval the
-    V^{s+1} norm of the average, the V^{s-1} norms of d/dt and of the forcing and, if
-    ``lower_level``, the V^s norms of the average and of d/dt, zero on the intervals
-    before ``n0``.  Each row is ``(N + 1, trials)`` or ``(N, trials)``."""
+    trial, each trajectory of the data of ``s`` stored in full: the V^s norm per node,
+    then per interval the V^{s+1} norm of the average, the V^{s-1} norms of d/dt and of
+    the forcing and, if ``lower_level``, the V^s norms of the average and of d/dt, zero
+    on the intervals before ``n0``.  Each row is ``(N + 1, trials)`` or ``(N, trials)``."""
     from cnflow.spectral_stokes import _scaled_trial, _time_factors, _trial_forcing, vs_row_norm
     from cnflow.temporal_ops import average, time_derivative
 

@@ -382,10 +382,10 @@ def test_run_verify_spectral_smoothing(tmp_path, target):
 
 
 @pytest.mark.parametrize("target, meshes", [
-    ("spectral-stability", [16, 32, 64] * 3),  # s = 0, 1, 2
-    ("spectral-smoothing", [64, 128, 256] * 2)])  # s = 1 (ell = 1, 2 share), then s = 2
+    ("spectral-stability", [16, 32, 64]),  # s = 0, 1, 2 share
+    ("spectral-smoothing", [64, 128, 256])])  # (1,1), (1,2) and (2,1) share
 def test_run_verify_steps_each_shared_evolution_once(tmp_path, monkeypatch, target, meshes):
-    # one evolution per (s, ell >= 1, n0) and mesh, and one seeding per trial
+    # one evolution per (ell >= 1, n0, ladder) and mesh, and one seeding per trial
     stepped, seeded = [], []
     evolve_cn, default_rng = spectral_stokes.evolve_cn, np.random.default_rng
 

@@ -348,7 +348,8 @@ def test_smoothing_single_mode_ratio_finite():
 def test_smoothing_coarse_ratio_bounds_finer_forced_trials():
     # with zero initial data and random forcing, the coarse-mesh constant
     # bounds the finer-mesh trials up to modest slack
-    from cnflow.spectral_stokes import _random_trial, _time_factors, _trial_forcing
+    from cnflow.spectral_stokes import _time_factors, _trial_forcing
+    from oracles import _random_trial
 
     lam = default_spectrum(96)
     coarse = verify_smoothing_stability(1, 1, 0, build_uniform_mesh(1.0, 64), trial_count=20,
@@ -371,8 +372,9 @@ def test_smoothing_coarse_ratio_bounds_finer_forced_trials():
 def test_trial_forcing_is_the_gauss_rule_of_the_forcing(N, s):
     # the averaged time factors, combined per trial, against the 3-point
     # Gauss rule applied to the whole forcing at every point
-    from cnflow.spectral_stokes import _random_trial, _time_factors, _trial_forcing
+    from cnflow.spectral_stokes import _time_factors, _trial_forcing
     from cnflow.temporal_ops import gauss_rule
+    from oracles import _random_trial
 
     mesh = build_uniform_mesh(0.7, N)
     lam = default_spectrum()
@@ -408,24 +410,24 @@ def test_stability_ratios_average_the_forcing_once(monkeypatch):
 
 
 def test_stability_ratios_build_their_norms_once(monkeypatch):
-    # the weights of the V^{s-1}, V^s and V^{s+1} norms, once per evolution
+    # the weights of the V^-1, V^0 and V^1 norms, once per evolution
     from cnflow import spectral_stokes
     from cnflow.spectral_stokes import _order_weights
 
     built = []
 
-    def spy(eigenvalues, s):
-        built.append(s)
-        return _order_weights(eigenvalues, s)
+    def spy(eigenvalues):
+        built.append(eigenvalues.size)
+        return _order_weights(eigenvalues)
 
     monkeypatch.setattr(spectral_stokes, "_order_weights", spy)
     stepped = spy_steps(monkeypatch)
     verify_smoothing_stability(1, 1, 2, build_uniform_mesh(1.0, 32), trial_count=6)
-    # the (1,1) and (1,2) checks share one evolution per rung
-    checks = [(1, 1, 0), (1, 2, 0), (2, 0, 0)]
+    # the (1,1), (1,2) and (2,1) checks share one evolution per rung, as do (2,0) and (1,0)
+    checks = [(1, 1, 0), (1, 2, 0), (2, 1, 0), (2, 0, 0), (1, 0, 0)]
     ladders = [[build_uniform_mesh(1.0, N) for N in (8, 16)] for _ in checks]
     stability_reports(checks, ladders, 3, 0, default_spectrum(8))
-    assert built == [1, 1, 1, 2, 2]
+    assert built == [256, 8, 8, 8, 8]
     assert len(stepped) == len(built)
 
 
@@ -434,13 +436,13 @@ def test_stability_ratios_build_their_norms_once(monkeypatch):
 @pytest.mark.parametrize("s", [0, 1, 2])
 def test_trial_rows_match_the_stored_oracle(s, lower_level, n0):
     # each interval's squares weighed by BLAS products, against vs_row_norm on the
-    # stored trajectory of each trial
+    # stored trajectory of each trial: one set of rows serves every s
     from cnflow.spectral_stokes import _trial_normals, _trial_rows
 
     mesh = build_alternating_mesh(1.0, 1.0 / 24, (0.5, 1.5))
     lam = default_spectrum()
     normals = _trial_normals(11, 7, lam.size)
-    got = _trial_rows(s, lower_level, n0, mesh, normals, lam)
+    got = _trial_rows(lower_level, n0, mesh, normals, lam)
     want = trial_rows_oracle(s, lower_level, n0, mesh, normals, lam)
     assert [row.shape for row in got] == [row.shape for row in want]
     assert len(got) == (6 if lower_level else 4)
@@ -500,18 +502,25 @@ def test_smoothing_levels_share_one_evolution(monkeypatch):
     [[build_uniform_mesh(1.0, 16)], [build_uniform_mesh(2.0, 16)]],
     [[build_uniform_mesh(1.0, 16)], [build_uniform_mesh(1.0, 16), build_uniform_mesh(1.0, 32)]]])
 def test_checks_that_share_trials_need_equal_meshes(monkeypatch, ladders):
-    # the second level would compose an evolution stepped on another mesh
+    # checks on unequal ladders share no evolution: each steps its own rungs
+    # and reports the ratios it reports alone
     stepped = spy_steps(monkeypatch)
-    with pytest.raises(ValueError, match="equal meshes"):
-        stability_reports([(1, 1, 0), (1, 2, 0)], ladders, 3, 0, default_spectrum(8))
-    assert stepped == []
+    checks = [(1, 1, 0), (2, 2, 0)]
+    reports = stability_reports(checks, ladders, 3, 0, default_spectrum(8))
+    assert len(stepped) == sum(len(ladder) for ladder in ladders)
+    for check, ladder, got in zip(checks, ladders, reports):
+        alone = stability_reports([check], [ladder], 3, 0, default_spectrum(8))[0]
+        assert [r.num_intervals for r in got] == [mesh.num_intervals for mesh in ladder]
+        assert [r.ratios.tobytes() for r in got] == [r.ratios.tobytes() for r in alone]
+        assert [r.csv_row() for r in got] == [r.csv_row() for r in alone]
 
 
 def test_checks_of_another_group_step_on_their_own_meshes(monkeypatch):
-    # different s, n0 or unweighted level: each steps its own evolution
+    # another n0, the unweighted level or another ladder steps its own evolution;
+    # another s on an equal ladder shares one
     stepped = spy_steps(monkeypatch)
-    checks = [(1, 1, 0), (2, 1, 0), (1, 0, 0), (1, 1, 2)]
-    ladders = [[build_uniform_mesh(1.0, N)] for N in (8, 16, 24, 32)]
+    checks = [(1, 1, 0), (2, 1, 0), (1, 0, 0), (1, 1, 2), (1, 1, 0)]
+    ladders = [[build_uniform_mesh(1.0, N)] for N in (8, 8, 24, 32, 16)]
     reports = stability_reports(checks, ladders, 3, 0, default_spectrum(8))
     assert len(stepped) == 4
     for check, [report], ladder in zip(checks, reports, ladders):
@@ -534,7 +543,8 @@ def test_smoothing_checks_reject_level_zero(monkeypatch, check):
 
 @pytest.mark.parametrize("seed, modes", [(0, 256), (23, 40)])
 def test_trial_normals_scale_to_the_per_trial_draws_bitwise(seed, modes):
-    from cnflow.spectral_stokes import _random_trial, _scaled_trial, _trial_normals
+    from cnflow.spectral_stokes import _scaled_trial, _trial_normals
+    from oracles import _random_trial
 
     lam = default_spectrum(modes)
     for s in (0, 1, 2):
@@ -575,6 +585,24 @@ def test_streamed_ratios_match_the_stored_oracle(s, ell, n0):
     want = stability_ratios_oracle(s, ell, n0, mesh, 5, 11, lam)
     assert got.shape == (5,)
     assert np.allclose(got, want, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("ell, n0", [(0, 0), (1, 3)])
+def test_every_s_reports_the_ratios_of_one_evolution(monkeypatch, ell, n0):
+    # in the coordinates lam^(s/2) c the data of every s is the s = 0 data, so the
+    # three s of one call share one evolution and report the same bits; each s of
+    # the oracle scales and evolves its own data
+    stepped = spy_steps(monkeypatch)
+    mesh = build_alternating_mesh(1.0, 1.0 / 24, (0.5, 1.5))
+    lam = default_spectrum(40)
+    checks = [(s, ell, n0) for s in (0, 1, 2)]
+    reports = [r for [r] in stability_reports(checks, [[mesh]] * 3, 5, 11, lam)]
+    assert len(stepped) == 1
+    assert [r.s for r in reports] == [0, 1, 2]
+    assert len({r.ratios.tobytes() for r in reports}) == 1
+    for s, report in zip((0, 1, 2), reports):
+        want = stability_ratios_oracle(s, ell, n0, mesh, 5, 11, lam)
+        assert np.all(np.abs(report.ratios - want) <= 1e-14 * want)
 
 
 def test_stability_ratios_hold_no_trajectory():

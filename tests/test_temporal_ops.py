@@ -271,6 +271,18 @@ def test_spatial_norm_must_be_row_wise():
                 weighted_temporal_norm(f, 0.0, p, block_norm)
 
 
+@pytest.mark.parametrize("p", [1, 3, 0.5, np.nan])
+def test_bad_order_is_refused_before_any_spatial_norm(p):
+    mesh = build_uniform_mesh(1.0, 4)
+
+    def never(rows):
+        raise AssertionError("the spatial norm ran for an order the norm refuses")
+
+    for f in (GridFunctionDG0(mesh, np.ones((4, 2))), GridFunctionCG1(mesh, np.ones((5, 2)))):
+        with pytest.raises(ValueError, match="p must be 2 or inf"):
+            weighted_temporal_norm(f, 0.0, p, never)
+
+
 @st.composite
 def meshes(draw, max_intervals=8):
     """Random non-uniform meshes: steps varying by up to a factor of 10."""

@@ -166,6 +166,27 @@ def test_smoothing_weight_bounds():
         mesh.tau_values(-1.0)
 
 
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+def test_tau_values_refuse_non_finite_exponents(alpha):
+    # nan gave NaN weights, so every weighted norm read nan; inf gave a 0/1 step
+    mesh = build_uniform_mesh(2.0, 10)
+    with pytest.raises(ValueError, match="finite"):
+        mesh.tau_values(alpha)
+
+
+def test_tau_values_build_one_read_only_array_per_alpha():
+    mesh = build_alternating_mesh(2.0, 0.05, [0.8, 1.2])
+    base = np.minimum(mesh.nodes[:-1], 1.0)
+    for alpha, fresh in [(0.0, np.ones(mesh.num_intervals)), (0.5, base ** 0.5),
+                         (1.0, base ** 1.0), (1.5, base ** 1.5)]:
+        w = mesh.tau_values(alpha)
+        assert mesh.tau_values(alpha) is w
+        assert not w.flags.writeable
+        assert w.tobytes() == fresh.tobytes()
+    # the memo belongs to its mesh
+    assert build_alternating_mesh(2.0, 0.05, [0.8, 1.2]).tau_values(1.0) is not w
+
+
 def test_mesh_immutability():
     mesh = build_uniform_mesh(1.0, 4)
     with pytest.raises(ValueError):
