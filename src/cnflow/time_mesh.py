@@ -64,11 +64,11 @@ class TimeMesh:
         weight at times ``t`` is ``tau_values(alpha)[interval_of(t) - 1]``.
         The array is built once per ``alpha`` and read-only.
         """
+        alpha = float(alpha)
         if not 0.0 <= alpha < np.inf:
             raise ValueError(f"weight exponent must be nonnegative and finite, got {alpha}")
         if alpha not in self._tau:
-            base = np.minimum(self.nodes[:-1], 1.0)
-            w = np.ones_like(base) if alpha == 0.0 else base ** alpha
+            w = np.minimum(self.nodes[:-1], 1.0) ** alpha if alpha else np.ones(self.num_intervals)
             w.flags.writeable = False
             self._tau[alpha] = w
         return self._tau[alpha]

@@ -183,8 +183,9 @@ def test_tau_values_build_one_read_only_array_per_alpha():
         assert mesh.tau_values(alpha) is w
         assert not w.flags.writeable
         assert w.tobytes() == fresh.tobytes()
-    # the memo belongs to its mesh
+    # the memo belongs to its mesh, and an exponent of another type finds its entry
     assert build_alternating_mesh(2.0, 0.05, [0.8, 1.2]).tau_values(1.0) is not w
+    assert mesh.tau_values(np.array(1.5)) is w and mesh.tau_values(1) is mesh.tau_values(1.0)
 
 
 def test_mesh_immutability():
